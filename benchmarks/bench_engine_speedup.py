@@ -23,7 +23,6 @@ import pytest
 from repro.bench.harness import compare_engines, engine_speedups, \
     maintenance_trial
 from repro.bench.reporting import format_count, format_seconds
-from repro.core.engines import available_engines
 from repro.datasets.registry import BIG_DATASETS
 
 from benchmarks.conftest import BENCH_SCALE, load_bench_dataset, once
@@ -35,11 +34,6 @@ ALGORITHMS = ["semicore", "semicore+", "semicore*", "imcore", "emcore"]
 #: Wall-clock floors asserted at full bench scale (reduced scales only
 #: need to not lose).
 SPEEDUP_FLOORS = {"semicore": 5.0, "emcore": 3.0}
-
-pytestmark = pytest.mark.skipif(
-    "numpy" not in available_engines(),
-    reason="numpy engine unavailable",
-)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

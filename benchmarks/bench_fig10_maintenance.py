@@ -20,13 +20,13 @@ import pytest
 
 from repro.bench.harness import maintenance_trial
 from repro.bench.reporting import format_count, format_seconds
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.datasets.registry import BIG_DATASETS, SMALL_DATASETS
 
 from benchmarks.conftest import load_bench_dataset, once
 
 NUM_EDGES = 100
-ENGINES = available_engines()
+ENGINES = engine_names()
 
 SEMI_ALGORITHMS = ("SemiDelete*", "SemiInsert", "SemiInsert*")
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.harness import run_decomposition
 from repro.bench.reporting import format_count, format_seconds
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.datasets.registry import generate_dataset
 from repro.datasets.sampling import sample_edges, sample_nodes
 from repro.storage.graphstore import GraphStorage
@@ -24,7 +24,7 @@ from benchmarks.conftest import BENCH_SCALE, once
 DATASETS = ["twitter", "uk"]
 FRACTIONS = [0.2, 0.4, 0.6, 0.8, 1.0]
 ALGORITHMS = ["semicore", "semicore+", "semicore*"]
-ENGINES = available_engines()
+ENGINES = engine_names()
 _TIMINGS = {}
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.harness import maintenance_trial
 from repro.bench.reporting import format_count, format_seconds
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.datasets.registry import generate_dataset
 from repro.datasets.sampling import sample_edges, sample_nodes
 from repro.storage.graphstore import GraphStorage
@@ -22,7 +22,7 @@ from benchmarks.conftest import BENCH_SCALE, once
 DATASETS = ["twitter", "uk"]
 FRACTIONS = [0.2, 0.4, 0.6, 0.8, 1.0]
 NUM_EDGES = 50
-ENGINES = available_engines()
+ENGINES = engine_names()
 
 
 def _sampled_storage(name, mode, fraction):

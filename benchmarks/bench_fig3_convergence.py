@@ -13,7 +13,7 @@ convergence series and I/O figures exactly.
 
 import pytest
 
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.core.semicore import semi_core
 
 from benchmarks.conftest import load_bench_dataset, once
@@ -25,7 +25,7 @@ def test_fig3_changed_nodes_per_iteration(benchmark, results, name):
     outcome = {}
 
     def run():
-        for engine in available_engines():
+        for engine in engine_names():
             storage.drop_caches()
             storage.io_stats.reset()
             outcome[engine] = semi_core(storage, trace_changes=True,

@@ -21,7 +21,7 @@ import pytest
 
 from repro.bench.harness import run_decomposition
 from repro.bench.reporting import format_bytes, format_count, format_seconds
-from repro.core.engines import ENGINE_AWARE_ALGORITHMS, available_engines
+from repro.core.engines import ENGINE_AWARE_ALGORITHMS, engine_names
 from repro.datasets.registry import BIG_DATASETS, SMALL_DATASETS
 
 from benchmarks.conftest import load_bench_dataset, once
@@ -29,7 +29,7 @@ from benchmarks.conftest import load_bench_dataset, once
 SMALL_ALGORITHMS = ["semicore", "semicore+", "semicore*", "emcore", "imcore"]
 BIG_ALGORITHMS = ["semicore", "semicore+", "semicore*"]
 
-ENGINES = available_engines()
+ENGINES = engine_names()
 
 
 def _engines_for(algorithm):

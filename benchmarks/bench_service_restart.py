@@ -33,7 +33,7 @@ import shutil
 import tempfile
 import time
 
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.service import CoreService, EventJournal
 from repro.service.workload import generate_updates, in_batches
 
@@ -51,8 +51,7 @@ UPDATE_SEED = 29
 #: invariant says is independent of N.
 PHASES = (10, 34)
 
-ENGINES = [name for name in ("python", "numpy")
-           if name in available_engines()]
+ENGINES = engine_names()
 
 
 def _run_phase(engine, num_batches):

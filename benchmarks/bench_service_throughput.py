@@ -26,7 +26,7 @@ at the epoch the read observed.  At full scale the read p99 under write
 load must stay within 5x of the idle-read p99.
 """
 
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.service import (
     CoreService,
     generate_queries,
@@ -67,8 +67,7 @@ QUERY_MIX = (
     ("subgraph", 0.23),
 )
 
-ENGINES = [name for name in ("python", "numpy")
-           if name in available_engines()]
+ENGINES = engine_names()
 
 CACHED_SPEEDUP_FLOOR = 5.0
 

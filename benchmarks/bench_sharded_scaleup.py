@@ -8,8 +8,8 @@ scale-up trade the shard refactor buys: the per-shard working set
 count while the exchange rounds and the boundary-table overhead grow.
 The ``shards=1`` row doubles as the unsharded working-set baseline.
 Every row is checked bit-identical against the unsharded SemiCore*
-cores, and the executor rows assert the serial/multiprocessing/
-persistent I/O-identity contract.
+cores, and the executor rows assert the serial/persistent I/O-identity
+contract.
 
 Two further figures measure this PR's levers on the same proxy:
 
@@ -18,11 +18,9 @@ Two further figures measure this PR's levers on the same proxy:
   skew, boundary rows and halo bytes per combination (arc balance must
   meet the ``skew <= 1.15`` acceptance bound; relabeling must shrink
   the node-balanced halo);
-* the executor wall-clock comparison at the largest shard count, where
-  the persistent shared-memory pool must fork exactly once per
-  decomposition (the multiprocessing pool re-pickles estimates and
-  halos every round; the persistent pool ships them through one shared
-  segment).
+* the executor wall-clock comparison at the largest shard count:
+  persistent against serial, where the persistent pool must fork
+  exactly once per decomposition.
 
 Raw metrics land in ``BENCH_RESULTS.json`` via the results sink, so the
 perf trajectory tracks sharded scale-up across PRs.
@@ -34,7 +32,6 @@ import pytest
 
 from repro.bench.reporting import format_bytes, format_count, \
     format_seconds
-from repro.core.engines import available_engines
 from repro.core.semicore_star import semi_core_star
 from repro.core.sharded import PersistentShardExecutor, \
     sharded_semi_core_star
@@ -48,8 +45,7 @@ BALANCE_FIGURE = "Shard balance and relabeling (%s proxy)" % DATASET
 EXECUTOR_FIGURE = "Shard executors wall-clock (%s proxy)" % DATASET
 
 #: Engine/executor matrix measured at the largest shard count.
-VARIANTS = [("python", "multiprocessing"), ("python", "persistent"),
-            ("numpy", "serial")]
+VARIANTS = [("python", "persistent"), ("numpy", "serial")]
 
 #: The acceptance bound on owned-arc skew under ``balance="arc"``.
 SKEW_BOUND = 1.15
@@ -114,8 +110,6 @@ def test_sharded_scaleup(benchmark, results, reference_cores,
 @pytest.mark.parametrize("engine,executor", VARIANTS)
 def test_sharded_variants(benchmark, results, reference_cores, engine,
                           executor):
-    if engine not in available_engines():
-        pytest.skip("engine %r unavailable" % engine)
     num_shards = SHARD_COUNTS[-1]
     storage = load_bench_dataset(DATASET)
     outcome = {}
@@ -193,18 +187,17 @@ def test_relabel_shrinks_node_balanced_halo(reference_cores):
 
 
 def test_executor_wallclock(results, reference_cores):
-    """multiprocessing vs persistent at the largest shard count.
+    """persistent vs serial at the largest shard count.
 
-    The persistent pool forks once per decomposition and exchanges
-    estimates through shared memory; the multiprocessing pool forks
-    once too but re-pickles every round's estimate and halo tables.
-    Both must agree with serial on cores and I/O; the wall-clock
-    difference is the transport saving, recorded for the trajectory.
+    Both executors exchange estimates through the same shared round
+    plan; the persistent pool forks once per decomposition and runs the
+    shard passes in parallel.  It must agree with serial on cores, I/O
+    and rounds; the wall-clock ratio is recorded for the trajectory.
     """
     num_shards = SHARD_COUNTS[-1]
     timings = {}
     runs = {}
-    for executor in ("serial", "multiprocessing", "persistent"):
+    for executor in ("serial", "persistent"):
         storage = load_bench_dataset(DATASET)
         exec_obj = (PersistentShardExecutor()
                     if executor == "persistent" else executor)
@@ -226,11 +219,9 @@ def test_executor_wallclock(results, reference_cores):
             executor=executor,
             rounds=runs[executor].iterations,
             time=format_seconds(seconds),
-            vs_multiprocessing="%.2fx" % (
-                timings["multiprocessing"] / seconds),
+            vs_serial="%.2fx" % (timings["serial"] / seconds),
             _executor=executor,
             _rounds=runs[executor].iterations,
             _seconds=seconds,
-            _speedup_vs_multiprocessing=(
-                timings["multiprocessing"] / seconds),
+            _speedup_vs_serial=timings["serial"] / seconds,
         )

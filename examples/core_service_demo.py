@@ -11,7 +11,6 @@ import shutil
 import tempfile
 
 import repro
-from repro.core.engines import available_engines
 from repro.service import (
     CoreService,
     generate_queries,
@@ -30,13 +29,13 @@ def main():
         storage = repro.GraphStorage.from_edges(edges, n, path=prefix)
         data_dir = os.path.join(workdir, "service")
 
-        engine = "numpy" if "numpy" in available_engines() else None
+        engine = "numpy"
         service = CoreService.from_storage(storage, engine=engine,
                                            data_dir=data_dir,
                                            checkpoint_interval=2)
         kmax = service.degeneracy()
         print("service up: %d users, kmax=%d (engine: %s)"
-              % (n, kmax, engine or "python"))
+              % (n, kmax, engine))
 
         # Serve a zipfian query mix while update batches stream in.
         queries = generate_queries(n, kmax, 1200, seed=1)

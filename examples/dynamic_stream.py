@@ -11,7 +11,6 @@ import random
 import time
 
 import repro
-from repro.core.engines import available_engines
 from repro.datasets import generators
 from repro.storage.dynamic import DynamicGraph
 
@@ -23,14 +22,13 @@ def main():
 
     # The dynamic overlay buffers updates in memory and compacts the
     # tables when 2000 operations accumulate (Section V, graph storage).
-    # The maintenance kernels run on the vectorized engine when numpy is
-    # installed -- identical state transitions either way.
-    engine = "numpy" if "numpy" in available_engines() else None
+    # The maintenance kernels run on the vectorized engine -- identical
+    # state transitions to the reference python engine.
+    engine = "numpy"
     graph = DynamicGraph(storage, buffer_capacity=2000)
     maintainer = repro.CoreMaintainer.from_graph(graph, engine=engine)
     print("stream start: %d users, %d friendships, kmax=%d (engine: %s)"
-          % (graph.num_nodes, graph.num_edges, maintainer.kmax,
-             engine or "python"))
+          % (graph.num_nodes, graph.num_edges, maintainer.kmax, engine))
 
     present = set(edges)
     io_before = graph.io_stats.snapshot()

@@ -5,7 +5,6 @@ from repro.core.emcore import em_core
 from repro.core.engines import (
     DEFAULT_ENGINE,
     ENGINE_AWARE_ALGORITHMS,
-    available_engines,
     engine_implementation,
     engine_names,
     get_engine,
@@ -40,18 +39,16 @@ from repro.core.semicore import semi_core
 from repro.core.semicore_plus import semi_core_plus
 from repro.core.semicore_star import converge_star, semi_core_star
 from repro.core.sharded import (
-    MultiprocessingShardExecutor,
+    PersistentShardExecutor,
     SerialShardExecutor,
     executor_names,
     get_executor,
-    register_executor,
     sharded_semi_core_star,
 )
 
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_AWARE_ALGORITHMS",
-    "available_engines",
     "engine_names",
     "engine_implementation",
     "get_engine",
@@ -70,10 +67,9 @@ __all__ = [
     "semi_core_star",
     "sharded_semi_core_star",
     "SerialShardExecutor",
-    "MultiprocessingShardExecutor",
+    "PersistentShardExecutor",
     "executor_names",
     "get_executor",
-    "register_executor",
     "converge_star",
     "local_core",
     "compute_cnt",

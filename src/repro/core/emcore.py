@@ -97,8 +97,8 @@ def _partition_ub_task(records):
 
     Runs during the partitioning pass only, where no node is finalized
     yet and every deposit is zero -- so the task is self-contained and
-    any :mod:`repro.core.sharded` executor (serial, multiprocessing,
-    persistent) produces bit-identical upper bounds.
+    any :mod:`repro.core.sharded` executor (serial or persistent)
+    produces bit-identical upper bounds.
     """
     return _partition_upper_bounds(records, _ZERO_DEPOSIT)
 
@@ -126,8 +126,8 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
         returns bit-identical results, including the write I/Os of the
         partition store; see ``docs/ARCHITECTURE.md``.
     executor:
-        A :mod:`repro.core.sharded` shard executor (``None`` = serial, a
-        registered name, or an object with ``run(fn, tasks)``).  The
+        A :mod:`repro.core.sharded` shard executor (``None`` = serial,
+        ``"persistent"``, or an object with ``run(fn, tasks)``).  The
         partitioning pass's upper-bound pseudo-peels -- pure functions
         of each freshly written partition -- run through it in waves of
         one task per worker, so EMCore scales on the same machinery as

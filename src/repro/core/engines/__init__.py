@@ -9,23 +9,22 @@ algorithm name: the decomposition family (``"semicore"``,
 :func:`repro.core.sharded.sharded_semi_core_star`).
 The registry decouples the algorithm API (``semi_core(graph,
 engine=...)``, ``CoreMaintainer(..., engine=...)``) from how the
-per-node work is executed, so future backends (multiprocessing, GPU,
-distributed) plug in without touching the algorithm modules again.
+per-node work is executed, so future backends (GPU, distributed) plug
+in without touching the algorithm modules again.
 
 Two engines ship today:
 
 ``python``
-    The reference pure-Python implementations -- the default, always
-    available, and the semantics every other engine must reproduce
-    bit-for-bit (core numbers, iteration counts, node computations,
-    per-iteration traces and block-I/O figures).
+    The reference pure-Python implementations -- the default, and the
+    semantics every other engine must reproduce bit-for-bit (core
+    numbers, iteration counts, node computations, per-iteration traces
+    and block-I/O figures).
 
 ``numpy``
     Vectorized batch kernels over :class:`~repro.storage.csr.CSRGraph`
-    snapshots (:mod:`repro.core.engines.numpy_engine`).  Registered
-    lazily: the engine is listed but only importable when numpy is
-    installed; requesting it without numpy raises
-    :class:`~repro.errors.ReproError` with an actionable message.
+    snapshots (:mod:`repro.core.engines.numpy_engine`).  numpy is a hard
+    install requirement; the kernels are still loaded lazily, on first
+    use.
 
 The contract an engine implementation must honour is documented in
 ``docs/ARCHITECTURE.md`` and enforced by ``tests/test_engines.py``.
@@ -33,7 +32,7 @@ The contract an engine implementation must honour is documented in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import ReproError
 
@@ -62,65 +61,41 @@ class EngineSpec:
     """A named engine: metadata plus a lazy implementation loader."""
 
     def __init__(self, name: str, description: str,
-                 loader: Callable[[], Mapping[str, Kernel]],
-                 requires: Iterable[str] = ()) -> None:
+                 loader: Callable[[], Mapping[str, Kernel]]) -> None:
         self.name = name
         self.description = description
-        self.requires = tuple(requires)
         self._loader = loader
         self._impls: dict[str, Kernel] | None = None
-
-    def available(self) -> bool:
-        """True when every soft dependency of the engine imports."""
-        for module in self.requires:
-            try:
-                __import__(module)
-            except ImportError:
-                return False
-        return True
 
     def implementations(self) -> dict[str, Kernel]:
         """Load (once) and return ``{algorithm: callable}``."""
         if self._impls is None:
-            try:
-                self._impls = dict(self._loader())
-            except ImportError as exc:
-                raise ReproError(
-                    "engine %r is registered but its dependencies are "
-                    "missing (%s); install them or use engine='python'"
-                    % (self.name, exc)
-                ) from exc
+            self._impls = dict(self._loader())
         return self._impls
 
     def __repr__(self) -> str:
-        return "EngineSpec(%r, available=%s)" % (self.name, self.available())
+        return "EngineSpec(%r)" % (self.name,)
 
 
 _REGISTRY: dict[str, "EngineSpec"] = {}
 
 
 def register_engine(name: str, description: str,
-                    loader: Callable[[], Mapping[str, Kernel]],
-                    requires: Iterable[str] = ()) -> EngineSpec:
+                    loader: Callable[[], Mapping[str, Kernel]]) -> EngineSpec:
     """Register (or replace) an engine under ``name``.
 
     ``loader`` is a zero-argument callable returning the implementation
     mapping; it runs on first use so engines with heavy dependencies cost
     nothing until requested.
     """
-    spec = EngineSpec(name.lower(), description, loader, requires)
+    spec = EngineSpec(name.lower(), description, loader)
     _REGISTRY[spec.name] = spec
     return spec
 
 
 def engine_names() -> list[str]:
-    """All registered engine names (available or not), sorted."""
+    """All registered engine names, sorted."""
     return sorted(_REGISTRY)
-
-
-def available_engines() -> list[str]:
-    """Names of engines whose dependencies import, sorted."""
-    return [name for name in engine_names() if _REGISTRY[name].available()]
 
 
 def get_engine(name: str | None) -> EngineSpec:
@@ -138,8 +113,8 @@ def engine_implementation(engine: str | None,
                           algorithm: str) -> Kernel:
     """Resolve one algorithm kernel of one engine.
 
-    Raises :class:`ReproError` for unknown engines, engines with missing
-    dependencies, and algorithms the engine does not implement.
+    Raises :class:`ReproError` for unknown engines and algorithms the
+    engine does not implement.
     """
     spec = get_engine(engine)
     impls = spec.implementations()
@@ -201,8 +176,8 @@ def _load_numpy() -> dict[str, Kernel]:
 
 register_engine(
     "python",
-    "reference pure-Python kernels (always available; the semantics "
-    "other engines must match)",
+    "reference pure-Python kernels (the semantics other engines must "
+    "match)",
     _load_python,
 )
 
@@ -210,5 +185,4 @@ register_engine(
     "numpy",
     "NumPy-vectorized batch kernels over CSR snapshots",
     _load_numpy,
-    requires=("numpy",),
 )

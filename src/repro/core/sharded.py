@@ -12,9 +12,9 @@ SemiCore* passes until the global fixpoint:
    (the boundary-estimate exchange; all reads use round-start values,
    so rounds are Jacobi *across* shards and Gauss-Seidel *within* one).
 2. **Pass** -- run a SemiCore* sweep per shard with the halo estimates
-   frozen, through a pluggable :class:`ShardExecutor` (``serial``,
-   ``multiprocessing`` or ``persistent``) and any registered engine's
-   ``"shard-pass"`` kernel (``python`` and ``numpy`` ship).
+   frozen, through a pluggable shard executor (``serial`` or
+   ``persistent``) and any registered engine's ``"shard-pass"`` kernel
+   (``python`` and ``numpy`` ship).
 3. **Scatter** -- write each shard's new owned estimates back to its
    estimate table; stop once no estimate moved anywhere.
 
@@ -45,19 +45,20 @@ so executors are interchangeable: it reads only its own shard's devices,
 it starts from dropped device caches, and it charges its I/O to a
 scratch counter that the driver folds into the shared ``IOStats``
 afterwards.  Those rules make cores *and* I/O figures identical between
-``serial``, ``multiprocessing`` and ``persistent`` -- asserted by
-``tests/test_sharded.py``.
+``serial`` and ``persistent`` -- asserted by ``tests/test_sharded.py``.
 
-The ``persistent`` executor additionally opts into *shared estimate
-tables*: it declares ``uses_shared_estimates`` and the driver then backs
-the estimate devices with one ``multiprocessing.shared_memory`` segment
-(:mod:`repro.storage.shm`), forks its workers exactly once per
-decomposition, and ships only ``(shard, engine)`` task descriptors per
-round -- the estimate, halo and result payloads travel through the
-shared segment instead of the task pickles.  Charged I/O is untouched:
-the driver performs the same gather/scatter reads and writes against the
-counting devices, and the raw segment traffic replaces pickle transport,
-which the I/O model never counted either.
+Round transport
+---------------
+Every decomposition backs its estimate tables with one
+``multiprocessing.shared_memory`` segment, the *round plan*
+(:mod:`repro.storage.shm`), and ships only ``(shard, engine)`` task
+descriptors per round: the estimate, halo and result payloads travel
+through the segment, whether the pass runs in the driving process
+(``serial``) or in a worker the ``persistent`` executor forks once per
+decomposition.  Charged I/O is the same under every executor: the driver
+performs the gather/scatter reads and writes against the counting
+devices, and the raw segment traffic is transport, which the I/O model
+never counts.
 """
 
 from __future__ import annotations
@@ -79,14 +80,9 @@ from repro.core.result import DecompositionResult
 from repro.core.semicore_star import converge_star
 from repro.errors import ExecutorError, GraphError, ReproError
 from repro.obs.trace import span
-from repro.storage.blockio import DEFAULT_BLOCK_SIZE, IOStats, \
-    MemoryBlockDevice
+from repro.storage.blockio import DEFAULT_BLOCK_SIZE, IOStats
 from repro.storage.shards import ShardedGraphStorage
-from repro.storage.shm import (
-    SharedMemoryBlockDevice,
-    SharedMemorySegment,
-    shared_memory_available,
-)
+from repro.storage.shm import SharedMemoryBlockDevice, SharedMemorySegment
 
 #: ``cnt`` sentinel that keeps halo rows permanently satisfied: a frozen
 #: row can lose at most one support per adjacency entry of its shard, so
@@ -147,132 +143,6 @@ class SerialShardExecutor:
         pass
 
 
-class MultiprocessingShardExecutor:
-    """Run each round's shard passes in forked worker processes.
-
-    Workers inherit the shard devices through fork and read them with
-    ``os.pread`` (no shared file offsets), so file- and memory-backed
-    shards both work.  A worker's I/O lands in its own scratch counter
-    and is returned with the pass result; the driver folds it into the
-    shared ``IOStats``, which keeps the combined figures identical to
-    the serial executor's.  Worker exceptions propagate to the caller.
-
-    A killed worker is *detected*, not waited on: ``Pool.map`` would
-    block forever because the pool's handler thread silently respawns
-    the worker while the dead one's task is never resubmitted.  ``run``
-    instead polls a ``map_async`` result and watches the pool's worker
-    pids -- a changed pid set, or the ``task_timeout`` deadline, tears
-    the pool down and the whole round is retried on a fresh pool with
-    exponential backoff (``retry_backoff * 2**attempt``).  Retrying the
-    full round is safe and bit-identical because shard passes are pure
-    functions of the round-start estimate tables, which the driver only
-    rewrites after ``run`` returns.  After ``max_retries`` respawns the
-    typed :class:`~repro.errors.ExecutorError` propagates.
-    """
-
-    name = "multiprocessing"
-
-    #: seconds between dead-worker polls while waiting on a round.
-    _POLL_INTERVAL = 0.05
-
-    def __init__(self, processes=None, *, task_timeout=120.0,
-                 max_retries=2, retry_backoff=0.05):
-        if processes is not None and processes < 1:
-            raise ReproError(
-                "processes must be >= 1, got %d" % processes
-            )
-        if task_timeout is not None and task_timeout <= 0:
-            raise ReproError(
-                "task_timeout must be positive, got %r" % (task_timeout,)
-            )
-        if max_retries < 0:
-            raise ReproError(
-                "max_retries must be >= 0, got %d" % max_retries
-            )
-        if retry_backoff < 0:
-            raise ReproError(
-                "retry_backoff must be >= 0, got %r" % (retry_backoff,)
-            )
-        self.processes = processes
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.respawns = 0
-        self._pool = None
-
-    def run(self, fn, tasks):
-        if not tasks:
-            return []
-        attempt = 0
-        while True:
-            self._ensure_pool(len(tasks))
-            try:
-                return self._run_once(fn, tasks)
-            except ExecutorError:
-                self.close()
-                if attempt >= self.max_retries:
-                    raise
-                time.sleep(self.retry_backoff * (2 ** attempt))
-                attempt += 1
-                self.respawns += 1
-
-    def _ensure_pool(self, num_tasks):
-        if self._pool is not None:
-            return
-        # Lazily forked on the first round -- after the driver has
-        # published the active shards -- and reused across rounds
-        # (shard devices are read-only during passes, and every
-        # pass starts from dropped caches, so worker reuse cannot
-        # perturb results).  close() allows a later re-fork.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            raise ReproError(
-                "the multiprocessing executor needs the fork start "
-                "method; use executor='serial' on this platform"
-            ) from None
-        processes = self.processes or (os.cpu_count() or 1)
-        self._pool = context.Pool(
-            processes=max(1, min(processes, num_tasks)))
-
-    def _worker_pids(self):
-        workers = getattr(self._pool, "_pool", None)
-        if workers is None:  # pragma: no cover - future stdlib change
-            return None
-        return frozenset(worker.pid for worker in workers)
-
-    def _run_once(self, fn, tasks):
-        pids = self._worker_pids()
-        deadline = (time.monotonic() + self.task_timeout
-                    if self.task_timeout is not None else None)
-        pending = self._pool.map_async(fn, tasks)
-        while True:
-            try:
-                return pending.get(timeout=self._POLL_INTERVAL)
-            except multiprocessing.TimeoutError:
-                pass
-            current = self._worker_pids()
-            if pids is not None and current != pids:
-                lost = sorted(pids - (current or frozenset()))
-                raise ExecutorError(
-                    "shard-pass worker died mid-round (lost pid%s %s); "
-                    "pool torn down"
-                    % ("s" if len(lost) != 1 else "",
-                       ", ".join(map(str, lost)) or "unknown"))
-            if deadline is not None and time.monotonic() > deadline:
-                raise ExecutorError(
-                    "shard-pass round exceeded task_timeout=%.1fs with "
-                    "%d task%s outstanding; pool torn down"
-                    % (self.task_timeout, len(tasks),
-                       "s" if len(tasks) != 1 else ""))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-
 def _persistent_worker(task_queue, result_queue):
     """Loop of one persistent worker process.
 
@@ -309,42 +179,33 @@ class PersistentShardExecutor:
     Workers are forked lazily on the first round -- after the driver has
     published the active shards and the shared round plan -- and then
     reused for *every* subsequent round: rounds are plain queue messages,
-    so the per-round cost is two tiny pickles per shard instead of the
-    multiprocessing executor's estimate/halo/result array transfers.
-    ``pool_forks`` counts full pool spawns (exactly 1 per decomposition
-    on the healthy path; asserted by the bench smoke run) and
-    ``shm_bytes`` the bytes of the currently attached shared segment.
+    two tiny pickles per shard.  ``pool_forks`` counts full pool spawns
+    (exactly 1 per decomposition on the healthy path; asserted by the
+    bench smoke run) and ``shm_bytes`` the bytes of the currently
+    attached shared segment.
 
-    Fault tolerance follows the multiprocessing executor's contract with
-    one refinement: a dead worker is replaced *in place* (``respawns``
+    A dead worker is *detected*, not waited on: while a round is
+    outstanding, ``run`` polls the result queue and the workers'
+    liveness.  A dead worker is replaced *in place* (``respawns``
     increments, ``pool_forks`` does not) and the round is retried on the
-    surviving pool -- no per-round re-fork.  Only a hung round
-    (``task_timeout`` with every worker alive) tears the whole pool
-    down.  After ``max_retries`` failed rounds the typed
-    :class:`~repro.errors.ExecutorError` propagates.  Retried rounds are
-    safe and bit-identical because shard passes are pure functions of
-    the round-start estimate tables: duplicate executions rewrite the
-    same bytes into the result slots, and stale replies are discarded by
-    their sequence tag.
+    surviving pool after an exponential backoff (``retry_backoff *
+    2**attempt``).  Only a hung round (``task_timeout`` with every
+    worker alive) tears the whole pool down.  After ``max_retries``
+    failed rounds the typed :class:`~repro.errors.ExecutorError`
+    propagates.  Retried rounds are safe and bit-identical because shard
+    passes are pure functions of the round-start estimate tables, which
+    the driver only rewrites after ``run`` returns: duplicate executions
+    rewrite the same bytes into the result slots, and stale replies are
+    discarded by their sequence tag.
     """
 
     name = "persistent"
-
-    #: Tells the driver to back estimate tables with shared memory and
-    #: send slim ``(shard, engine)`` tasks.
-    uses_shared_estimates = True
 
     #: seconds between dead-worker polls while waiting on a round.
     _POLL_INTERVAL = 0.05
 
     def __init__(self, processes=None, *, task_timeout=120.0,
                  max_retries=2, retry_backoff=0.05):
-        if not shared_memory_available():
-            raise ReproError(
-                "the persistent executor needs "
-                "multiprocessing.shared_memory; use "
-                "executor='multiprocessing' on this interpreter"
-            )
         if processes is not None and processes < 1:
             raise ReproError(
                 "processes must be >= 1, got %d" % processes
@@ -375,11 +236,16 @@ class PersistentShardExecutor:
         self._seq = 0
 
     def attach_plan(self, plan):
-        """Record the driver's shared round plan (for the gauge only).
+        """Adopt the driver's shared round plan before its first round.
 
-        Workers receive the plan itself through fork inheritance of the
-        module globals, not through this call.
+        Workers receive the plan and the active shards through fork
+        inheritance of the module globals, not through this call.  A
+        pool forked before the driver published them (one left running
+        by :func:`~repro.core.emcore.em_core` on a caller-owned
+        executor, say) would never see them, so it is retired here and
+        the first round forks afresh.
         """
+        self.close()
         self.shm_bytes = plan.total_bytes
 
     def run(self, fn, tasks):
@@ -498,18 +364,12 @@ class PersistentShardExecutor:
 
 EXECUTORS = {
     SerialShardExecutor.name: SerialShardExecutor,
-    MultiprocessingShardExecutor.name: MultiprocessingShardExecutor,
     PersistentShardExecutor.name: PersistentShardExecutor,
 }
 
 
-def register_executor(name, factory):
-    """Register (or replace) a shard executor factory under ``name``."""
-    EXECUTORS[name.lower()] = factory
-
-
 def executor_names():
-    """All registered executor names, sorted."""
+    """All built-in executor names, sorted."""
     return sorted(EXECUTORS)
 
 
@@ -521,7 +381,8 @@ def register_executor_metrics(executor, registry):
     """
     registry.counter(
         "repro_executor_respawns",
-        "Worker pools torn down and re-forked after a lost worker."
+        "Dead workers replaced in place (full pool re-forks are "
+        "counted by repro_executor_pool_forks)."
     ).set_function(lambda: getattr(executor, "respawns", 0))
     registry.gauge(
         "repro_executor_processes",
@@ -541,10 +402,11 @@ def register_executor_metrics(executor, registry):
 
 
 def get_executor(executor):
-    """Resolve an executor spec: None, a registered name, or an object.
+    """Resolve an executor spec: None, a built-in name, or an object.
 
     Anything exposing ``run(fn, tasks)`` is accepted as-is, so callers
-    can plug in their own (thread pools, remote workers, ...).
+    can plug in their own in-process executors (thread pools,
+    instrumented wrappers, ...).
     """
     if executor is None:
         executor = SerialShardExecutor.name
@@ -553,14 +415,14 @@ def get_executor(executor):
             return EXECUTORS[executor.lower()]()
         except KeyError:
             raise ReproError(
-                "unknown executor %r (registered: %s)"
+                "unknown executor %r (choices: %s)"
                 % (executor, ", ".join(executor_names()))
             ) from None
     if hasattr(executor, "run"):
         return executor
     raise ReproError(
-        "executor must be a registered name or expose run(fn, tasks); "
-        "got %r" % (executor,)
+        "executor must be one of %s or expose run(fn, tasks); got %r"
+        % (", ".join(executor_names()), executor)
     )
 
 
@@ -571,20 +433,21 @@ def get_executor(executor):
 class _SharedRoundPlan:
     """Shared-memory layout of one decomposition's exchange state.
 
-    One segment holds, per shard, three regions: the *estimate table*
-    (backing a counting :class:`~repro.storage.shm.
-    SharedMemoryBlockDevice`, so the driver's gather/scatter charges
-    exactly what the memory-device path charges), a *halo slot* the
-    driver fills raw with the gathered boundary estimates, and an
-    *output slot* the worker fills raw with the pass's owned cores.
-    The raw slots replace pickle transport, which was never modelled
-    I/O either -- that is what keeps the counters bit-identical across
-    executors.
+    One segment holds, per shard, three consecutive regions: the
+    *estimate table* (backing a counting :class:`~repro.storage.shm.
+    SharedMemoryBlockDevice`, so the driver's gather/scatter is charged
+    exactly as on a :class:`~repro.storage.blockio.MemoryBlockDevice`),
+    a *halo slot* the driver fills raw with the gathered boundary
+    estimates, and an *output slot* the pass fills raw with its owned
+    cores.  Raw slot traffic is transport, not modelled I/O, and it is
+    the same whichever executor runs the pass -- that is what keeps the
+    counters bit-identical across executors.
 
     The driver owns the plan: it is created before the first round,
-    inherited by the workers through fork, and closed (detached *and*
-    unlinked) in the driver's ``finally`` whether the decomposition
-    succeeds or dies -- no ``/dev/shm`` entry outlives the call.
+    read in-process by serial passes and through fork inheritance by
+    persistent workers, and closed (detached *and* unlinked) in the
+    driver's ``finally`` whether the decomposition succeeds or dies --
+    no ``/dev/shm`` entry outlives the call.
     """
 
     def __init__(self, sharded, block_size, stats):
@@ -623,16 +486,14 @@ class _SharedRoundPlan:
         cores.frombytes(bytes(self.segment.buf[start:start + size]))
         return cores
 
-    # -- worker side (fork-inherited object) ---------------------------
-    def read_estimates_raw(self, index, count):
-        """A shard's round-start owned estimates (raw transport)."""
-        start = self._regions[index][0]
-        size = count * ESTIMATE_ENTRY_SIZE
-        return bytes(self.segment.buf[start:start + size])
+    # -- pass side -----------------------------------------------------
+    def read_initial(self, index, count):
+        """A shard's round-start estimates, owned rows then halo rows.
 
-    def read_halo_raw(self, index, count):
-        """A shard's published halo estimates (raw transport)."""
-        start = self._regions[index][1]
+        The estimate table and the halo slot are adjacent, so this is
+        one raw read of ``count`` (= owned + halo) entries.
+        """
+        start = self._regions[index][0]
         size = count * ESTIMATE_ENTRY_SIZE
         return bytes(self.segment.buf[start:start + size])
 
@@ -656,18 +517,28 @@ class _SharedRoundPlan:
 #: ``executor.run`` so forked workers inherit it.
 _ACTIVE_SHARDS = None
 
-#: Shared round plan of the running decomposition (persistent executor
-#: only); inherited by workers the same way.
+#: Shared round plan of the running decomposition; published and
+#: inherited the same way.
 _ACTIVE_PLAN = None
 
 
-def _execute_shard_pass(shard, engine, initial):
-    """Run one shard's kernel under the executor contract's three rules.
+def _run_shard_pass_shared(task):
+    """Execute one shard pass; the unit of work executors schedule.
 
-    The pass starts cold (device caches dropped), touches only the
+    ``task`` is just ``(shard_index, engine)``: the round-start
+    estimates come raw from the round plan and the owned cores go back
+    the same way, so only the counters travel in the result however
+    large the shard is.  The pass follows the executor contract's three
+    rules: it starts cold (device caches dropped), touches only the
     shard's own devices, and charges its I/O to a scratch counter so the
-    driver can apply one combined delta whatever process ran the pass.
+    driver can apply one combined delta whatever process ran it.
+    Returns ``(computations, sweep_iterations, model_memory_bytes,
+    io_counts)``.
     """
+    index, engine = task
+    shard = _ACTIVE_SHARDS[index]
+    initial = array(_ESTIMATE_TYPECODE)
+    initial.frombytes(_ACTIVE_PLAN.read_initial(index, shard.num_local))
     graph = shard.graph
     kernel = engine_implementation(engine, "shard-pass")
     scratch = IOStats()
@@ -683,44 +554,10 @@ def _execute_shard_pass(shard, engine, initial):
     finally:
         for dev, stats in zip(devices, saved):
             dev.stats = stats
-    owned_cores = array(_ESTIMATE_TYPECODE, cores[:shard.num_owned])
+    _ACTIVE_PLAN.write_cores(
+        index, array(_ESTIMATE_TYPECODE, cores[:shard.num_owned]))
     io_counts = (scratch.read_ios, scratch.write_ios,
                  scratch.bytes_read, scratch.bytes_written)
-    return owned_cores, computations, sweeps, memory, io_counts
-
-
-def _run_shard_pass(task):
-    """Execute one shard pass; the unit of work executors schedule.
-
-    ``task`` is ``(shard_index, engine, owned_estimates, halo_estimates)``.
-    Returns ``(owned_cores, computations, sweep_iterations,
-    model_memory_bytes, io_counts)``.
-    """
-    index, engine, owned, halo = task
-    shard = _ACTIVE_SHARDS[index]
-    initial = array(_ESTIMATE_TYPECODE, owned)
-    initial.extend(halo)
-    return _execute_shard_pass(shard, engine, initial)
-
-
-def _run_shard_pass_shared(task):
-    """Shared-memory variant: ``task`` is just ``(shard_index, engine)``.
-
-    Estimates and halo values come raw from the fork-inherited round
-    plan and the owned cores go back the same way; only the counters
-    return through the result queue, so the message stays tiny however
-    large the shard is.  Returns ``(computations, sweep_iterations,
-    model_memory_bytes, io_counts)``.
-    """
-    index, engine = task
-    shard = _ACTIVE_SHARDS[index]
-    plan = _ACTIVE_PLAN
-    initial = array(_ESTIMATE_TYPECODE)
-    initial.frombytes(plan.read_estimates_raw(index, shard.num_owned))
-    initial.frombytes(plan.read_halo_raw(index, shard.num_boundary))
-    owned_cores, computations, sweeps, memory, io_counts = \
-        _execute_shard_pass(shard, engine, initial)
-    plan.write_cores(index, owned_cores)
     return computations, sweeps, memory, io_counts
 
 
@@ -736,8 +573,7 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
     ``engine`` selects the per-shard pass kernel through the engine
     registry (``"shard-pass"``; default the reference python kernel),
     ``executor`` how the passes run (``"serial"`` default,
-    ``"multiprocessing"``, ``"persistent"``, a registered name, or any
-    object with ``run(fn, tasks)``).  ``path`` makes the shard tables
+    ``"persistent"``, or any object with ``run(fn, tasks)``).  ``path`` makes the shard tables
     file-backed.  ``balance`` picks the fencepost rule (``"node"`` or
     ``"arc"``, see :class:`~repro.storage.shards.ShardedGraphStorage`)
     and ``relabel`` enables the locality relabeling pre-pass
@@ -779,23 +615,16 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
         source, num_shards, path=path, stats=stats, balance=balance
     )
     plan = None
-    if getattr(exec_obj, "uses_shared_estimates", False):
-        plan = _SharedRoundPlan(sharded, block_size, stats)
-        attach = getattr(exec_obj, "attach_plan", None)
-        if attach is not None:
-            attach(plan)
-        estimates = plan.devices
-    else:
-        estimates = [
-            MemoryBlockDevice(block_size=block_size, stats=stats)
-            for _ in sharded.shards
-        ]
-
     rounds = 0
     computations = 0
     peak_memory = 0
     changes = [] if trace_changes else None
     try:
+        plan = _SharedRoundPlan(sharded, block_size, stats)
+        attach = getattr(exec_obj, "attach_plan", None)
+        if attach is not None:
+            attach(plan)
+        estimates = plan.devices
         # Round 0: the degree upper bounds, streamed shard by shard.
         for shard, device in zip(sharded.shards, estimates):
             degrees = shard.graph.read_degrees()[:shard.num_owned]
@@ -805,8 +634,6 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
                           for shard in sharded.shards]
         _ACTIVE_SHARDS = sharded.shards
         _ACTIVE_PLAN = plan
-        pass_fn = _run_shard_pass_shared if plan is not None \
-            else _run_shard_pass
         while True:
             rounds += 1
             with span("sharded.round", io=stats, round=rounds,
@@ -816,28 +643,20 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
                 with span("sharded.gather", io=stats, round=rounds):
                     for shard, device, boundary in zip(
                             sharded.shards, estimates, boundary_cache):
-                        owned = _read_estimates(device, shard.num_owned)
-                        halo = _gather_boundary(boundary, sharded.bounds,
-                                                estimates)
-                        round_start.append(owned)
-                        if plan is not None:
-                            plan.write_halo(shard.index, halo)
-                            tasks.append((shard.index, engine_name))
-                        else:
-                            tasks.append((shard.index, engine_name,
-                                          owned, halo))
-                results = exec_obj.run(pass_fn, tasks)
+                        round_start.append(
+                            _read_estimates(device, shard.num_owned))
+                        plan.write_halo(shard.index, _gather_boundary(
+                            boundary, sharded.bounds, estimates))
+                        tasks.append((shard.index, engine_name))
+                results = exec_obj.run(_run_shard_pass_shared, tasks)
                 changed = 0
                 with span("sharded.scatter", io=stats, round=rounds):
                     for shard, device, owned, outcome in zip(
                             sharded.shards, estimates, round_start,
                             results):
-                        if plan is not None:
-                            comps, _, memory, io_counts = outcome
-                            cores = plan.read_cores(shard.index,
-                                                    shard.num_owned)
-                        else:
-                            cores, comps, _, memory, io_counts = outcome
+                        comps, _, memory, io_counts = outcome
+                        cores = plan.read_cores(shard.index,
+                                                shard.num_owned)
                         _apply_io(stats, io_counts)
                         computations += comps
                         local_state = memory + \
@@ -866,8 +685,6 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
         closer = getattr(exec_obj, "close", None)
         if closer is not None:
             closer()
-        for device in estimates:
-            device.close()
         if plan is not None:
             plan.close()
         sharded.close()

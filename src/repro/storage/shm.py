@@ -1,4 +1,4 @@
-"""Shared-memory block devices for the persistent shard executor.
+"""Shared-memory block devices for the sharded round plan.
 
 :class:`SharedMemorySegment` owns one ``multiprocessing.shared_memory``
 segment; :class:`SharedMemoryBlockDevice` exposes a byte range of it
@@ -23,14 +23,10 @@ inside the repo's determinism lint and makes leak checks greppable.
 from __future__ import annotations
 
 import os
+from multiprocessing import shared_memory as _shared_memory
 
 from repro.errors import StorageError
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE, BlockDevice
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - minimal builds
-    _shared_memory = None
 
 #: Prefix of every segment this module creates (leak checks glob it).
 SEGMENT_PREFIX = "repro_shm"
@@ -38,21 +34,11 @@ SEGMENT_PREFIX = "repro_shm"
 _SEGMENT_COUNTER = 0
 
 
-def shared_memory_available():
-    """True when the stdlib shared-memory module imports."""
-    return _shared_memory is not None
-
-
 class SharedMemorySegment:
     """One owned shared-memory segment, closed and unlinked together."""
 
     def __init__(self, size):
         global _SEGMENT_COUNTER
-        if _shared_memory is None:
-            raise StorageError(
-                "multiprocessing.shared_memory is unavailable; use the "
-                "serial or multiprocessing executor"
-            )
         if size <= 0:
             raise StorageError(
                 "segment size must be positive, got %d" % size
@@ -111,9 +97,8 @@ class SharedMemoryBlockDevice(BlockDevice):
     at zero and grows with writes, reads past the logical end raise, and
     every access is charged by the base class's block rules.  The
     backing bytes live at ``[offset, offset + capacity)`` of
-    ``segment`` and are visible raw (uncharged) to any process sharing
-    the mapping via :meth:`peek` / :meth:`poke` -- the transport path,
-    equivalent to shipping the same bytes through a task pickle.
+    ``segment``, where any process sharing the mapping can also reach
+    them raw (uncharged) -- the round plan's transport path.
     """
 
     def __init__(self, segment, offset, capacity,
@@ -148,23 +133,3 @@ class SharedMemoryBlockDevice(BlockDevice):
 
     def _size_raw(self):
         return self._length
-
-    def peek(self, offset, size):
-        """Raw uncharged read (transport, not modelled I/O)."""
-        base = self._offset + offset
-        return bytes(self._segment.buf[base:base + size])
-
-    def poke(self, offset, data):
-        """Raw uncharged write (transport, not modelled I/O)."""
-        end = offset + len(data)
-        if end > self._capacity:
-            raise StorageError(
-                "poke past device capacity: [%d, %d) but capacity is %d"
-                % (offset, end, self._capacity)
-            )
-        base = self._offset + offset
-        self._segment.buf[base:base + len(data)] = data
-
-    def close(self):
-        """Drop the cache; the segment itself is closed by its owner."""
-        super().close()

@@ -13,7 +13,6 @@ or written must pass through the block device so ``IOStats`` stays an
 honest reproduction of the paper's I/O model.  Checkpoint bytes are
 service bookkeeping, deliberately *outside* the model, so the codec
 sits with the rest of the uncharged persistence code.
-``repro.core.maintenance.checkpoint`` remains as a compatibility alias.
 
 Format: a 32-byte header (magic, version, n, arc count) followed by the
 two ``int32`` arrays back to back, then (format v2) a trailing CRC32 of

@@ -270,16 +270,24 @@ class TestShardedDecompose:
         assert "shards" in out and "3" in out
         assert "serial" in out
 
-    def test_sharded_multiprocessing_with_output(self, converted_graph,
-                                                 tmp_path, capsys):
+    def test_sharded_persistent_with_output(self, converted_graph,
+                                            tmp_path, capsys):
         out_file = tmp_path / "cores.tsv"
         assert main(["decompose", "--graph", converted_graph,
-                     "--shards", "2", "--executor", "multiprocessing",
+                     "--shards", "2", "--executor", "persistent",
                      "--output", str(out_file)]) == 0
-        assert "multiprocessing" in capsys.readouterr().out
+        assert "persistent" in capsys.readouterr().out
         cores = [int(line.split("\t")[1])
                  for line in out_file.read_text().splitlines()]
         assert cores == [3, 3, 3, 3, 2, 2, 2, 2, 1]
+
+    def test_removed_multiprocessing_executor_rejected(
+            self, converted_graph, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--graph", converted_graph,
+                  "--shards", "2", "--executor", "multiprocessing"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_executor_requires_shards(self, converted_graph, capsys):
         assert main(["decompose", "--graph", converted_graph,

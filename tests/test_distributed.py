@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.distributed import distributed_core
-from repro.core.engines import available_engines
 from repro.core.semicore import semi_core
 from repro.datasets import generators
 from repro.errors import ReproError
@@ -12,9 +11,6 @@ from repro.storage.graphstore import GraphStorage
 from repro.storage.memgraph import MemoryGraph
 
 from tests.conftest import graph_edges, nx_core_numbers
-
-requires_numpy = pytest.mark.skipif("numpy" not in available_engines(),
-                                    reason="numpy engine unavailable")
 
 
 class TestCorrectness:
@@ -79,7 +75,6 @@ class TestEngineRouting:
         assert result.engine == "python"
         assert list(result.cores) == [3, 3, 3, 3, 2, 2, 2, 2, 1]
 
-    @requires_numpy
     def test_numpy_engine_full_parity(self):
         """Rounds, traces, messages, cores and I/O all match exactly."""
         for seed in (1, 4, 8):
@@ -99,7 +94,6 @@ class TestEngineRouting:
                 reference.per_iteration_changes
             assert vectorized.io == reference.io
 
-    @requires_numpy
     @given(graph_edges(max_nodes=16))
     @settings(max_examples=30, deadline=None)
     def test_numpy_engine_hypothesis_parity(self, graph):
@@ -111,7 +105,6 @@ class TestEngineRouting:
         assert vectorized.iterations == reference.iterations
         assert vectorized.io == reference.io
 
-    @requires_numpy
     def test_numpy_engine_max_rounds_and_memory_graph(self, paper_graph):
         edges, n = paper_graph
         capped = distributed_core(GraphStorage.from_edges(edges, n),
@@ -121,7 +114,6 @@ class TestEngineRouting:
                                   engine="numpy")
         assert memory.kmax == 3
 
-    @requires_numpy
     def test_registry_and_harness_route_distributed(self, paper_storage):
         from repro.bench.harness import run_decomposition
         from repro.core.engines import ENGINE_AWARE_ALGORITHMS

@@ -11,6 +11,8 @@ from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import graph_edges, make_random_edges, nx_core_numbers
 
+EXECUTOR_NAMES = ("serial", "persistent")
+
 
 class TestPeelWithSupport:
     def test_plain_peel_matches_core_numbers(self):
@@ -138,29 +140,31 @@ class TestPartitionExecutors:
         edges = make_random_edges(rng, n, 0.12)
         expected = nx_core_numbers(edges, n)
         runs = {}
-        for executor in ("serial", "multiprocessing", "persistent"):
+        for executor in EXECUTOR_NAMES:
             storage = GraphStorage.from_edges(edges, n)
             runs[executor] = em_core(storage, partition_arcs=32,
                                      memory_budget_bytes=1024,
                                      executor=executor)
             assert list(runs[executor].cores) == expected, executor
         serial = runs["serial"]
-        for executor in ("multiprocessing", "persistent"):
+        for executor in EXECUTOR_NAMES[1:]:
             other = runs[executor]
             assert other.iterations == serial.iterations
             assert other.io == serial.io
 
     def test_executor_object_is_not_closed_by_emcore(self, paper_graph):
-        from repro.core.sharded import MultiprocessingShardExecutor
+        from repro.core.sharded import PersistentShardExecutor
 
         edges, n = paper_graph
-        executor = MultiprocessingShardExecutor(processes=2)
+        executor = PersistentShardExecutor(processes=2)
         try:
             for _ in range(2):
                 storage = GraphStorage.from_edges(edges, n)
                 result = em_core(storage, partition_arcs=8,
                                  executor=executor)
                 assert list(result.cores) == [3, 3, 3, 3, 2, 2, 2, 2, 1]
+            # The pool outlived both runs: forked once, never closed.
+            assert executor.pool_forks == 1
         finally:
             executor.close()
 

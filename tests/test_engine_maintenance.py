@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engines import available_engines
 from repro.core.maintenance.delete_star import semi_delete_star
 from repro.core.maintenance.insert import semi_insert
 from repro.core.maintenance.insert_star import semi_insert_star
@@ -24,11 +23,6 @@ from repro.storage.dynamic import DynamicGraph
 from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import make_random_edges, nx_core_numbers
-
-pytestmark = pytest.mark.skipif(
-    "numpy" not in available_engines(),
-    reason="numpy engine unavailable",
-)
 
 
 def result_fingerprint(result):

@@ -15,7 +15,6 @@ from repro.core.engines import (
     DEFAULT_ENGINE,
     ENGINE_AWARE_ALGORITHMS,
     ENGINE_AWARE_MAINTENANCE,
-    available_engines,
     engine_implementation,
     engine_names,
     get_engine,
@@ -35,10 +34,6 @@ from repro.storage.memgraph import MemoryGraph
 
 from tests.conftest import graph_edges, make_random_edges, nx_core_numbers
 
-HAVE_NUMPY = "numpy" in available_engines()
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy engine unavailable")
-
 ALGORITHMS = [
     ("semicore", semi_core),
     ("semicore+", semi_core_plus),
@@ -50,7 +45,7 @@ ALGORITHMS = [
 class TestRegistry:
     def test_python_engine_always_available(self):
         assert DEFAULT_ENGINE == "python"
-        assert "python" in available_engines()
+        assert "python" in engine_names()
 
     def test_numpy_engine_registered(self):
         assert "numpy" in engine_names()
@@ -64,7 +59,7 @@ class TestRegistry:
             {"insert", "insert*", "delete*"}
 
     def test_both_engines_implement_the_full_surface(self):
-        for engine in available_engines():
+        for engine in engine_names():
             impls = get_engine(engine).implementations()
             assert set(ENGINE_AWARE_ALGORITHMS) <= set(impls)
             assert set(ENGINE_AWARE_MAINTENANCE) <= set(impls)
@@ -107,7 +102,7 @@ class TestRegistry:
     def test_harness_routes_engine_for_every_algorithm(self,
                                                        paper_storage):
         for algorithm in DECOMPOSITION_ALGORITHMS:
-            for engine in available_engines():
+            for engine in engine_names():
                 result = run_decomposition(algorithm, paper_storage,
                                            engine=engine)
                 assert result.kmax == 3, (algorithm, engine)
@@ -151,7 +146,6 @@ def run_both(function, edges, n, block_size=4096, **kwargs):
     return reference, vectorized
 
 
-@needs_numpy
 class TestEngineParity:
     def test_paper_graph_all_algorithms(self, paper_graph):
         edges, n = paper_graph
@@ -243,7 +237,6 @@ class TestEngineParity:
                       initial_cores=[1, 2, 3])
 
 
-@needs_numpy
 class TestEMCoreParity:
     """EMCore parity across budgets and partition sizes.
 
@@ -331,7 +324,6 @@ class TestEMCoreParity:
         self.run_both(edges, n)
 
 
-@needs_numpy
 class TestCompareEngines:
     def test_compare_reports_both_engines(self, paper_graph):
         edges, n = paper_graph

@@ -14,11 +14,7 @@ import signal
 import pytest
 
 from repro.core.engines import engine_implementation, register_engine
-from repro.core.sharded import (
-    MultiprocessingShardExecutor,
-    PersistentShardExecutor,
-    sharded_semi_core_star,
-)
+from repro.core.sharded import PersistentShardExecutor, sharded_semi_core_star
 from repro.errors import ExecutorError, ReproError, StorageError
 from repro.faults import (
     BIT_FLIP,
@@ -269,15 +265,6 @@ def _die_by_sigkill(task):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _die_once_then_square(task):
-    sentinel = os.environ["REPRO_TEST_KILL_SENTINEL"]
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
-        os.kill(os.getpid(), signal.SIGKILL)
-    return task * task
-
-
 def _kill_once_shard_pass(graph, *, initial_cores, frozen_from):
     sentinel = os.environ["REPRO_TEST_KILL_SENTINEL"]
     if not os.path.exists(sentinel):
@@ -289,97 +276,35 @@ def _kill_once_shard_pass(graph, *, initial_cores, frozen_from):
                 frozen_from=frozen_from)
 
 
-class TestExecutorFaultTolerance:
-    def test_killed_worker_raises_typed_error_not_hang(self):
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=30.0, max_retries=0)
-        try:
-            with pytest.raises(ExecutorError, match="died mid-round"):
-                executor.run(_die_by_sigkill, [1, 2])
-        finally:
-            executor.close()
-
-    def test_executor_error_is_a_repro_error(self):
-        assert issubclass(ExecutorError, ReproError)
-
-    def test_round_deadline_raises_typed_error(self):
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=0.3, max_retries=0)
-        try:
-            with pytest.raises(ExecutorError, match="task_timeout"):
-                executor.run(_sleep_forever, [1, 2, 3])
-        finally:
-            executor.close()
-        # The executor stays usable after terminating the stuck pool.
-        try:
-            assert executor.run(_alive_square, [2]) == [4]
-        finally:
-            executor.close()
-
-    def test_pool_respawn_retries_the_whole_round(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL",
-                           str(tmp_path / "killed"))
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=30.0, max_retries=2,
-            retry_backoff=0.0)
-        try:
-            assert executor.run(_die_once_then_square,
-                                [1, 2, 3]) == [1, 4, 9]
-            assert executor.respawns == 1
-        finally:
-            executor.close()
-
-    def test_retries_exhausted_raises(self):
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=30.0, max_retries=1,
-            retry_backoff=0.0)
-        try:
-            with pytest.raises(ExecutorError):
-                executor.run(_die_by_sigkill, [1])
-            assert executor.respawns == 1
-        finally:
-            executor.close()
-
-    def test_invalid_tuning_rejected(self):
-        with pytest.raises(ReproError, match="task_timeout"):
-            MultiprocessingShardExecutor(task_timeout=-1.0)
-        with pytest.raises(ReproError, match="max_retries"):
-            MultiprocessingShardExecutor(max_retries=-1)
-        with pytest.raises(ReproError, match="retry_backoff"):
-            MultiprocessingShardExecutor(retry_backoff=-0.5)
-
-    def test_killed_worker_never_changes_sharded_output(
-            self, medium_random_graph, tmp_path, monkeypatch):
-        """Acceptance: SIGKILL mid-pass, retry, bit-identical cores."""
-        edges, n = medium_random_graph
-        expected = nx_core_numbers(edges, n)
-        monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL",
-                           str(tmp_path / "killed"))
-        register_engine("kill-once", "fault-injection test double",
-                        lambda: {"shard-pass": _kill_once_shard_pass})
-        executor = MultiprocessingShardExecutor(
-            processes=2, task_timeout=60.0, max_retries=2,
-            retry_backoff=0.0)
-        try:
-            result = sharded_semi_core_star(
-                GraphStorage.from_edges(edges, n), 3,
-                engine="kill-once", executor=executor)
-            assert list(result.cores) == expected
-            assert executor.respawns >= 1
-            assert os.path.exists(str(tmp_path / "killed"))
-        finally:
-            executor.close()
-            from repro.core.engines import _REGISTRY
-            _REGISTRY.pop("kill-once", None)
-
-
 def _shm_segments():
     import glob
     return glob.glob("/dev/shm/repro_shm*")
 
 
 class TestPersistentExecutorFaults:
+    def test_executor_error_is_a_repro_error(self):
+        assert issubclass(ExecutorError, ReproError)
+
+    def test_round_deadline_raises_typed_error(self):
+        executor = PersistentShardExecutor(
+            processes=2, task_timeout=0.3, max_retries=0)
+        try:
+            with pytest.raises(ExecutorError, match="task_timeout"):
+                executor.run(_sleep_forever, [1, 2, 3])
+            # The executor stays usable after tearing down the hung pool.
+            assert executor.run(_alive_square, [2]) == [4]
+            assert executor.pool_forks == 2
+        finally:
+            executor.close()
+
+    def test_invalid_tuning_rejected(self):
+        with pytest.raises(ReproError, match="task_timeout"):
+            PersistentShardExecutor(task_timeout=-1.0)
+        with pytest.raises(ReproError, match="max_retries"):
+            PersistentShardExecutor(max_retries=-1)
+        with pytest.raises(ReproError, match="retry_backoff"):
+            PersistentShardExecutor(retry_backoff=-0.5)
+
     def test_killed_worker_raises_typed_error_not_hang(self):
         executor = PersistentShardExecutor(
             processes=2, task_timeout=30.0, max_retries=0)

@@ -1,5 +1,6 @@
 """Tests for the shared partition payload codec."""
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
@@ -10,13 +11,6 @@ from repro.storage.partition_codec import (
     encode_records,
     record_words,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy unavailable")
 
 SAMPLE = [(3, [1, 2, 9]), (5, []), (7, [0, 3])]
 
@@ -43,7 +37,6 @@ class TestRecordCodec:
         assert record_words(SAMPLE) == 5 + RECORD_OVERHEAD * 3
 
 
-@needs_numpy
 class TestCSRCodec:
     def to_csr(self, records):
         from repro.storage.partition_codec import encode_csr

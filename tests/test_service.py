@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.engines import available_engines
 from repro.core.kcore import (
     core_histogram,
     degeneracy,
@@ -288,8 +287,6 @@ class TestCacheTransparency:
                 after_sub != before_sub
 
 
-@pytest.mark.skipif("numpy" not in available_engines(),
-                    reason="numpy engine unavailable")
 class TestEngineTransparency:
     def test_results_identical_across_engines(self):
         streams = []

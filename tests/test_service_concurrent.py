@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.datasets.generators import paper_example_graph, social_graph
 from repro.datasets.registry import generate_dataset
 from repro.service import (
@@ -43,8 +43,7 @@ from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import graph_edges
 
-ENGINES = ["python"] + (["numpy"] if "numpy" in available_engines()
-                        else [])
+ENGINES = engine_names()
 SMALL_PROXIES = ["dblp", "youtube", "wiki"]
 
 #: A batch that provably moves core numbers: the seed graph is a

@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from repro.core.engines import available_engines
+from repro.core.engines import engine_names
 from repro.storage.state import save_checkpoint
 from repro.errors import CorruptStorageError, ReproError
 from repro.service import CoreService
@@ -31,8 +31,7 @@ from repro.storage.graphstore import GraphStorage
 
 from test_service_journal import write_legacy_journal
 
-ENGINES = ["python"] + (["numpy"] if "numpy" in available_engines()
-                        else [])
+ENGINES = engine_names()
 
 
 class SimulatedCrash(Exception):
@@ -213,8 +212,6 @@ class TestPublishCrashWindow:
                 list(reference.maintainer.cores)
 
 
-@pytest.mark.skipif("numpy" not in available_engines(),
-                    reason="numpy engine unavailable")
 class TestCrossEngineResume:
     def test_journal_written_by_python_resumed_by_numpy(self, tmp_path):
         edges, n = graph_edges()

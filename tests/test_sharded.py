@@ -2,23 +2,24 @@
 
 The acceptance contract: bit-identical cores to ``semi_core_star`` for
 every shard count, engine and executor; identical ``IOStats`` totals
-between the serial and multiprocessing executors; and a per-shard
+between the serial and persistent executors; and a per-shard
 ``model_memory_bytes`` bounded by the largest shard rather than the
 whole graph.
 """
 
+import glob
+
 import pytest
 from hypothesis import given, settings
 
-from repro.core.engines import available_engines, register_engine
+from repro.core.emcore import em_core
+from repro.core.engines import engine_names, register_engine
 from repro.core.semicore_star import semi_core_star
 from repro.core.sharded import (
-    MultiprocessingShardExecutor,
     PersistentShardExecutor,
     SerialShardExecutor,
     executor_names,
     get_executor,
-    register_executor,
     sharded_semi_core_star,
 )
 from repro.datasets.generators import (
@@ -32,11 +33,7 @@ from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import graph_edges
 
-requires_numpy = pytest.mark.skipif("numpy" not in available_engines(),
-                                    reason="numpy engine unavailable")
-
-ENGINES = [engine for engine in ("python", "numpy")
-           if engine in available_engines()]
+ENGINES = engine_names()
 
 
 def shard_counts(n):
@@ -48,7 +45,7 @@ def reference_cores(edges, n):
     return list(semi_core_star(GraphStorage.from_edges(edges, n)).cores)
 
 
-EXECUTOR_NAMES = ("serial", "multiprocessing", "persistent")
+EXECUTOR_NAMES = ("serial", "persistent")
 
 
 class TestParity:
@@ -87,7 +84,7 @@ class TestParity:
         n = storage.num_nodes
         num_shards = min(3, max(1, n))
         for engine in ENGINES:
-            for executor in ("serial", "multiprocessing"):
+            for executor in EXECUTOR_NAMES:
                 graph = load_dataset(dataset, scale=0.04)
                 result = sharded_semi_core_star(graph, num_shards,
                                                 engine=engine,
@@ -167,32 +164,38 @@ class TestExecutorContract:
                     other.node_computations
                 assert serial.io == other.io  # the full IOStats totals
 
-    @requires_numpy
     def test_executor_identity_under_numpy_engine(self):
         edges, n = social_graph(200, 2, 6, seed=3)
         runs = {}
-        for executor in ("serial", "multiprocessing"):
+        for executor in EXECUTOR_NAMES:
             storage = GraphStorage.from_edges(edges, n)
             runs[executor] = sharded_semi_core_star(
                 storage, 3, engine="numpy", executor=executor)
-        assert list(runs["serial"].cores) == list(runs["multiprocessing"].cores)
-        assert runs["serial"].io == runs["multiprocessing"].io
+        assert list(runs["serial"].cores) == list(runs["persistent"].cores)
+        assert runs["serial"].iterations == runs["persistent"].iterations
+        assert runs["serial"].io == runs["persistent"].io
+
+    def test_every_executor_releases_its_segment(self, paper_graph):
+        """Serial runs use the shared round plan too; none may leak."""
+        edges, n = paper_graph
+        for executor in EXECUTOR_NAMES:
+            sharded_semi_core_star(GraphStorage.from_edges(edges, n), 2,
+                                   executor=executor)
+            assert glob.glob("/dev/shm/repro_shm*") == [], executor
 
     def test_unknown_executor_rejected(self, paper_storage):
         with pytest.raises(ReproError, match="unknown executor"):
             sharded_semi_core_star(paper_storage, 2, executor="quantum")
 
-    def test_executor_names_and_registry(self):
-        assert "serial" in executor_names()
-        assert "multiprocessing" in executor_names()
-        register_executor("testexec", SerialShardExecutor)
-        try:
-            assert "testexec" in executor_names()
-            assert isinstance(get_executor("testexec"),
-                              SerialShardExecutor)
-        finally:
-            from repro.core.sharded import EXECUTORS
-            EXECUTORS.pop("testexec", None)
+    def test_executor_names(self):
+        assert executor_names() == ["persistent", "serial"]
+        assert isinstance(get_executor(None), SerialShardExecutor)
+        assert isinstance(get_executor("Persistent"),
+                          PersistentShardExecutor)
+
+    def test_removed_multiprocessing_executor_rejected(self):
+        with pytest.raises(ReproError, match="unknown executor"):
+            get_executor("multiprocessing")
 
     def test_custom_executor_object(self, paper_graph):
         edges, n = paper_graph
@@ -227,21 +230,6 @@ class TestExecutorContract:
         result = sharded_semi_core_star(storage, 2, executor=RunOnly())
         assert result.kmax == 3
 
-    def test_multiprocessing_executor_reusable_after_close(self):
-        """The driver closes the pool each run; reuse must re-fork."""
-        executor = MultiprocessingShardExecutor(processes=2)
-        edges, n = social_graph(120, 2, 6, seed=6)
-        expected = reference_cores(edges, n)
-        for _ in range(2):
-            storage = GraphStorage.from_edges(edges, n)
-            result = sharded_semi_core_star(storage, 3,
-                                            executor=executor)
-            assert list(result.cores) == expected
-
-    def test_invalid_process_count_rejected(self):
-        with pytest.raises(ReproError, match="processes"):
-            MultiprocessingShardExecutor(processes=0)
-
     def test_worker_crash_propagates_cleanly(self, paper_graph):
         """A failing shard pass surfaces its error; no hang, no leak."""
         edges, n = paper_graph
@@ -252,13 +240,14 @@ class TestExecutorContract:
         register_engine("crashy", "failure-injection test double",
                         lambda: {"shard-pass": crashing_pass})
         try:
-            for executor in ("serial", "multiprocessing"):
+            for executor in EXECUTOR_NAMES:
                 storage = GraphStorage.from_edges(edges, n)
                 with pytest.raises(ValueError, match="shard pass boom"):
                     sharded_semi_core_star(storage, 2, engine="crashy",
                                            executor=executor)
             import repro.core.sharded as sharded_module
             assert sharded_module._ACTIVE_SHARDS is None
+            assert sharded_module._ACTIVE_PLAN is None
             # The driver is reusable after a crashed run.
             storage = GraphStorage.from_edges(edges, n)
             result = sharded_semi_core_star(storage, 2)
@@ -295,6 +284,24 @@ class TestPersistentExecutor:
                                             executor=executor)
             assert list(result.cores) == expected
             assert executor.pool_forks == run
+
+    def test_pool_warmed_by_emcore_is_retired_before_sharding(self):
+        """A caller-owned executor that EMCore left running was forked
+        before the driver published its shards and plan; the driver
+        must re-fork rather than dispatch to the stale pool."""
+        edges, n = social_graph(200, 2, 6, seed=4)
+        expected = reference_cores(edges, n)
+        executor = PersistentShardExecutor(processes=2)
+        try:
+            em_core(GraphStorage.from_edges(edges, n), executor=executor)
+            assert executor.pool_forks == 1
+            result = sharded_semi_core_star(
+                GraphStorage.from_edges(edges, n), 3, executor=executor)
+            assert list(result.cores) == expected
+            assert result.pool_forks == 2
+        finally:
+            executor.close()
+        assert glob.glob("/dev/shm/repro_shm*") == []
 
     def test_shm_bytes_metric_tracks_the_plan(self):
         from repro.obs import MetricsRegistry
@@ -418,7 +425,6 @@ class TestMemoryBound:
         assert big.max_shard_nodes == small.max_shard_nodes
         assert big.model_memory_bytes == small.model_memory_bytes
 
-    @requires_numpy
     def test_numpy_working_set_shrinks_too(self):
         edges, n = path_graph(2400)
         full = semi_core_star(GraphStorage.from_edges(edges, n),
