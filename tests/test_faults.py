@@ -265,6 +265,15 @@ def _die_by_sigkill(task):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _die_once_then_square(task):
+    sentinel = os.environ["REPRO_TEST_KILL_SENTINEL"]
+    if not os.path.exists(sentinel):
+        with open(sentinel, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task * task
+
+
 def _kill_once_shard_pass(graph, *, initial_cores, frozen_from):
     sentinel = os.environ["REPRO_TEST_KILL_SENTINEL"]
     if not os.path.exists(sentinel):
@@ -311,6 +320,21 @@ class TestPersistentExecutorFaults:
         try:
             with pytest.raises(ExecutorError, match="died mid-round"):
                 executor.run(_die_by_sigkill, [1, 2])
+        finally:
+            executor.close()
+
+    def test_in_place_respawn_retries_the_whole_round(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_KILL_SENTINEL",
+                           str(tmp_path / "killed"))
+        executor = PersistentShardExecutor(
+            processes=2, task_timeout=30.0, max_retries=2,
+            retry_backoff=0.0)
+        try:
+            assert executor.run(_die_once_then_square,
+                                [1, 2, 3]) == [1, 4, 9]
+            assert executor.respawns == 1
+            assert executor.pool_forks == 1  # replaced, not re-forked
         finally:
             executor.close()
 
@@ -373,6 +397,25 @@ class TestPersistentExecutorFaults:
         finally:
             from repro.core.engines import _REGISTRY
             _REGISTRY.pop("crashy-shm", None)
+        assert _shm_segments() == []
+
+    def test_no_segment_leak_after_serial_pass_crash(self, paper_graph):
+        """Serial runs build the shared round plan too."""
+        edges, n = paper_graph
+
+        def crashing_pass(graph, *, initial_cores, frozen_from):
+            raise ValueError("shard pass boom")
+
+        register_engine("crashy-serial", "failure-injection test double",
+                        lambda: {"shard-pass": crashing_pass})
+        try:
+            with pytest.raises(ValueError, match="shard pass boom"):
+                sharded_semi_core_star(
+                    GraphStorage.from_edges(edges, n), 2,
+                    engine="crashy-serial", executor="serial")
+        finally:
+            from repro.core.engines import _REGISTRY
+            _REGISTRY.pop("crashy-serial", None)
         assert _shm_segments() == []
 
     def test_retries_exhausted_closes_pool_and_segment(self):

@@ -48,6 +48,10 @@ def reference_cores(edges, n):
 EXECUTOR_NAMES = ("serial", "persistent")
 
 
+def _square(task):
+    return task * task
+
+
 class TestParity:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
@@ -230,6 +234,40 @@ class TestExecutorContract:
         result = sharded_semi_core_star(storage, 2, executor=RunOnly())
         assert result.kmax == 3
 
+    def test_executor_objects_are_returned_unchanged(self):
+        """The benchmark wraps its own instances; none may be copied."""
+        class RunOnly:
+            def run(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        for executor in (RunOnly(), SerialShardExecutor(),
+                         PersistentShardExecutor(processes=1)):
+            assert get_executor(executor) is executor
+
+    def test_thread_pool_executor_matches_serial(self):
+        """In-process executors run against the same shared round plan:
+        concurrent passes must agree with serial on every counter."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        class Threaded:
+            name = "threaded"
+
+            def run(self, fn, tasks):
+                with ThreadPoolExecutor(max_workers=3) as pool:
+                    return list(pool.map(fn, tasks))
+
+        edges, n = social_graph(300, 2, 8, seed=5)
+        serial = sharded_semi_core_star(
+            GraphStorage.from_edges(edges, n), 4, executor="serial")
+        threaded = sharded_semi_core_star(
+            GraphStorage.from_edges(edges, n), 4, executor=Threaded())
+        assert threaded.executor == "threaded"
+        assert list(threaded.cores) == list(serial.cores)
+        assert threaded.iterations == serial.iterations
+        assert threaded.node_computations == serial.node_computations
+        assert threaded.io == serial.io
+        assert glob.glob("/dev/shm/repro_shm*") == []
+
     def test_worker_crash_propagates_cleanly(self, paper_graph):
         """A failing shard pass surfaces its error; no hang, no leak."""
         edges, n = paper_graph
@@ -301,6 +339,54 @@ class TestPersistentExecutor:
             assert result.pool_forks == 2
         finally:
             executor.close()
+        assert glob.glob("/dev/shm/repro_shm*") == []
+
+    def test_pool_forked_by_a_bare_run_is_retired_before_sharding(self):
+        edges, n = social_graph(150, 2, 6, seed=7)
+        expected = reference_cores(edges, n)
+        executor = PersistentShardExecutor(processes=2)
+        try:
+            assert executor.run(_square, [1, 2, 3]) == [1, 4, 9]
+            assert executor.pool_forks == 1
+            result = sharded_semi_core_star(
+                GraphStorage.from_edges(edges, n), 3, executor=executor)
+            assert list(result.cores) == expected
+            assert result.pool_forks == 2
+        finally:
+            executor.close()
+        assert glob.glob("/dev/shm/repro_shm*") == []
+
+    def test_emcore_after_sharding_on_the_same_executor(self):
+        """The driver closes the pool; EMCore must fork a fresh one."""
+        edges, n = social_graph(150, 2, 6, seed=8)
+        expected = reference_cores(edges, n)
+        executor = PersistentShardExecutor(processes=2)
+        try:
+            sharded = sharded_semi_core_star(
+                GraphStorage.from_edges(edges, n), 3, executor=executor)
+            assert list(sharded.cores) == expected
+            assert executor.pool_forks == 1
+            emcore = em_core(GraphStorage.from_edges(edges, n),
+                             executor=executor)
+            assert list(emcore.cores) == expected
+            assert executor.pool_forks == 2
+        finally:
+            executor.close()
+        assert glob.glob("/dev/shm/repro_shm*") == []
+
+    def test_reuse_across_graphs_of_different_sizes(self):
+        """Each decomposition attaches its own plan; a larger second
+        graph must not see the first run's segment or workers."""
+        executor = PersistentShardExecutor(processes=2)
+        for run, (size, num_shards) in enumerate(((80, 2), (320, 5)), 1):
+            edges, n = social_graph(size, 2, 6, seed=run)
+            result = sharded_semi_core_star(
+                GraphStorage.from_edges(edges, n), num_shards,
+                executor=executor)
+            assert list(result.cores) == reference_cores(edges, n)
+            assert result.num_shards == num_shards
+            assert executor.pool_forks == run
+            assert executor.shm_bytes == 0
         assert glob.glob("/dev/shm/repro_shm*") == []
 
     def test_shm_bytes_metric_tracks_the_plan(self):
