@@ -451,6 +451,48 @@ def semi_core_plus_numpy(graph, *, initial_cores=None, trace_changes=False,
     )
 
 
+def _converge_star_passes(graph, core, limit, *, changes=None,
+                          computed_log=None):
+    """The SemiCore* converge loop, over the rows below ``limit``.
+
+    ``limit`` is None for a whole graph and ``frozen_from`` for a shard,
+    whose halo rows are read like any neighbour but never recomputed.
+    Pass 1 recomputes every row with a positive bound, over a snapshot
+    built with the identical ascending ``neighbors()`` reads the
+    reference issues (rows it never reads stay empty); later passes
+    recompute exactly the rows that changed, replaying their reads.
+    Passes run while any row below ``limit`` violates Eq. 2.  Appends
+    to the ``changes`` / ``computed_log`` traces when given.  Returns
+    ``(core, cnt, iterations, computations, num_arcs)``; ``cnt`` is
+    None when no row had a positive bound.
+    """
+    first = np.flatnonzero(core[:limit] > 0)
+    if not first.size:
+        return core, None, 0, 0, 0
+    csr = CSRGraph.from_rows(first, graph.num_nodes, graph.neighbors)
+    supporting = _count_supporting(csr, core)
+    iterations = 0
+    computations = 0
+    while True:
+        iterations += 1
+        old = core
+        core = _sequential_pass(csr, core, cnt=supporting, limit=limit)
+        changed_ids = np.flatnonzero(core != old)
+        if iterations == 1:
+            processed = first
+        else:
+            processed = changed_ids
+            _replay_neighbor_reads(graph, processed)
+        computations += int(processed.size)
+        if changes is not None:
+            changes.append(int(changed_ids.size))
+        if computed_log is not None:
+            computed_log.append([int(v) for v in processed])
+        _refresh_supporting(csr, core, supporting, changed_ids)
+        if not np.any(supporting[:limit] < core[:limit]):
+            return core, supporting, iterations, computations, csr.num_arcs
+
+
 def semi_core_star_numpy(graph, *, initial_cores=None, trace_changes=False,
                          trace_computed=False):
     """Vectorized Algorithm 5 with reference-identical semantics.
@@ -465,42 +507,13 @@ def semi_core_star_numpy(graph, *, initial_cores=None, trace_changes=False,
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     n = graph.num_nodes
-    core = _initial_cores(graph, initial_cores)
-
     changes = [] if trace_changes else None
     computed_log = [] if trace_computed else None
-    iterations = 0
-    computations = 0
-    cnt = np.zeros(n, dtype=np.int64)
-    num_arcs = 0
-
-    first = np.flatnonzero(core > 0)
-    if first.size:
-        # Pass-1 snapshot via the identical ascending neighbors() reads
-        # the reference implementation issues; rows it never reads
-        # (zero-bound nodes) stay empty.
-        csr = CSRGraph.from_rows(first, n, graph.neighbors)
-        num_arcs = csr.num_arcs
-        supporting = _count_supporting(csr, core)
-        while True:
-            iterations += 1
-            old = core
-            core = _sequential_pass(csr, core, cnt=supporting)
-            changed_ids = np.flatnonzero(core != old)
-            if iterations == 1:
-                processed = first
-            else:
-                processed = changed_ids
-                _replay_neighbor_reads(graph, processed)
-            computations += int(processed.size)
-            if trace_changes:
-                changes.append(int(changed_ids.size))
-            if trace_computed:
-                computed_log.append([int(v) for v in processed])
-            _refresh_supporting(csr, core, supporting, changed_ids)
-            if not np.any(supporting < core):
-                cnt = supporting
-                break
+    core, cnt, iterations, computations, num_arcs = _converge_star_passes(
+        graph, _initial_cores(graph, initial_cores), None,
+        changes=changes, computed_log=computed_log)
+    if cnt is None:
+        cnt = np.zeros(n, dtype=np.int64)
 
     elapsed = time.perf_counter() - started
     model_memory = 8 * (n + 1) + 4 * num_arcs + 16 * n
@@ -541,32 +554,8 @@ def shard_pass_numpy(graph, *, initial_cores, frozen_from):
         raise GraphError(
             "frozen_from %d out of range [0, %d]" % (frozen_from, n)
         )
-    core = np.asarray(initial_cores, dtype=np.int64)
-    computations = 0
-    iterations = 0
-    num_arcs = 0
-    first = np.flatnonzero(core[:frozen_from] > 0)
-    if first.size:
-        # Snapshot via the identical ascending neighbors() reads the
-        # reference kernel's first sweep issues; halo rows stay empty.
-        csr = CSRGraph.from_rows(first, n, graph.neighbors)
-        num_arcs = csr.num_arcs
-        supporting = _count_supporting(csr, core)
-        while True:
-            iterations += 1
-            old = core
-            core = _sequential_pass(csr, core, cnt=supporting,
-                                    limit=frozen_from)
-            changed_ids = np.flatnonzero(core != old)
-            if iterations == 1:
-                processed = first
-            else:
-                processed = changed_ids
-                _replay_neighbor_reads(graph, processed)
-            computations += int(processed.size)
-            _refresh_supporting(csr, core, supporting, changed_ids)
-            if not np.any(supporting[:frozen_from] < core[:frozen_from]):
-                break
+    core, _, iterations, computations, num_arcs = _converge_star_passes(
+        graph, np.asarray(initial_cores, dtype=np.int64), frozen_from)
     model_memory = 8 * (n + 1) + 4 * num_arcs + 16 * n
     return _as_core_array(core), computations, iterations, model_memory
 

@@ -93,7 +93,7 @@ DEFAULT_RETRY_BACKOFF = 0.01
 
 #: Epoch-stamped duplicates of the manifest pointer, written next to it
 #: so ``repro scrub`` can restore a damaged ``manifest.json``.
-_MANIFEST_COPY_RE = re.compile(r"^manifest\.(\d+)\.json$")
+MANIFEST_COPY_RE = re.compile(r"^manifest\.(\d+)\.json$")
 
 #: Net edge-delta file: magic, version, pair count; then one
 #: ``(kind, u, v)`` record per edge differing from the seed tables,
@@ -134,12 +134,12 @@ def _manifest_body(manifest):
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def _load_manifest(path):
-    """Read and checksum-verify a service manifest.
+def load_manifest(path):
+    """Read and verify a service manifest.
 
     Shared between :meth:`CoreService.open` and ``repro scrub``.
-    Propagates :class:`FileNotFoundError`; anything unparsable or
-    failing its ``crc32`` (when present) raises
+    Propagates :class:`FileNotFoundError`; anything unparsable, failing
+    its ``crc32`` (when present) or of an unsupported version raises
     :class:`~repro.errors.CorruptStorageError` carrying ``path``.
     """
     try:
@@ -165,7 +165,40 @@ def _load_manifest(path):
             raise CorruptStorageError(
                 "service manifest %s fails its checksum" % path,
                 path=path)
+    if manifest.get("version") not in (1, MANIFEST_VERSION):
+        raise CorruptStorageError(
+            "unsupported service manifest version %r"
+            % (manifest.get("version"),),
+            path=path)
     return manifest
+
+
+def check_watermark(manifest_path, manifest, num_events,
+                    first_retained_event):
+    """Refuse a checkpoint the journal cannot resume from.
+
+    ``num_events`` and ``first_retained_event`` describe the journal
+    (as :class:`EventJournal` reports them).  The checkpoint watermark
+    may not cover more events than the journal holds, and a v2 journal
+    must not have been compacted past it.  Shared between
+    :meth:`CoreService.open` and ``repro scrub``; raises
+    :class:`~repro.errors.CorruptStorageError` naming the manifest and
+    returns the watermark.
+    """
+    applied = int(manifest["events_applied"])
+    if applied > num_events:
+        raise CorruptStorageError(
+            "journal holds %d events but the checkpoint covers %d"
+            % (num_events, applied),
+            path=manifest_path)
+    if manifest["version"] == MANIFEST_VERSION \
+            and applied < first_retained_event:
+        raise CorruptStorageError(
+            "journal was compacted past the checkpoint: first retained "
+            "event is %d but the checkpoint covers only %d"
+            % (first_retained_event, applied),
+            path=manifest_path)
+    return applied
 
 
 class CoreService:
@@ -355,17 +388,12 @@ class CoreService:
         data_dir = os.fspath(data_dir)
         manifest_path = os.path.join(data_dir, MANIFEST_NAME)
         try:
-            manifest = _load_manifest(manifest_path)
+            manifest = load_manifest(manifest_path)
         except FileNotFoundError:
             raise ReproError(
                 "no service manifest under %s (seed one with "
                 "CoreService.from_storage(data_dir=...))" % data_dir
             ) from None
-        version = manifest.get("version")
-        if version not in (1, MANIFEST_VERSION):
-            raise CorruptStorageError(
-                "unsupported service manifest version %r" % (version,),
-                path=manifest_path)
         graph_path = manifest.get("graph_path")
         owned_storage = None
         if storage is None:
@@ -378,16 +406,13 @@ class CoreService:
         try:
             journal = EventJournal(data_dir,
                                    segment_events=segment_events)
-            applied = int(manifest["events_applied"])
-            if applied > journal.num_events:
-                raise CorruptStorageError(
-                    "journal holds %d events but the checkpoint covers %d"
-                    % (journal.num_events, applied),
-                    path=data_dir)
+            applied = check_watermark(manifest_path, manifest,
+                                      journal.num_events,
+                                      journal.first_retained_event)
             graph = DynamicGraph(storage, buffer_capacity=buffer_capacity,
                                  path_factory=path_factory)
             edge_delta = {}
-            if version == 1:
+            if manifest["version"] == 1:
                 # v1 layout: no delta file, nothing ever compacted --
                 # the checkpointed arrays describe the graph *after*
                 # the first ``applied`` events, so stream that prefix
@@ -401,14 +426,7 @@ class CoreService:
                         graph.delete_edge(u, v, validate=False)
                     _toggle_delta(edge_delta, op, u, v)
             else:
-                if applied < journal.first_retained_event:
-                    raise CorruptStorageError(
-                        "journal was compacted past the checkpoint: "
-                        "first retained event is %d but the checkpoint "
-                        "covers only %d"
-                        % (journal.first_retained_event, applied),
-                        path=data_dir)
-                edge_delta = _read_delta_file(
+                edge_delta = read_delta_file(
                     os.path.join(data_dir, manifest["delta"]))
                 # The delta is the *net* difference at the watermark;
                 # applying it reproduces the exact observable graph of
@@ -736,10 +754,9 @@ class CoreService:
     def kcore_subgraph(self, k):
         """Edges of the k-core subgraph, from the epoch snapshot.
 
-        Member adjacencies are walked from the snapshot's frozen rows
-        (vectorized through its CSR artifact when numpy is available)
-        in ascending node order and filtered against the threshold; the
-        result is the sorted ``(u, v)`` edge list with ``u < v``.
+        Member adjacencies are filtered against the threshold through
+        the snapshot's CSR artifact, in ascending node order; the result
+        is the sorted ``(u, v)`` edge list with ``u < v``.
         """
         snap = self._pin()
         try:
@@ -1044,7 +1061,7 @@ class CoreService:
             stale = (
                 (name.startswith("state.") and name.endswith(".ckpt"))
                 or (name.startswith("graph.") and name.endswith(".delta"))
-                or _MANIFEST_COPY_RE.match(name) is not None
+                or MANIFEST_COPY_RE.match(name) is not None
                 or (name.endswith(".tmp")
                     and not name.startswith("journal."))
             )
@@ -1081,23 +1098,15 @@ class CoreService:
         return value
 
     def _extract_subgraph(self, snap, k):
-        cores = snap.cores
+        # The snapshot's CSR artifact: filter whole adjacency slices at
+        # once (rows are ascending, slices preserve their order).
         csr = snap.csr()
+        cores_np = snap.cores_np()
         edges = []
-        if csr is not None:
-            # The snapshot's CSR artifact: filter whole adjacency
-            # slices at once.  Identical output to the row walk below
-            # (rows are ascending, slices preserve their order).
-            cores_np = snap.cores_np()
-            for v in k_core_nodes(cores, k):
-                nbrs = csr.neighbors(v)
-                keep = nbrs[(nbrs > v) & (cores_np[nbrs] >= k)]
-                edges.extend((v, int(u)) for u in keep)
-            return tuple(edges)
-        for v in k_core_nodes(cores, k):
-            for u in snap.neighbors(v):
-                if u > v and cores[u] >= k:
-                    edges.append((v, int(u)))
+        for v in k_core_nodes(snap.cores, k):
+            nbrs = csr.neighbors(v)
+            keep = nbrs[(nbrs > v) & (cores_np[nbrs] >= k)]
+            edges.extend((v, int(u)) for u in keep)
         return tuple(edges)
 
     def _compute_top(self, snap, k):
@@ -1423,7 +1432,7 @@ def _write_delta_file(path, delta):
         handle.write(_DELTA_CRC.pack(zlib.crc32(body) & 0xFFFFFFFF))
 
 
-def _read_delta_file(path):
+def read_delta_file(path):
     """Load a net edge delta written by :func:`_write_delta_file`."""
     try:
         with open(path, "rb") as handle:

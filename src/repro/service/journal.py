@@ -94,6 +94,10 @@ _SEGMENT_VERSION = 2
 #: magic, version, pad, sequence number, base event offset.
 _SEGMENT_HEADER = struct.Struct("<8sI4xQQ")
 
+#: Header layout, magic and version, keyed by ``legacy``.
+_HEADERS = {False: (_SEGMENT_HEADER, _SEGMENT_MAGIC, _SEGMENT_VERSION),
+            True: (_LEGACY_HEADER, _LEGACY_MAGIC, _LEGACY_VERSION)}
+
 _PAYLOAD = struct.Struct("<BIIQ")
 _CRC = struct.Struct("<I")
 
@@ -134,6 +138,172 @@ def _pack_record(kind, u, v, batch):
     return payload + _CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF)
 
 
+def list_segments(directory):
+    """Journal files under ``directory`` as ``(seq, path, legacy)``,
+    oldest first: the v1 ``journal.log`` (sequence 0) when present,
+    then the numbered segments."""
+    found = []
+    legacy = os.path.join(directory, LEGACY_NAME)
+    if os.path.exists(legacy):
+        found.append((0, legacy, True))
+    numbered = []
+    for name in os.listdir(directory):
+        match = _SEGMENT_RE.match(name)
+        if match:
+            numbered.append((int(match.group(1)),
+                             os.path.join(directory, name), False))
+    return found + sorted(numbered)
+
+
+def scan_segment(path, seq, legacy, *, retain=0):
+    """Read-only, streaming scan of one journal file.
+
+    Verifies the header and every record checksum in a single pass and
+    returns a dict:
+
+    * ``name``, ``path``, ``seq``, ``legacy`` -- the file scanned;
+    * ``base`` -- the header's base event offset (0 for the v1 file);
+      None when the file is empty or its header is damaged;
+    * ``events`` -- the number of events in complete batches;
+    * ``good_pos`` -- the byte offset one past the last complete batch,
+      i.e. the truncation point; 0 when the header itself is damaged;
+    * ``size`` -- the file size in bytes;
+    * ``quarantined`` -- batch ids named by quarantine markers;
+    * ``recent`` -- the last ``retain`` events of complete batches, as
+      ``(batch, op, u, v)``;
+    * ``damage`` -- None, or ``{"problem", "offset", "torn"}`` for the
+      first bytes that are not a valid journal, where ``torn`` marks a
+      short read at the end of the file: the crash-mid-append
+      signature.
+
+    The scan decides nothing: :class:`EventJournal` and ``repro scrub``
+    each apply their own policy to the result.
+    """
+    scan = {"name": os.path.basename(path), "path": path, "seq": seq,
+            "legacy": legacy, "base": None, "events": 0, "good_pos": 0,
+            "size": 0, "quarantined": [], "recent": deque(maxlen=retain),
+            "damage": None}
+    header_size = _HEADERS[legacy][0].size
+    with open(path, "rb") as handle:
+        size = scan["size"] = handle.seek(0, os.SEEK_END)
+        if size == 0:
+            # Crash between create and header write.
+            return scan
+        handle.seek(0)
+        try:
+            scan["base"] = _read_header(handle, seq, legacy)
+            pos = scan["good_pos"] = header_size
+            while pos < size:
+                kind, count, batch = _read_batch_header(handle, pos,
+                                                        header_size)
+                pos += RECORD_SIZE
+                if kind == _KIND_QUARANTINE:
+                    # Standalone marker: no event body, no offset moved.
+                    scan["quarantined"].append(batch)
+                else:
+                    scan["recent"].extend(_read_batch_body(
+                        handle, pos, header_size, batch, count))
+                    scan["events"] += count
+                    pos += RECORD_SIZE * count
+                scan["good_pos"] = pos
+        except _Damage as damage:
+            scan["damage"] = {"problem": damage.problem,
+                              "offset": damage.offset, "torn": damage.torn}
+    return scan
+
+
+def write_segment_header(handle, seq, base, *, legacy=False):
+    """Make the file behind ``handle`` an empty segment: write the
+    header of segment ``seq`` starting at event ``base`` (or the v1
+    header when ``legacy``), drop everything after it, and fsync."""
+    layout, magic, version = _HEADERS[legacy]
+    fields = (magic, version) if legacy else (magic, version, seq, base)
+    handle.seek(0)
+    handle.write(layout.pack(*fields))
+    handle.truncate()
+    handle.flush()
+    os.fsync(handle.fileno())
+
+
+class _Damage(Exception):
+    """Where and how a journal file stops being valid (a scan result)."""
+
+    def __init__(self, problem, offset, torn=False):
+        super().__init__(problem)
+        self.problem = problem
+        self.offset = offset
+        self.torn = torn
+
+
+def _read_header(handle, seq, legacy):
+    """Validate the header at the start of ``handle``; returns the base
+    event offset.  The v2 header is written atomically with the file's
+    creation, so only the v1 file can have a short one after a crash."""
+    layout, magic, version = _HEADERS[legacy]
+    header = handle.read(layout.size)
+    if len(header) < layout.size:
+        raise _Damage("header truncated", 0, torn=True)
+    fields = layout.unpack(header)
+    if fields[0] != magic:
+        raise _Damage("bad magic %r" % (fields[0],), 0)
+    if fields[1] != version:
+        raise _Damage("unsupported version %d" % fields[1], 0)
+    if legacy:
+        return 0
+    if fields[2] != seq:
+        raise _Damage("header claims sequence %d" % fields[2], 0)
+    return fields[3]
+
+
+def _record_at(pos, header_size):
+    return "record %d at byte offset %d" % (
+        (pos - header_size) // RECORD_SIZE, pos)
+
+
+def _read_record(handle, pos, header_size):
+    """The record at byte ``pos`` (where ``handle`` stands) as
+    ``(kind, u, v, batch)``; None at a short read."""
+    record = handle.read(RECORD_SIZE)
+    if len(record) < RECORD_SIZE:
+        return None
+    payload = record[:_PAYLOAD.size]
+    if _CRC.unpack_from(record, _PAYLOAD.size)[0] \
+            != zlib.crc32(payload) & 0xFFFFFFFF:
+        raise _Damage("%s fails its checksum (corrupted tail)"
+                      % _record_at(pos, header_size), pos)
+    return _PAYLOAD.unpack(payload)
+
+
+def _read_batch_header(handle, pos, header_size):
+    """``(kind, count, batch)`` of the batch header or quarantine
+    marker at byte ``pos``."""
+    record = _read_record(handle, pos, header_size)
+    if record is None:
+        raise _Damage("torn record", pos, torn=True)
+    kind, count, _, batch = record
+    if kind not in (_KIND_BATCH, _KIND_QUARANTINE):
+        raise _Damage("%s is not a batch header (kind %d)"
+                      % (_record_at(pos, header_size), kind), pos)
+    return kind, count, batch
+
+
+def _read_batch_body(handle, pos, header_size, batch, count):
+    """The ``count`` events of ``batch`` starting at byte ``pos``, as
+    ``(batch, op, u, v)``."""
+    events = []
+    for _ in range(count):
+        record = _read_record(handle, pos, header_size)
+        if record is None:
+            raise _Damage("torn batch", pos, torn=True)
+        kind, u, v, event_batch = record
+        if kind not in _KIND_TO_OP or event_batch != batch:
+            raise _Damage("%s does not belong to batch %d"
+                          % (_record_at(pos, header_size), batch), pos)
+        events.append((batch, _KIND_TO_OP[kind], u, v))
+        pos += RECORD_SIZE
+    return events
+
+
 class _Segment:
     """Metadata of one live segment file."""
 
@@ -146,8 +316,7 @@ class _Segment:
         self.seq = seq
         self.base_events = base_events
         self.num_events = 0
-        self.header_size = (_LEGACY_HEADER.size if legacy
-                            else _SEGMENT_HEADER.size)
+        self.header_size = _HEADERS[legacy][0].size
         self.append_pos = self.header_size
         self.legacy = legacy
 
@@ -189,24 +358,15 @@ class EventJournal:
         #: repair) -- the durability cost of ingest, surfaced by
         #: ``stats()`` and the metrics registry.
         self.fsyncs = 0
-        self._segments = self._discover()
+        self._segments = []
+        listed = self._discover()
+        for index, (seq, path, legacy) in enumerate(listed):
+            scan = scan_segment(path, seq, legacy,
+                                retain=self._retention.maxlen)
+            self._segments.append(
+                self._adopt(scan, active=index == len(listed) - 1))
         if not self._segments:
             self._segments = [self._create_segment(1, 0)]
-        previous = None
-        for segment in self._segments:
-            if segment.base_events is None:
-                # 0-byte file, base unknown: legitimate only for the
-                # active segment (crash between create and header
-                # write); derive its base from the chain.
-                if segment is not self._segments[-1]:
-                    raise CorruptStorageError(
-                        "journal segment %s: sealed segment is empty"
-                        % segment.path,
-                        path=segment.path, segment=segment.seq)
-                segment.base_events = (previous.end_events
-                                       if previous is not None else 0)
-            self._scan_segment(segment)
-            previous = segment
         self._open_active()
 
     # -- writing ------------------------------------------------------------
@@ -469,7 +629,7 @@ class EventJournal:
         self.fsyncs += 1
 
     def _discover(self):
-        """Find live segments (and a legacy v1 file) under the dir."""
+        """List live segments (and a legacy v1 file) under the dir."""
         if os.path.isfile(self.directory):
             raise CorruptStorageError(
                 "EventJournal takes the journal *directory*, but %s is "
@@ -477,227 +637,85 @@ class EventJournal:
                 % self.directory,
                 path=self.directory)
         os.makedirs(self.directory, exist_ok=True)
-        segments = []
         for name in os.listdir(self.directory):
-            path = os.path.join(self.directory, name)
-            match = _SEGMENT_RE.match(name)
-            if match:
-                segments.append((int(match.group(1)), path))
-            elif (name.startswith("journal.") and name.endswith(".tmp")):
+            if name.startswith("journal.") and name.endswith(".tmp"):
                 # A segment creation that never reached its rename.
-                os.unlink(path)
-        segments.sort()
-        found = []
-        legacy_path = os.path.join(self.directory, LEGACY_NAME)
-        if os.path.exists(legacy_path):
-            found.append(_Segment(legacy_path, 0, 0, legacy=True))
-        for seq, path in segments:
-            base = self._read_segment_header(path, seq)
-            found.append(_Segment(path, seq, base))
-        return found
-
-    def _read_segment_header(self, path, seq):
-        """Validate a v2 segment header; returns its base offset.
-
-        The header is written atomically with the file's creation, so a
-        short or malformed header is corruption, never a crash window.
-        Base-offset contiguity with the neighbouring segments is
-        checked after each segment's scan, once its event count is
-        known.
-        """
-        with open(path, "rb") as handle:
-            header = handle.read(_SEGMENT_HEADER.size)
-        if not header:
-            # Base offset unknown until the segment chain is resolved.
-            return None
-        if len(header) != _SEGMENT_HEADER.size:
-            raise CorruptStorageError(
-                "journal segment %s: header truncated" % path,
-                path=path, segment=seq, offset=0)
-        magic, version, file_seq, base = _SEGMENT_HEADER.unpack(header)
-        if magic != _SEGMENT_MAGIC:
-            raise CorruptStorageError(
-                "journal segment %s: bad magic %r" % (path, magic),
-                path=path, segment=seq, offset=0)
-        if version != _SEGMENT_VERSION:
-            raise CorruptStorageError(
-                "journal segment %s: unsupported version %d"
-                % (path, version),
-                path=path, segment=seq, offset=0)
-        if file_seq != seq:
-            raise CorruptStorageError(
-                "journal segment %s: header claims sequence %d"
-                % (path, file_seq),
-                path=path, segment=seq, offset=0)
-        return base
+                os.unlink(os.path.join(self.directory, name))
+        return list_segments(self.directory)
 
     def _create_segment(self, seq, base_events):
         """Atomically create segment ``seq`` starting at ``base_events``."""
         path = os.path.join(self.directory, segment_name(seq))
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
-            handle.write(_SEGMENT_HEADER.pack(
-                _SEGMENT_MAGIC, _SEGMENT_VERSION, seq, base_events))
-            self._sync(handle)
+            write_segment_header(handle, seq, base_events)
+        self.fsyncs += 1
         os.replace(tmp, path)
         fsync_path(self.directory)
         return _Segment(path, seq, base_events)
 
-    def _scan_segment(self, segment):
-        """Streaming scan: count events, verify CRCs, fix a torn tail.
+    def _adopt(self, scan, active):
+        """The live segment for one :func:`scan_segment` result.
 
-        Only the active (last) segment may carry a torn trailing batch;
-        it is truncated away.  The same state in a sealed segment --
-        which appends never touch -- is corruption.
+        Only the active (last) segment may be empty -- a crash between
+        create and header write, so nothing was journaled: it is
+        re-initialized in place -- or carry a torn trailing batch,
+        which is truncated away.  The same state in a sealed segment,
+        which appends never touch, is corruption, as is any other
+        damage and any gap in the base-offset chain.
         """
-        is_active = segment is self._segments[-1]
-        # Only the active segment is ever repaired (tail truncation /
-        # header re-init); sealed segments are read-only.
-        with open(segment.path, "r+b" if is_active else "rb") as handle:
-            size = handle.seek(0, os.SEEK_END)
-            if size == 0:
-                # Crash between create and header write (only the v1
-                # code could leave this; v2 creation is atomic).  For
-                # the active segment nothing was ever journaled:
-                # re-initialize in place.
-                if not is_active:
-                    raise CorruptStorageError(
-                        "journal segment %s: sealed segment is empty"
-                        % segment.path,
-                        path=segment.path, segment=segment.seq)
-                self._init_header(handle, segment)
-                return
-            handle.seek(0)
-            header = handle.read(segment.header_size)
-            if len(header) != segment.header_size:
+        segment = _Segment(scan["path"], scan["seq"], scan["base"],
+                           legacy=scan["legacy"])
+        damage = scan["damage"]
+        if damage is not None and scan["good_pos"] == 0:
+            # A damaged header is never a crash window, even when torn.
+            raise CorruptStorageError(
+                "journal%s %s: %s" % ("" if segment.legacy else " segment",
+                                      segment.path, damage["problem"]),
+                path=segment.path, segment=segment.seq, offset=0)
+        previous = self._segments[-1] if self._segments else None
+        if scan["size"] == 0:
+            if not active:
                 raise CorruptStorageError(
-                    "journal %s: header truncated" % segment.path,
-                    path=segment.path, segment=segment.seq, offset=0)
-            if segment.legacy:
-                magic, version = _LEGACY_HEADER.unpack(header)
-                if magic != _LEGACY_MAGIC:
-                    raise CorruptStorageError(
-                        "journal %s: bad magic %r" % (segment.path, magic),
-                        path=segment.path, segment=segment.seq, offset=0)
-                if version != _LEGACY_VERSION:
-                    raise CorruptStorageError(
-                        "journal %s: unsupported version %d"
-                        % (segment.path, version),
-                        path=segment.path, segment=segment.seq, offset=0)
-            position = segment.header_size
-            read = 0
-            events = 0
-            while True:
-                head = self._read_record(handle, segment, read)
-                if head is None:
-                    break
-                read += 1
-                kind, count, _, batch = head
-                if kind == _KIND_QUARANTINE:
-                    # Standalone marker: no event body, no offset moved.
-                    self._quarantined.add(batch)
-                    position += RECORD_SIZE
-                    continue
-                if kind != _KIND_BATCH:
-                    raise CorruptStorageError(
-                        "journal %s: record %d at byte offset %d is not "
-                        "a batch header (kind %d)"
-                        % (segment.path, read - 1,
-                           self._record_offset(segment, read - 1), kind),
-                        path=segment.path, segment=segment.seq,
-                        offset=self._record_offset(segment, read - 1))
-                complete = True
-                batch_events = []
-                for _ in range(count):
-                    record = self._read_record(handle, segment, read)
-                    if record is None:
-                        complete = False
-                        break
-                    read += 1
-                    event_kind, u, v, event_batch = record
-                    if event_kind not in _KIND_TO_OP or \
-                            event_batch != batch:
-                        raise CorruptStorageError(
-                            "journal %s: record %d at byte offset %d "
-                            "does not belong to batch %d"
-                            % (segment.path, read - 1,
-                               self._record_offset(segment, read - 1),
-                               batch),
-                            path=segment.path, segment=segment.seq,
-                            offset=self._record_offset(segment, read - 1))
-                    batch_events.append(
-                        (batch, _KIND_TO_OP[event_kind], u, v))
-                if not complete:
-                    break
-                events += count
-                self._retention.extend(batch_events)
-                position += RECORD_SIZE * (count + 1)
-            # Anything past the last complete batch is a torn append of
-            # a batch that was never acknowledged: drop it -- but only
-            # where appends can tear, i.e. in the active segment.
-            if handle.seek(0, os.SEEK_END) != position:
-                if not is_active:
-                    raise CorruptStorageError(
-                        "journal %s: sealed segment has a torn tail at "
-                        "byte offset %d" % (segment.path, position),
-                        path=segment.path, segment=segment.seq,
-                        offset=position)
-                handle.seek(position)
-                handle.truncate()
-                self._sync(handle)
-            segment.num_events = events
-            segment.append_pos = position
-        successor = self._successor_of(segment)
-        # A successor with base None is a 0-byte file whose base will
-        # be *derived* from this segment's end -- contiguous by
-        # construction, nothing to check yet.
-        if successor is not None and successor.base_events is not None \
-                and successor.base_events != segment.end_events:
+                    "journal segment %s: sealed segment is empty"
+                    % segment.path,
+                    path=segment.path, segment=segment.seq)
+            segment.base_events = (previous.end_events
+                                   if previous is not None else 0)
+            with open(segment.path, "r+b") as handle:
+                write_segment_header(handle, segment.seq,
+                                     segment.base_events,
+                                     legacy=segment.legacy)
+            self.fsyncs += 1
+            return segment
+        if previous is not None \
+                and segment.base_events != previous.end_events:
             raise CorruptStorageError(
                 "journal %s: segment ends at event %d but %s starts "
-                "at %d" % (segment.path, segment.end_events,
-                           successor.name, successor.base_events),
-                path=segment.path, segment=segment.seq)
-
-    def _successor_of(self, segment):
-        index = self._segments.index(segment)
-        if index + 1 < len(self._segments):
-            return self._segments[index + 1]
-        return None
-
-    def _init_header(self, handle, segment):
-        handle.seek(0)
-        if segment.legacy:
-            handle.write(_LEGACY_HEADER.pack(_LEGACY_MAGIC,
-                                             _LEGACY_VERSION))
-        else:
-            handle.write(_SEGMENT_HEADER.pack(
-                _SEGMENT_MAGIC, _SEGMENT_VERSION, segment.seq,
-                segment.base_events))
-        self._sync(handle)
-        segment.num_events = 0
-        segment.append_pos = segment.header_size
-
-    @staticmethod
-    def _record_offset(segment, index):
-        """Byte offset of record ``index`` (records are fixed-size)."""
-        return segment.header_size + RECORD_SIZE * index
-
-    def _read_record(self, handle, segment, index):
-        """Next record as ``(kind, u, v, batch)``; None at a torn tail."""
-        record = handle.read(RECORD_SIZE)
-        if len(record) < RECORD_SIZE:
-            return None
-        payload, crc = record[:_PAYLOAD.size], record[_PAYLOAD.size:]
-        if _CRC.unpack(crc)[0] != zlib.crc32(payload) & 0xFFFFFFFF:
-            raise CorruptStorageError(
-                "journal %s: record %d at byte offset %d fails its "
-                "checksum (corrupted tail)"
-                % (segment.path, index,
-                   self._record_offset(segment, index)),
-                path=segment.path, segment=segment.seq,
-                offset=self._record_offset(segment, index))
-        return _PAYLOAD.unpack(payload)
+                "at %d" % (previous.path, previous.end_events,
+                           segment.name, segment.base_events),
+                path=previous.path, segment=previous.seq)
+        if damage is not None:
+            if not damage["torn"]:
+                raise CorruptStorageError(
+                    "journal %s: %s" % (segment.path, damage["problem"]),
+                    path=segment.path, segment=segment.seq,
+                    offset=damage["offset"])
+            # A torn append of a batch that was never acknowledged.
+            if not active:
+                raise CorruptStorageError(
+                    "journal %s: sealed segment has a torn tail at "
+                    "byte offset %d" % (segment.path, scan["good_pos"]),
+                    path=segment.path, segment=segment.seq,
+                    offset=scan["good_pos"])
+            with open(segment.path, "r+b") as handle:
+                handle.truncate(scan["good_pos"])
+                self._sync(handle)
+        segment.num_events = scan["events"]
+        segment.append_pos = scan["good_pos"]
+        self._quarantined.update(scan["quarantined"])
+        self._retention.extend(scan["recent"])
+        return segment
 
     def _iter_segment(self, segment, start, stop):
         """Yield the segment's events overlapping ``[start, stop)``.
@@ -709,55 +727,29 @@ class EventJournal:
         """
         handle = open(segment.path, "rb")
         try:
-            handle.seek(segment.header_size)
+            pos = handle.seek(segment.header_size)
             offset = segment.base_events
-            read = 0
             while offset < min(stop, segment.end_events):
-                head = self._read_record(handle, segment, read)
-                if head is None:
-                    break
-                read += 1
-                kind, count, _, batch = head
+                kind, count, batch = _read_batch_header(
+                    handle, pos, segment.header_size)
+                pos += RECORD_SIZE
                 if kind == _KIND_QUARANTINE:
                     continue
-                if kind != _KIND_BATCH:
-                    raise CorruptStorageError(
-                        "journal %s: record %d at byte offset %d is not "
-                        "a batch header (kind %d)"
-                        % (segment.path, read - 1,
-                           self._record_offset(segment, read - 1), kind),
-                        path=segment.path, segment=segment.seq,
-                        offset=self._record_offset(segment, read - 1))
                 if offset + count <= start:
                     handle.seek(RECORD_SIZE * count, os.SEEK_CUR)
-                    read += count
-                    offset += count
-                    continue
-                for _ in range(count):
-                    record = self._read_record(handle, segment, read)
-                    if record is None:
-                        raise CorruptStorageError(
-                            "journal %s: batch %d truncated mid-read at "
-                            "byte offset %d"
-                            % (segment.path, batch,
-                               self._record_offset(segment, read)),
-                            path=segment.path, segment=segment.seq,
-                            offset=self._record_offset(segment, read))
-                    read += 1
-                    event_kind, u, v, event_batch = record
-                    if event_kind not in _KIND_TO_OP or \
-                            event_batch != batch:
-                        raise CorruptStorageError(
-                            "journal %s: record %d at byte offset %d "
-                            "does not belong to batch %d"
-                            % (segment.path, read - 1,
-                               self._record_offset(segment, read - 1),
-                               batch),
-                            path=segment.path, segment=segment.seq,
-                            offset=self._record_offset(segment, read - 1))
-                    if start <= offset < stop:
-                        yield event_batch, _KIND_TO_OP[event_kind], u, v
-                    offset += 1
+                else:
+                    events = _read_batch_body(handle, pos,
+                                              segment.header_size,
+                                              batch, count)
+                    yield from events[max(0, start - offset):
+                                      stop - offset]
+                offset += count
+                pos += RECORD_SIZE * count
+        except _Damage as damage:
+            raise CorruptStorageError(
+                "journal %s: %s" % (segment.path, damage.problem),
+                path=segment.path, segment=segment.seq,
+                offset=damage.offset) from None
         finally:
             handle.close()
 

@@ -32,40 +32,39 @@ The report is a plain dict (JSON-ready for ``repro scrub --json``):
 :meth:`CoreService.open` would get past every consistency check, with
 ``issues`` (location-bearing, one per problem found) and ``actions``
 (one per repair performed).
+
+Scrub does not parse the on-disk formats itself.  It reads the
+manifest through :func:`~repro.service.core_service.load_manifest`,
+lists and scans journal files through the journal's own
+:func:`~repro.service.journal.list_segments` and
+:func:`~repro.service.journal.scan_segment`, checks the watermark with
+``open()``'s :func:`~repro.service.core_service.check_watermark`, and
+rewrites segment headers with
+:func:`~repro.service.journal.write_segment_header`.  What it adds is
+the repair policy.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import zlib
 
 from repro.storage.state import load_checkpoint
 from repro.errors import CorruptStorageError
 from repro.service.core_service import (
     CHECKPOINT_NAME,
+    MANIFEST_COPY_RE,
     MANIFEST_NAME,
     MANIFEST_VERSION,
-    _MANIFEST_COPY_RE,
-    _load_manifest,
-    _read_delta_file,
+    check_watermark,
+    load_manifest,
+    read_delta_file,
 )
 from repro.service.journal import (
-    LEGACY_NAME,
-    RECORD_SIZE,
-    _CRC,
-    _KIND_BATCH,
-    _KIND_QUARANTINE,
-    _KIND_TO_OP,
-    _LEGACY_HEADER,
-    _LEGACY_MAGIC,
-    _LEGACY_VERSION,
-    _PAYLOAD,
-    _SEGMENT_HEADER,
-    _SEGMENT_MAGIC,
-    _SEGMENT_RE,
-    _SEGMENT_VERSION,
     fsync_path,
+    list_segments,
+    scan_segment,
+    write_segment_header,
 )
 
 __all__ = ["scrub_directory"]
@@ -75,120 +74,11 @@ __all__ = ["scrub_directory"]
 # read-only diagnosis
 # ----------------------------------------------------------------------
 
-def _scan_segment_file(path, seq, legacy):
-    """Read-only scan of one segment file.
-
-    Returns a dict with the segment's ``base`` offset, the number of
-    ``events`` in complete batches, ``good_pos`` (byte offset one past
-    the last complete batch -- the truncation point), and ``damage``
-    (None, or ``{"problem", "offset", "torn"}`` where ``torn`` marks
-    the crash-mid-append signature that is always safe to truncate).
-    """
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    info = {"name": os.path.basename(path), "path": path, "seq": seq,
-            "base": None, "events": 0, "good_pos": 0,
-            "size": len(blob), "damage": None, "legacy": legacy}
-    header_size = _LEGACY_HEADER.size if legacy else _SEGMENT_HEADER.size
-    if not blob:
-        # Crash between create and header write: the journal
-        # re-initializes an empty *active* segment in place.
-        return info
-    if len(blob) < header_size:
-        info["damage"] = {"problem": "header truncated", "offset": 0,
-                          "torn": True}
-        return info
-    if legacy:
-        magic, version = _LEGACY_HEADER.unpack(blob[:header_size])
-        header_ok = magic == _LEGACY_MAGIC and version == _LEGACY_VERSION
-        info["base"] = 0
-    else:
-        magic, version, file_seq, base = _SEGMENT_HEADER.unpack(
-            blob[:header_size])
-        header_ok = (magic == _SEGMENT_MAGIC
-                     and version == _SEGMENT_VERSION and file_seq == seq)
-        if header_ok:
-            info["base"] = base
-    if not header_ok:
-        info["damage"] = {"problem": "bad header", "offset": 0,
-                          "torn": False}
-        return info
-
-    def record_at(pos):
-        record = blob[pos:pos + RECORD_SIZE]
-        if len(record) < RECORD_SIZE:
-            return "torn", None
-        payload, crc = record[:_PAYLOAD.size], record[_PAYLOAD.size:]
-        if _CRC.unpack(crc)[0] != zlib.crc32(payload) & 0xFFFFFFFF:
-            return "corrupt", None
-        return None, _PAYLOAD.unpack(payload)
-
-    pos = header_size
-    info["good_pos"] = pos
-    while pos < len(blob):
-        state, head = record_at(pos)
-        if state is not None:
-            info["damage"] = {
-                "problem": ("torn record" if state == "torn"
-                            else "record fails its checksum"),
-                "offset": pos, "torn": state == "torn"}
-            break
-        kind, count, _, batch = head
-        if kind == _KIND_QUARANTINE:
-            pos += RECORD_SIZE
-            info["good_pos"] = pos
-            continue
-        if kind != _KIND_BATCH:
-            info["damage"] = {"problem": "record is not a batch header "
-                                         "(kind %d)" % kind,
-                              "offset": pos, "torn": False}
-            break
-        body = pos + RECORD_SIZE
-        bad = None
-        for _ in range(count):
-            state, record = record_at(body)
-            if state is not None:
-                bad = {"problem": ("torn batch" if state == "torn"
-                                   else "record fails its checksum"),
-                       "offset": body, "torn": state == "torn"}
-                break
-            event_kind, _, _, event_batch = record
-            if event_kind not in _KIND_TO_OP or event_batch != batch:
-                bad = {"problem": "record does not belong to batch %d"
-                                  % batch,
-                       "offset": body, "torn": False}
-                break
-            body += RECORD_SIZE
-        if bad is not None:
-            info["damage"] = bad
-            break
-        pos = body
-        info["good_pos"] = pos
-        info["events"] += count
-    return info
-
-
-def _list_segments(data_dir):
-    """Journal segment files under ``data_dir``, oldest first."""
-    found = []
-    legacy = os.path.join(data_dir, LEGACY_NAME)
-    if os.path.exists(legacy):
-        found.append((0, legacy, True))
-    numbered = []
-    for name in os.listdir(data_dir):
-        match = _SEGMENT_RE.match(name)
-        if match:
-            numbered.append((int(match.group(1)),
-                             os.path.join(data_dir, name), False))
-    found.extend(sorted(numbered))
-    return found
-
-
 def _manifest_copies(data_dir):
     """Epoch-stamped manifest duplicates, newest epoch first."""
     copies = []
     for name in os.listdir(data_dir):
-        match = _MANIFEST_COPY_RE.match(name)
+        match = MANIFEST_COPY_RE.match(name)
         if match:
             copies.append((int(match.group(1)),
                            os.path.join(data_dir, name)))
@@ -216,7 +106,7 @@ def _check_artifacts(data_dir, manifest, issues):
     if manifest.get("version") == MANIFEST_VERSION and "delta" in manifest:
         delta_name = manifest["delta"]
         try:
-            _read_delta_file(os.path.join(data_dir, delta_name))
+            read_delta_file(os.path.join(data_dir, delta_name))
         except CorruptStorageError as exc:
             issues.append(_issue_from(exc, delta_name))
             ok = False
@@ -236,12 +126,12 @@ def _issue_from(exc, fallback_file):
 
 def _diagnose(data_dir):
     """One read-only walk: manifest, artifacts, segments, verdict."""
-    state = {"issues": [], "manifest": None, "manifest_source": None,
-             "segments": [], "openable": False, "tmp_strays": []}
+    state = {"issues": [], "manifest": None, "segments": [],
+             "openable": False, "tmp_strays": []}
     issues = state["issues"]
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     try:
-        manifest = _load_manifest(manifest_path)
+        manifest = load_manifest(manifest_path)
     except FileNotFoundError:
         manifest = None
         issues.append({"file": MANIFEST_NAME,
@@ -249,27 +139,17 @@ def _diagnose(data_dir):
     except CorruptStorageError as exc:
         manifest = None
         issues.append(_issue_from(exc, MANIFEST_NAME))
-    if manifest is not None:
-        if manifest.get("version") not in (1, MANIFEST_VERSION):
-            issues.append({"file": MANIFEST_NAME,
-                           "problem": "unsupported manifest version %r"
-                                      % (manifest.get("version"),)})
-            manifest = None
     artifacts_ok = False
     if manifest is not None:
         state["manifest"] = manifest
-        state["manifest_source"] = MANIFEST_NAME
         artifacts_ok = _check_artifacts(data_dir, manifest, issues)
 
     for name in sorted(os.listdir(data_dir)):
         if name.endswith(".tmp"):
             state["tmp_strays"].append(name)
 
-    watermark = (int(manifest["events_applied"])
-                 if manifest is not None else None)
-    segments = []
-    for seq, path, legacy in _list_segments(data_dir):
-        segments.append(_scan_segment_file(path, seq, legacy))
+    segments = [scan_segment(path, seq, legacy)
+                for seq, path, legacy in list_segments(data_dir)]
     state["segments"] = segments
     journal_ok = True
     previous_end = None
@@ -302,29 +182,20 @@ def _diagnose(data_dir):
                                       % (info["base"], previous_end)})
         previous_end = info["base"] + info["events"]
 
-    if manifest is not None and artifacts_ok and journal_ok and segments:
+    if manifest is not None and artifacts_ok and journal_ok:
+        # The journal's view after open(): an empty active segment
+        # continues its predecessor, and no segment files at all make a
+        # fresh, empty journal.
         intact = [s for s in segments if s["base"] is not None]
         total = (intact[-1]["base"] + intact[-1]["events"]
                  if intact else 0)
         first = intact[0]["base"] if intact else 0
-        if watermark > total:
-            issues.append({"file": MANIFEST_NAME,
-                           "problem": "journal holds %d events but the "
-                                      "checkpoint covers %d"
-                                      % (total, watermark)})
-        elif manifest.get("version") == MANIFEST_VERSION \
-                and watermark < first:
-            issues.append({"file": MANIFEST_NAME,
-                           "problem": "journal was compacted past the "
-                                      "checkpoint (first retained event "
-                                      "%d, watermark %d)"
-                                      % (first, watermark)})
+        try:
+            check_watermark(manifest_path, manifest, total, first)
+        except CorruptStorageError as exc:
+            issues.append(_issue_from(exc, MANIFEST_NAME))
         else:
             state["openable"] = True
-    elif manifest is not None and artifacts_ok and journal_ok:
-        # No segment files at all: open() would create a fresh journal,
-        # then reject any nonzero watermark against its 0 events.
-        state["openable"] = watermark == 0
     return state
 
 
@@ -369,7 +240,7 @@ def _repair(data_dir, diagnosis, actions, *, force):
     if not manifest_ok:
         for epoch, copy_path in _manifest_copies(data_dir):
             try:
-                candidate = _load_manifest(copy_path)
+                candidate = load_manifest(copy_path)
             except (FileNotFoundError, CorruptStorageError):
                 continue
             if not _check_artifacts(data_dir, candidate, []):
@@ -401,9 +272,7 @@ def _repair(data_dir, diagnosis, actions, *, force):
                     "drop acknowledged events (pass force to allow)"
                     % (info["name"], damage["offset"]))
                 continue
-            header_size = (_LEGACY_HEADER.size if info["legacy"]
-                           else _SEGMENT_HEADER.size)
-            if info["good_pos"] < header_size:
+            if info["good_pos"] == 0:
                 # The damage is inside the header itself: truncating
                 # would erase the segment's base offset and break the
                 # watermark check.  Rebuild an empty header instead.
@@ -415,17 +284,8 @@ def _repair(data_dir, diagnosis, actions, *, force):
                         % info["name"])
                     continue
                 with open(info["path"], "r+b") as handle:
-                    handle.seek(0)
-                    if info["legacy"]:
-                        handle.write(_LEGACY_HEADER.pack(
-                            _LEGACY_MAGIC, _LEGACY_VERSION))
-                    else:
-                        handle.write(_SEGMENT_HEADER.pack(
-                            _SEGMENT_MAGIC, _SEGMENT_VERSION,
-                            info["seq"], base))
-                    handle.truncate(header_size)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                    write_segment_header(handle, info["seq"], base,
+                                         legacy=info["legacy"])
                 fsync_path(data_dir)
                 actions.append(
                     "rebuilt %s header (empty active segment at "
@@ -471,13 +331,7 @@ def _repair(data_dir, diagnosis, actions, *, force):
                     actions.append("unlinked %s (past the truncation "
                                    "point)" % later["name"])
             with open(info["path"], "r+b") as handle:
-                handle.seek(0)
-                handle.write(_SEGMENT_HEADER.pack(
-                    _SEGMENT_MAGIC, _SEGMENT_VERSION, info["seq"],
-                    info["base"]))
-                handle.truncate(_SEGMENT_HEADER.size)
-                handle.flush()
-                os.fsync(handle.fileno())
+                write_segment_header(handle, info["seq"], info["base"])
             fsync_path(data_dir)
             actions.append(
                 "reset %s to an empty segment at event %d (dropped all "

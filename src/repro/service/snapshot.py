@@ -25,8 +25,8 @@ Three properties make this cheap and safe:
 * **the CSR fast path** -- :meth:`csr` lazily materializes the frozen
   rows as a :class:`~repro.storage.csr.CSRGraph` (plus an int32 view of
   the cores), the same batch substrate the vectorized engines compute
-  on; ``subgraph`` extraction filters whole adjacency slices at once
-  when numpy is available.  The build is per-snapshot, thread-safe and
+  on; ``subgraph`` extraction filters whole adjacency slices at once.
+  The build is per-snapshot, thread-safe and
   charged no I/O: the rows were already paid for when the snapshot was
   built from the (I/O-counted) graph.
 
@@ -44,12 +44,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.kcore import degeneracy
+import numpy as np
 
-try:  # soft dependency, exactly like repro.storage.csr
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
+from repro.core.kcore import degeneracy
 
 
 class EpochSnapshot:
@@ -142,13 +139,11 @@ class EpochSnapshot:
         return self._rows[v]
 
     def csr(self) -> Any:
-        """The snapshot's CSR artifact (None when numpy is missing).
+        """The snapshot's CSR artifact.
 
         Built lazily, once, under the snapshot lock -- concurrent
         readers share one :class:`CSRGraph` over the frozen rows.
         """
-        if _np is None:
-            return None
         with self._lock:
             if self._csr is None:
                 from repro.storage.csr import CSRGraph
@@ -160,13 +155,10 @@ class EpochSnapshot:
             return self._csr
 
     def cores_np(self) -> Any:
-        """The frozen cores as an int32 numpy view (None without numpy)."""
-        if _np is None:
-            return None
+        """The frozen cores as an int32 numpy view."""
         with self._lock:
             if self._cores_np is None:
-                self._cores_np = _np.frombuffer(self.cores,
-                                                dtype=_np.int32)
+                self._cores_np = np.frombuffer(self.cores, dtype=np.int32)
             return self._cores_np
 
     # ------------------------------------------------------------------

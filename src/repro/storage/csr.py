@@ -21,34 +21,17 @@ Snapshots are buildable from any object with the storage read protocol:
   graphs without exposed block devices
   (:class:`~repro.storage.MemoryGraph`, dynamic overlays); the per-node
   reads still go through whatever I/O accounting the source graph has.
-
-NumPy is imported lazily so that merely importing :mod:`repro.storage`
-never requires it; :func:`require_numpy` raises a uniform
-:class:`~repro.errors.ReproError` when the dependency is missing.
 """
 
 from __future__ import annotations
 
 from array import array
 
+import numpy as np
+
 from repro.errors import ReproError
 from repro.storage import layout
 from repro.storage.graphstore import SCAN_CHUNK_BYTES
-
-try:  # soft dependency: the reference engine never needs numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-
-def require_numpy():
-    """Return the numpy module or raise a uniform :class:`ReproError`."""
-    if _np is None:  # pragma: no cover - exercised only without numpy
-        raise ReproError(
-            "this feature requires numpy, which is not installed "
-            "(pip install numpy, or stay on engine='python')"
-        )
-    return _np
 
 
 class CSRGraph:
@@ -57,7 +40,6 @@ class CSRGraph:
     __slots__ = ("indptr", "indices", "num_nodes", "num_arcs")
 
     def __init__(self, indptr, indices):
-        np = require_numpy()
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.uint32)
         if len(self.indptr) < 1:
@@ -87,7 +69,6 @@ class CSRGraph:
         identical to one reference-engine pass; the test suite asserts
         read-for-read I/O equality with ``iter_adjacency``.
         """
-        np = require_numpy()
         if chunk_bytes is None:
             chunk_bytes = SCAN_CHUNK_BYTES
         nodes_dev = storage.node_device
@@ -148,7 +129,6 @@ class CSRGraph:
         pass (which still charges whatever I/O accounting the source
         graph has).
         """
-        np = require_numpy()
         if hasattr(graph, "node_device") and hasattr(graph, "edge_device"):
             return cls.from_storage(graph, chunk_bytes=chunk_bytes)
         degrees = array("q")
@@ -177,7 +157,6 @@ class CSRGraph:
         engine uses this to snapshot exactly the nodes the reference
         algorithm reads, in exactly the order it reads them.
         """
-        np = require_numpy()
         degrees = np.zeros(num_nodes, dtype=np.int64)
         payload = []
         for v in sorted(int(r) for r in rows):
@@ -203,7 +182,6 @@ class CSRGraph:
 
     def degrees(self):
         """Per-node degrees as an int64 numpy array."""
-        np = require_numpy()
         return np.diff(self.indptr)
 
     def neighbors(self, v):

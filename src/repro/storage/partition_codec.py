@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
+
 from repro.errors import StorageError
 
 #: u32 words of per-record overhead (node id + degree).
@@ -85,9 +87,6 @@ def decode_csr(data):
     header chain is sequential by construction (each header's position
     depends on the previous record's degree).
     """
-    from repro.storage.csr import require_numpy
-
-    np = require_numpy()
     words = np.frombuffer(data, dtype=np.uint32)
     if words.size == 0:
         raise StorageError("empty partition payload")
@@ -124,9 +123,6 @@ def encode_csr(nodes, indptr, indices):
     the equivalent record list, so the two engines issue identical
     partition writes.
     """
-    from repro.storage.csr import require_numpy
-
-    np = require_numpy()
     count = len(nodes)
     degrees = np.diff(indptr)
     total_arcs = int(indptr[-1]) if count else 0

@@ -265,20 +265,26 @@ def _die_by_sigkill(task):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _claim_kill_sentinel():
+    """True for exactly one caller across all workers: the sentinel is
+    created atomically, so two workers cannot both see it missing."""
+    try:
+        fd = os.open(os.environ["REPRO_TEST_KILL_SENTINEL"],
+                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.close(fd)
+    return True
+
+
 def _die_once_then_square(task):
-    sentinel = os.environ["REPRO_TEST_KILL_SENTINEL"]
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
+    if _claim_kill_sentinel():
         os.kill(os.getpid(), signal.SIGKILL)
     return task * task
 
 
 def _kill_once_shard_pass(graph, *, initial_cores, frozen_from):
-    sentinel = os.environ["REPRO_TEST_KILL_SENTINEL"]
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w"):
-            pass
+    if _claim_kill_sentinel():
         os.kill(os.getpid(), signal.SIGKILL)
     real = engine_implementation("python", "shard-pass")
     return real(graph, initial_cores=initial_cores,
@@ -357,7 +363,7 @@ class TestPersistentExecutorFaults:
                 GraphStorage.from_edges(edges, n), 3,
                 engine="kill-once", executor=executor)
             assert list(result.cores) == expected
-            assert executor.respawns >= 1
+            assert executor.respawns == 1
             assert executor.pool_forks == 1  # no per-round re-fork
             assert os.path.exists(str(tmp_path / "killed"))
         finally:

@@ -9,18 +9,23 @@ not).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import shutil
 
 import pytest
 
 from repro.cli import main
+from repro.errors import CorruptStorageError
 from repro.faults import flip_bit, tear_file
 from repro.service import CoreService, scrub_directory
 from repro.service.journal import segment_name
 from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import make_random_edges
+
+import test_service_recovery
 
 pytestmark = pytest.mark.faults
 
@@ -248,3 +253,108 @@ class TestScrubCLI:
         out = capsys.readouterr().out
         assert "degraded" in out
         assert "quarantined batches" in out
+
+
+def _journal_faults(data_dir):
+    """``(file name, fault)`` for every journal file under ``data_dir``:
+    a tear at every offset and a bit flip at every third byte."""
+    for name in sorted(os.listdir(data_dir)):
+        if not (name.startswith("journal.") and name.endswith(".log")):
+            continue
+        size = os.path.getsize(os.path.join(data_dir, name))
+        for keep in range(size):
+            yield name, functools.partial(tear_file, keep=keep)
+        for offset in range(0, size, 3):
+            yield name, functools.partial(flip_bit, offset=offset,
+                                          bit=offset % 8)
+
+
+def _damaged_copy(pristine, work, name, fault):
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(pristine, work)
+    fault(os.path.join(work, name))
+    return work
+
+
+def _opens(data_dir, storage):
+    try:
+        service = CoreService.open(data_dir, storage)
+    except CorruptStorageError:
+        return False
+    service.close()
+    return True
+
+
+def _only_torn_active_tail(report):
+    active = report["segments"][-1] if report["segments"] else None
+    return (active is not None and active["damage"] is not None
+            and active["damage"]["torn"]
+            and [issue["file"] for issue in report["issues"]]
+            == [active["name"]])
+
+
+def _assert_verdicts_agree(tmp_path, pristine, storage):
+    """Damage copies of ``pristine`` one fault at a time and hold the
+    dry-run scrub verdict to what :meth:`CoreService.open` does.
+
+    ``storage`` is the seed graph; open() never mutates it, so every
+    trial shares it."""
+    work = str(tmp_path / "work")
+    trials = 0
+    for name, fault in _journal_faults(pristine):
+        trials += 1
+        dry = _damaged_copy(pristine, work, name, fault)
+        report = scrub_directory(dry, repair=False)
+        opened = _opens(dry, storage)
+        if report["openable"]:
+            # Nothing to repair: a repairing scrub would change nothing.
+            assert opened, (name, fault, report)
+            continue
+        if opened:
+            # open() truncates a torn active tail itself; the dry run
+            # reports it without touching the file.
+            assert _only_torn_active_tail(report), (name, fault, report)
+        repaired = _damaged_copy(pristine, work, name, fault)
+        if scrub_directory(repaired)["openable"]:
+            assert _opens(repaired, storage), (name, fault)
+    return trials
+
+
+class TestVerdictAgreement:
+    """Scrub's ``openable`` verdict matches :meth:`CoreService.open`
+    for every tear and every third-byte bit flip of every journal
+    file."""
+
+    def test_segmented_directory(self, tmp_path, rng):
+        n = 20
+        edges = make_random_edges(rng, n, 0.2)
+        pristine = str(tmp_path / "svc")
+        os.makedirs(pristine)
+        service = CoreService.from_storage(
+            GraphStorage.from_edges(edges, n), data_dir=pristine,
+            segment_events=2, checkpoint_interval=None)
+        present = {tuple(sorted(e)) for e in edges}
+        absent = iter([("+", u, v) for u in range(n)
+                       for v in range(u + 1, n) if (u, v) not in present])
+        # Batch sizes: a checkpoint after the first three events, then
+        # two full segments and one event left in the active segment.
+        for size in (2, 1, None, 2, 2, 1):
+            if size is None:
+                service.checkpoint()
+            else:
+                service.apply([next(absent) for _ in range(size)])
+        service.close()
+        assert scrub_directory(pristine, repair=False)["segments"][-1][
+            "events"] == 1
+        assert len([f for f in os.listdir(pristine)
+                    if f.startswith("journal.")]) == 3
+        trials = _assert_verdicts_agree(
+            tmp_path, pristine, GraphStorage.from_edges(edges, n))
+        assert trials > 100
+
+    def test_legacy_directory(self, tmp_path):
+        migration = test_service_recovery.TestV1Migration()
+        edges, n, _, pristine = migration.build_v1_dir(tmp_path)
+        trials = _assert_verdicts_agree(
+            tmp_path, str(pristine), GraphStorage.from_edges(edges, n))
+        assert trials > 100
