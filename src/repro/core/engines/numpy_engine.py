@@ -451,25 +451,21 @@ def semi_core_plus_numpy(graph, *, initial_cores=None, trace_changes=False,
     )
 
 
-def _converge_star_passes(graph, core, limit, *, changes=None,
-                          computed_log=None):
-    """The SemiCore* converge loop, over the rows below ``limit``.
+def _converge_star_passes(graph, csr, core, *, first=None, limit=None,
+                          changes=None, computed_log=None):
+    """The SemiCore* converge loop over ``csr``, for the rows below ``limit``.
 
     ``limit`` is None for a whole graph and ``frozen_from`` for a shard,
     whose halo rows are read like any neighbour but never recomputed.
-    Pass 1 recomputes every row with a positive bound, over a snapshot
-    built with the identical ascending ``neighbors()`` reads the
-    reference issues (rows it never reads stay empty); later passes
-    recompute exactly the rows that changed, replaying their reads.
-    Passes run while any row below ``limit`` violates Eq. 2.  Appends
-    to the ``changes`` / ``computed_log`` traces when given.  Returns
-    ``(core, cnt, iterations, computations, num_arcs)``; ``cnt`` is
-    None when no row had a positive bound.
+    ``first`` is the row set pass 1 is charged for computing (the
+    whole-graph stale-count pass recomputes every row with a positive
+    bound); without it pass 1, like every later pass, computes exactly
+    the rows that change.  Pass 1 is served by the snapshot itself;
+    later passes replay the reads of the rows that changed.  Passes run
+    while any row below ``limit`` violates Eq. 2.  Appends to the
+    ``changes`` / ``computed_log`` traces when given.  Returns ``(core,
+    cnt, iterations, computations)``.
     """
-    first = np.flatnonzero(core[:limit] > 0)
-    if not first.size:
-        return core, None, 0, 0, 0
-    csr = CSRGraph.from_rows(first, graph.num_nodes, graph.neighbors)
     supporting = _count_supporting(csr, core)
     iterations = 0
     computations = 0
@@ -478,10 +474,11 @@ def _converge_star_passes(graph, core, limit, *, changes=None,
         old = core
         core = _sequential_pass(csr, core, cnt=supporting, limit=limit)
         changed_ids = np.flatnonzero(core != old)
-        if iterations == 1:
+        if iterations == 1 and first is not None:
             processed = first
         else:
             processed = changed_ids
+        if iterations > 1:
             _replay_neighbor_reads(graph, processed)
         computations += int(processed.size)
         if changes is not None:
@@ -490,7 +487,7 @@ def _converge_star_passes(graph, core, limit, *, changes=None,
             computed_log.append([int(v) for v in processed])
         _refresh_supporting(csr, core, supporting, changed_ids)
         if not np.any(supporting[:limit] < core[:limit]):
-            return core, supporting, iterations, computations, csr.num_arcs
+            return core, supporting, iterations, computations
 
 
 def semi_core_star_numpy(graph, *, initial_cores=None, trace_changes=False,
@@ -509,11 +506,19 @@ def semi_core_star_numpy(graph, *, initial_cores=None, trace_changes=False,
     n = graph.num_nodes
     changes = [] if trace_changes else None
     computed_log = [] if trace_computed else None
-    core, cnt, iterations, computations, num_arcs = _converge_star_passes(
-        graph, _initial_cores(graph, initial_cores), None,
-        changes=changes, computed_log=computed_log)
-    if cnt is None:
-        cnt = np.zeros(n, dtype=np.int64)
+    core = _initial_cores(graph, initial_cores)
+    cnt = np.zeros(n, dtype=np.int64)
+    iterations = computations = num_arcs = 0
+    first = np.flatnonzero(core > 0)
+    if first.size:
+        # Pass 1 reads exactly the rows the reference recomputes, with
+        # its ascending per-node ``neighbors()`` reads (rows it never
+        # reads stay empty).
+        csr = CSRGraph.from_rows(first, n, graph.neighbors)
+        num_arcs = csr.num_arcs
+        core, cnt, iterations, computations = _converge_star_passes(
+            graph, csr, core, first=first,
+            changes=changes, computed_log=computed_log)
 
     elapsed = time.perf_counter() - started
     model_memory = 8 * (n + 1) + 4 * num_arcs + 16 * n
@@ -540,9 +545,11 @@ def shard_pass_numpy(graph, *, initial_cores, frozen_from):
     shard's local table, ``initial_cores`` the current estimates for
     every local row, and rows at or past ``frozen_from`` are boundary
     estimates that contribute their value but are never recomputed.
-    Runs the shared restricted pass kernel until no owned row violates
-    Eq. 2 -- the same greatest fixpoint the reference kernel's
-    Gauss-Seidel schedule reaches, so the cores agree exactly.
+    Pass 1 is one sequential scan of the owned rows (the read plan of
+    ``iter_adjacency(0, frozen_from)``); it and every later pass compute
+    exactly the rows that change, and later passes replay their reads.
+    Passes run until no owned row violates Eq. 2 -- the same greatest
+    fixpoint the reference kernel reaches, so the cores agree exactly.
     """
     n = graph.num_nodes
     if len(initial_cores) != n:
@@ -554,9 +561,11 @@ def shard_pass_numpy(graph, *, initial_cores, frozen_from):
         raise GraphError(
             "frozen_from %d out of range [0, %d]" % (frozen_from, n)
         )
-    core, _, iterations, computations, num_arcs = _converge_star_passes(
-        graph, np.asarray(initial_cores, dtype=np.int64), frozen_from)
-    model_memory = 8 * (n + 1) + 4 * num_arcs + 16 * n
+    csr = CSRGraph.from_storage(graph, stop=frozen_from)
+    core, _, iterations, computations = _converge_star_passes(
+        graph, csr, np.asarray(initial_cores, dtype=np.int64),
+        limit=frozen_from)
+    model_memory = 8 * (n + 1) + 4 * csr.num_arcs + 16 * n
     return _as_core_array(core), computations, iterations, model_memory
 
 

@@ -7,16 +7,30 @@ ShardedGraphStorage`), keeps every core estimate in per-shard *estimate
 tables* on counting block devices, and iterates rounds of per-shard
 SemiCore* passes until the global fixpoint:
 
-1. **Gather** -- for every shard, read its owned estimates and resolve
-   its halo rows' estimates from the owning shards' estimate tables
-   (the boundary-estimate exchange; all reads use round-start values,
-   so rounds are Jacobi *across* shards and Gauss-Seidel *within* one).
-2. **Pass** -- run a SemiCore* sweep per shard with the halo estimates
-   frozen, through a pluggable shard executor (``serial`` or
+1. **Gather** -- resolve every shard's halo rows' estimates from the
+   owning shards' estimate tables (the boundary-estimate exchange; all
+   reads use round-start values, so rounds are Jacobi *across* shards
+   and Gauss-Seidel *within* one).  Round 1 gathers every halo entry;
+   later rounds re-read only the entries whose owner changed them in
+   the previous scatter, and a shard with no such entry is not run at
+   all: its owned rows are already the fixpoint for its halo, so a
+   pass could not move them.
+2. **Pass** -- run a SemiCore* sweep per dispatched shard with the halo
+   estimates frozen, through a pluggable shard executor (``serial`` or
    ``persistent``) and any registered engine's ``"shard-pass"`` kernel
-   (``python`` and ``numpy`` ship).
-3. **Scatter** -- write each shard's new owned estimates back to its
-   estimate table; stop once no estimate moved anywhere.
+   (``python`` and ``numpy`` ship).  Pass 1 is one sequential scan of
+   the owned rows that recomputes only the rows violating Eq. 2; later
+   passes recompute only the rows that changed.
+3. **Scatter** -- write each dispatched shard's new owned estimates back
+   to its estimate table and record the global ids that changed; stop
+   once no estimate moved anywhere.
+
+Each pass lands on the greatest fixpoint at or below its round-start
+state, whichever rows it recomputes in whichever order, so skipping
+unchanged shards and unchanged halo entries leaves the rounds and the
+per-round change trace exactly as a full re-gather and re-run would.
+This is Montresor et al.'s rule that a node recomputes only after a
+neighbour's estimate dropped, applied to whole shards.
 
 Correctness follows the locality property (Theorem 4.1) exactly as in
 Montresor et al.'s message-passing formulation (``core/distributed.py``):
@@ -55,10 +69,11 @@ Every decomposition backs its estimate tables with one
 descriptors per round: the estimate, halo and result payloads travel
 through the segment, whether the pass runs in the driving process
 (``serial``) or in a worker the ``persistent`` executor forks once per
-decomposition.  Charged I/O is the same under every executor: the driver
-performs the gather/scatter reads and writes against the counting
-devices, and the raw segment traffic is transport, which the I/O model
-never counts.
+decomposition.  Each shard's halo slot persists across rounds: round 1
+fills it and later rounds patch only the re-gathered entries.  Charged
+I/O is the same under every executor: the driver performs the
+gather/scatter reads and writes against the counting devices, and the
+raw segment traffic is transport, which the I/O model never counts.
 """
 
 from __future__ import annotations
@@ -68,9 +83,11 @@ import os
 import queue as _queue
 import time
 from array import array
-from bisect import bisect_right
+
+import numpy as np
 
 from repro.core.engines import DEFAULT_ENGINE, engine_implementation
+from repro.core.locality import compute_cnt, local_core
 from repro.core.relabel import (
     PermutedGraphView,
     inverse_map_cores,
@@ -103,9 +120,15 @@ def shard_pass_python(graph, *, initial_cores, frozen_from):
     ``graph`` is one shard's local table (owned rows first, then halo
     rows), ``initial_cores`` the current estimates for every local row.
     Rows at local id >= ``frozen_from`` are boundary estimates: they are
-    read like any neighbour but never recomputed.  Returns ``(cores,
-    node_computations, sweep_iterations, model_memory_bytes)`` with
-    ``cores`` covering every local row (the halo suffix unchanged).
+    read like any neighbour but never recomputed.  Pass 1 is one
+    sequential scan of the owned rows (``iter_adjacency(0,
+    frozen_from)``, so halo node entries are never read) that counts
+    every row's Eq. 2 support exactly as it goes and runs LocalCore only
+    on the rows that violate it; the rows it leaves violated seed the
+    later passes of :func:`~repro.core.semicore_star.converge_star`.
+    Every pass therefore computes exactly the rows that change.  Returns
+    ``(cores, node_computations, sweep_iterations, model_memory_bytes)``
+    with ``cores`` covering every local row (the halo suffix unchanged).
     """
     n = graph.num_nodes
     if len(initial_cores) != n:
@@ -121,10 +144,34 @@ def shard_pass_python(graph, *, initial_cores, frozen_from):
     cnt = array("q", bytes(8 * n))
     for v in range(frozen_from, n):
         cnt[v] = _FROZEN_SENTINEL
-    stats = converge_star(graph, core, cnt, range(frozen_from))
-    # core ('i') + cnt ('q') arrays plus the adjacency buffer.
-    model_memory = 12 * n + 8 * stats.max_degree_seen
-    return core, stats.computations, stats.iterations, model_memory
+    computations = 0
+    max_degree = 0
+    upcoming = []
+    for v, nbrs in graph.iter_adjacency(0, frozen_from):
+        if len(nbrs) > max_degree:
+            max_degree = len(nbrs)
+        cold = core[v]
+        support = compute_cnt(core, nbrs, cold)
+        if support >= cold:
+            cnt[v] = support
+            continue
+        computations += 1
+        cnew = local_core(core, nbrs, cold)
+        core[v] = cnew
+        cnt[v] = compute_cnt(core, nbrs, cnew)
+        # Rows past v are counted afresh when the scan reaches them;
+        # rows before it that fall short wait for the next pass.
+        for u in nbrs:
+            if u < v and cnew < core[u] <= cold:
+                cnt[u] -= 1
+                if cnt[u] < core[u]:
+                    upcoming.append(u)
+    stats = converge_star(graph, core, cnt, upcoming)
+    # core ('i') + cnt ('q') arrays plus the adjacency buffer (the scan
+    # saw every owned row, so its widest row bounds the later passes).
+    model_memory = 12 * n + 8 * max_degree
+    return (core, computations + stats.computations, 1 + stats.iterations,
+            model_memory)
 
 
 # ----------------------------------------------------------------------
@@ -438,10 +485,11 @@ class _SharedRoundPlan:
     SharedMemoryBlockDevice`, so the driver's gather/scatter is charged
     exactly as on a :class:`~repro.storage.blockio.MemoryBlockDevice`),
     a *halo slot* the driver fills raw with the gathered boundary
-    estimates, and an *output slot* the pass fills raw with its owned
-    cores.  Raw slot traffic is transport, not modelled I/O, and it is
-    the same whichever executor runs the pass -- that is what keeps the
-    counters bit-identical across executors.
+    estimates in round 1 and patches in place afterwards, and an
+    *output slot* the pass fills raw with its owned cores.  Raw slot
+    traffic is transport, not modelled I/O, and it is the same whichever
+    executor runs the pass -- that is what keeps the counters
+    bit-identical across executors.
 
     The driver owns the plan: it is created before the first round,
     read in-process by serial passes and through fork inheritance by
@@ -472,11 +520,15 @@ class _SharedRoundPlan:
         ]
 
     # -- driver side ---------------------------------------------------
-    def write_halo(self, index, values):
-        """Publish a shard's gathered halo estimates (raw transport)."""
-        data = values.tobytes()
-        start = self._regions[index][1]
-        self.segment.buf[start:start + len(data)] = data
+    def write_halo_at(self, index, positions, values):
+        """Patch a shard's halo slot at ``positions`` (raw transport).
+
+        The slot persists across rounds, so the driver rewrites only
+        the entries whose estimates moved since the previous round.
+        """
+        start, stop = self._regions[index][1:]
+        halo = np.frombuffer(self.segment.buf[start:stop], dtype=np.int32)
+        halo[positions] = np.frombuffer(values, dtype=np.int32)
 
     def read_cores(self, index, count):
         """Collect a shard's pass result from its output slot."""
@@ -588,8 +640,10 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
     largest per-shard working set (plus the O(n) permutation when
     relabeling).  Extra attributes: ``num_shards``, ``executor`` (the
     resolved name), ``max_shard_nodes``, ``num_boundary``, ``balance``,
-    ``relabel``, ``arc_skew``, ``max_owned_arcs``, ``halo_bytes`` and
-    ``boundary_fraction``.
+    ``relabel``, ``arc_skew``, ``max_owned_arcs``, ``halo_bytes``,
+    ``boundary_fraction`` and ``shard_passes`` (the shard passes
+    dispatched over all rounds; shards with an unchanged halo are not
+    rerun).
     """
     global _ACTIVE_SHARDS, _ACTIVE_PLAN
     started = time.perf_counter()
@@ -617,6 +671,7 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
     plan = None
     rounds = 0
     computations = 0
+    shard_passes = 0
     peak_memory = 0
     changes = [] if trace_changes else None
     try:
@@ -630,30 +685,47 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
             degrees = shard.graph.read_degrees()[:shard.num_owned]
             device.write_at(0, degrees.tobytes())
 
-        boundary_cache = [shard.boundary_ids()
+        boundary_cache = [np.frombuffer(shard.boundary_ids(),
+                                        dtype=np.uint32).astype(np.int64)
                           for shard in sharded.shards]
         _ACTIVE_SHARDS = sharded.shards
         _ACTIVE_PLAN = plan
+        moved = None  # global ids the last scatter changed (None: all)
         while True:
             rounds += 1
             with span("sharded.round", io=stats, round=rounds,
                       shards=len(sharded.shards)) as round_span:
-                tasks = []
+                dispatched = []
                 round_start = []
+                halo_changed = 0
                 with span("sharded.gather", io=stats, round=rounds):
                     for shard, device, boundary in zip(
                             sharded.shards, estimates, boundary_cache):
+                        if moved is None:
+                            positions = np.arange(len(boundary))
+                        else:
+                            positions = np.flatnonzero(np.isin(
+                                boundary, moved, assume_unique=True))
+                            if not positions.size:
+                                # Owned rows and halo are where the
+                                # shard's last pass left them: a fixpoint.
+                                continue
+                        dispatched.append(shard)
                         round_start.append(
                             _read_estimates(device, shard.num_owned))
-                        plan.write_halo(shard.index, _gather_boundary(
-                            boundary, sharded.bounds, estimates))
-                        tasks.append((shard.index, engine_name))
-                results = exec_obj.run(_run_shard_pass_shared, tasks)
-                changed = 0
+                        halo_changed += int(positions.size)
+                        plan.write_halo_at(
+                            shard.index, positions, _gather_boundary(
+                                boundary[positions], sharded.bounds,
+                                estimates))
+                results = exec_obj.run(
+                    _run_shard_pass_shared,
+                    [(shard.index, engine_name) for shard in dispatched])
+                shard_passes += len(dispatched)
+                moved_parts = []
                 with span("sharded.scatter", io=stats, round=rounds):
-                    for shard, device, owned, outcome in zip(
-                            sharded.shards, estimates, round_start,
-                            results):
+                    for shard, owned, outcome in zip(
+                            dispatched, round_start, results):
                         comps, _, memory, io_counts = outcome
                         cores = plan.read_cores(shard.index,
                                                 shard.num_owned)
@@ -664,11 +736,17 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
                         if local_state > peak_memory:
                             peak_memory = local_state
                         if cores != owned:
-                            changed += sum(1 for a, b
-                                           in zip(cores, owned)
-                                           if a != b)
-                            device.write_at(0, cores.tobytes())
-                round_span.annotate(changed=changed)
+                            moved_parts.append(shard.start + np.flatnonzero(
+                                np.frombuffer(cores, dtype=np.int32)
+                                != np.frombuffer(owned, dtype=np.int32)))
+                            estimates[shard.index].write_at(
+                                0, cores.tobytes())
+                moved = (np.concatenate(moved_parts) if moved_parts
+                         else np.zeros(0, dtype=np.int64))
+                changed = int(moved.size)
+                round_span.annotate(changed=changed,
+                                    dispatched=len(dispatched),
+                                    halo_changed=halo_changed)
             if trace_changes:
                 changes.append(changed)
             if not changed:
@@ -715,6 +793,7 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
     result.halo_bytes = sharded.halo_bytes
     result.boundary_fraction = sharded.boundary_fraction
     result.pool_forks = getattr(exec_obj, "pool_forks", None)
+    result.shard_passes = shard_passes
     return result
 
 
@@ -733,37 +812,37 @@ def _read_estimates(device, count):
 def _gather_boundary(boundary_ids, bounds, estimates):
     """Resolve halo estimates from the owning shards' estimate tables.
 
-    ``boundary_ids`` is sorted; maximal runs of *consecutive* ids inside
-    one owner become a single ranged ``read_at`` (decoded in one
-    ``frombytes``) instead of per-id point reads.  The block charges are
-    unchanged by construction: a run of consecutive ids is a contiguous
-    byte range, so the ranged read touches exactly the blocks the point
-    reads touched, each charged once thanks to the one-block cache, and
-    gaps between runs never pull in blocks the point reads skipped.
-    ``tests/test_sharded.py`` asserts the counter parity against the
-    point-read reference.
+    ``boundary_ids`` is sorted.  Inside one owner, every maximal group
+    of ids whose entries sit in the same or adjacent blocks becomes a
+    single ranged ``read_at`` that the ids are then picked from.  The
+    block charges equal those of one point read per id by construction:
+    the ranged read touches exactly the union of the blocks the point
+    reads touch -- a contiguous block range, charged once each, where
+    the ascending point reads charge each once too thanks to the
+    one-block cache -- and a group never spans a block the point reads
+    skip.  ``tests/test_sharded.py`` asserts the counter parity against
+    the point-read reference.
     """
     values = array(_ESTIMATE_TYPECODE)
-    count = len(boundary_ids)
-    owner = 0
-    i = 0
-    while i < count:
-        g = int(boundary_ids[i])
-        if not bounds[owner] <= g < bounds[owner + 1]:
-            owner = bisect_right(bounds, g) - 1
-        limit = bounds[owner + 1]
-        j = i + 1
-        expected = g + 1
-        while j < count and expected < limit and \
-                boundary_ids[j] == expected:
-            j += 1
-            expected += 1
-        data = estimates[owner].read_at(
-            (g - bounds[owner]) * ESTIMATE_ENTRY_SIZE,
-            (j - i) * ESTIMATE_ENTRY_SIZE,
-        )
-        values.frombytes(data)
-        i = j
+    ids = np.asarray(boundary_ids, dtype=np.int64)
+    if not ids.size:
+        return values
+    owners = np.searchsorted(bounds, ids, side="right") - 1
+    offsets = (ids - np.asarray(bounds)[owners]) * ESTIMATE_ENTRY_SIZE
+    block_size = estimates[0].block_size  # one plan, one block size
+    first_block = offsets // block_size
+    last_block = (offsets + ESTIMATE_ENTRY_SIZE - 1) // block_size
+    cuts = np.flatnonzero((np.diff(owners) != 0)
+                          | (first_block[1:] > last_block[:-1] + 1)) + 1
+    starts = np.concatenate(([0], cuts)).tolist()
+    stops = np.concatenate((cuts, [ids.size])).tolist()
+    for i, j in zip(starts, stops):
+        base = int(offsets[i])
+        data = estimates[int(owners[i])].read_at(
+            base, int(offsets[j - 1]) + ESTIMATE_ENTRY_SIZE - base)
+        picked = np.frombuffer(data, dtype=np.int32)[
+            (offsets[i:j] - base) // ESTIMATE_ENTRY_SIZE]
+        values.frombytes(picked.tobytes())
     return values
 
 

@@ -134,12 +134,18 @@ def _manifest_body(manifest):
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+#: Manifest fields ``open()`` reads when present, with their JSON types.
+_OPTIONAL_FIELDS = {"checkpoint": str, "graph_path": (str, type(None)),
+                    "quarantined_batches": list}
+
+
 def load_manifest(path):
     """Read and verify a service manifest.
 
     Shared between :meth:`CoreService.open` and ``repro scrub``.
     Propagates :class:`FileNotFoundError`; anything unparsable, failing
-    its ``crc32`` (when present) or of an unsupported version raises
+    its ``crc32`` (when present), of an unsupported version or missing
+    or mistyping a field ``open()`` reads raises
     :class:`~repro.errors.CorruptStorageError` carrying ``path``.
     """
     try:
@@ -165,11 +171,25 @@ def load_manifest(path):
             raise CorruptStorageError(
                 "service manifest %s fails its checksum" % path,
                 path=path)
-    if manifest.get("version") not in (1, MANIFEST_VERSION):
+    version = manifest.get("version")
+    if isinstance(version, bool) or version not in (1, MANIFEST_VERSION):
         raise CorruptStorageError(
-            "unsupported service manifest version %r"
-            % (manifest.get("version"),),
+            "unsupported service manifest version %r" % (version,),
             path=path)
+    # A v1 manifest carries no checksum, so a flipped bit can rename or
+    # retype a key and still parse: check every field open() reads.
+    fields = {"epoch": int, "events_applied": int}
+    if version == MANIFEST_VERSION:
+        fields["delta"] = str
+    fields.update((key, kind) for key, kind in _OPTIONAL_FIELDS.items()
+                  if key in manifest)
+    for key, kind in fields.items():
+        value = manifest.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind) or \
+                (kind is int and value < 0):
+            raise CorruptStorageError(
+                "service manifest %s has no valid %r field" % (path, key),
+                path=path)
     return manifest
 
 

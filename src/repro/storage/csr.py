@@ -56,31 +56,34 @@ class CSRGraph:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_storage(cls, storage, *, chunk_bytes=None):
+    def from_storage(cls, storage, *, chunk_bytes=None, stop=None):
         """Materialize block-wise from a GraphStorage-shaped graph.
 
-        Replays the read plan of ``iter_adjacency`` -- node-table batches
-        of ``chunk_bytes``, edge-table spans grouped greedily up to
+        Replays the read plan of ``iter_adjacency(0, stop)`` -- node-table
+        batches of ``chunk_bytes``, edge-table spans grouped greedily up to
         ``chunk_bytes`` (a group's first non-empty adjacency is accepted
         regardless of size) -- directly against ``node_device`` /
         ``edge_device``, computing the plan with numpy so a snapshot
         build does no per-node Python work at all.  Issuing exactly the
         reads of one sequential scan makes the snapshot's I/O accounting
         identical to one reference-engine pass; the test suite asserts
-        read-for-read I/O equality with ``iter_adjacency``.
+        read-for-read I/O equality with ``iter_adjacency``.  ``stop``
+        limits the scan to the rows below it (a shard's owned prefix);
+        later rows stay empty in the snapshot.
         """
         if chunk_bytes is None:
             chunk_bytes = SCAN_CHUNK_BYTES
         nodes_dev = storage.node_device
         edges_dev = storage.edge_device
         n = storage.num_nodes
+        stop = n if stop is None else stop
         entry_dtype = np.dtype([("offset", "<u8"), ("degree", "<u4")])
         entries_per_chunk = max(1, chunk_bytes // layout.NODE_ENTRY_SIZE)
         degree_parts = []
         payload = []
         v = 0
-        while v < n:
-            batch = min(n - v, entries_per_chunk)
+        while v < stop:
+            batch = min(stop - v, entries_per_chunk)
             node_data = nodes_dev.read_at(
                 layout.node_entry_position(v),
                 batch * layout.NODE_ENTRY_SIZE,
@@ -110,13 +113,11 @@ class CSRGraph:
                     ))
                 i = j
             v += batch
+        all_degrees = np.zeros(n, dtype=np.int64)
         if degree_parts:
-            all_degrees = np.concatenate(degree_parts)
-        else:
-            all_degrees = np.zeros(0, dtype=np.int64)
+            all_degrees[:stop] = np.concatenate(degree_parts)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum(all_degrees, out=indptr[1:])
+        np.cumsum(all_degrees, out=indptr[1:])
         indices = np.frombuffer(b"".join(payload), dtype=np.uint32)
         return cls(indptr, indices)
 

@@ -86,18 +86,27 @@ class TestIOAccounting:
     @pytest.mark.parametrize("chunk_bytes", [32, 128, 1 << 18])
     def test_build_costs_exactly_one_scan(self, rng, block_size,
                                           chunk_bytes):
+        """Also for an owned prefix: ``stop`` scans like
+        ``iter_adjacency(0, stop)`` and leaves later rows empty."""
         for _ in range(3):
             n = rng.randint(1, 60)
             edges = make_random_edges(rng, n, 0.15)
-            reference = GraphStorage.from_edges(edges, n,
+            for stop in (None, rng.randint(0, n)):
+                reference = GraphStorage.from_edges(edges, n,
+                                                    block_size=block_size)
+                reference.io_stats.reset()
+                rows = list(reference.iter_adjacency(
+                    0, stop, chunk_bytes=chunk_bytes))
+                build = GraphStorage.from_edges(edges, n,
                                                 block_size=block_size)
-            reference.io_stats.reset()
-            list(reference.iter_adjacency(chunk_bytes=chunk_bytes))
-            build = GraphStorage.from_edges(edges, n,
-                                            block_size=block_size)
-            build.io_stats.reset()
-            CSRGraph.from_storage(build, chunk_bytes=chunk_bytes)
-            assert build.io_stats == reference.io_stats
+                build.io_stats.reset()
+                csr = CSRGraph.from_storage(build, chunk_bytes=chunk_bytes,
+                                            stop=stop)
+                assert build.io_stats == reference.io_stats
+                assert csr.num_nodes == n
+                assert [list(csr.neighbors(v)) for v in range(n)] == \
+                    [list(nbrs) for _, nbrs in rows] + \
+                    [[]] * (n - len(rows))
 
     def test_oversized_adjacency_grouping(self):
         """A star hub larger than the chunk must group like the scan."""

@@ -99,6 +99,48 @@ class TestDiagnose:
                    for issue in report["issues"])
 
 
+class TestManifestFields:
+    """A v1 manifest has no ``crc32``: a bit flip inside a key still
+    parses, so the missing field must surface as corruption, not as a
+    bare ``KeyError`` from ``open()`` or the scrub."""
+
+    def _damaged_v1_dir(self, tmp_path, mutate):
+        migration = test_service_recovery.TestV1Migration()
+        edges, n, _, data_dir = migration.build_v1_dir(tmp_path)
+        path = os.path.join(str(data_dir), "manifest.json")
+        with open(path, encoding="ascii") as handle:
+            manifest = json.load(handle)
+        mutate(manifest)
+        with open(path, "w", encoding="ascii") as handle:
+            json.dump(manifest, handle)
+        return GraphStorage.from_edges(edges, n), str(data_dir)
+
+    @pytest.mark.parametrize("key,renamed", [
+        ("events_applied", "events_appliee"),
+        ("epoch", "epocx"),
+    ])
+    def test_renamed_key_is_corruption(self, tmp_path, key, renamed):
+        storage, data_dir = self._damaged_v1_dir(
+            tmp_path, lambda m: m.update({renamed: m.pop(key)}))
+        with pytest.raises(CorruptStorageError) as info:
+            CoreService.open(data_dir, storage)
+        assert info.value.path.endswith("manifest.json")
+        report = scrub_directory(data_dir, repair=False)
+        assert not report["openable"]
+        assert any(issue["file"] == "manifest.json"
+                   for issue in report["issues"])
+        # The repairing scrub has no epoch copy to restore a v1
+        # manifest from; it must still report, not crash.
+        assert not scrub_directory(data_dir)["openable"]
+
+    def test_mistyped_field_is_corruption(self, tmp_path):
+        storage, data_dir = self._damaged_v1_dir(
+            tmp_path, lambda m: m.update(
+                events_applied=str(m["events_applied"])))
+        with pytest.raises(CorruptStorageError):
+            CoreService.open(data_dir, storage)
+
+
 class TestRepairs:
     def test_torn_active_tail_truncated(self, seeded):
         segments = _segments(seeded["data_dir"])

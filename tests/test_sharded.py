@@ -149,6 +149,43 @@ class TestBalanceRelabelParity:
             sharded_semi_core_star(paper_storage, 2, balance="entropy")
 
 
+def _counters(result):
+    """Everything the kernel contract makes engine-independent."""
+    return (list(result.cores), result.iterations,
+            result.per_iteration_changes, result.node_computations,
+            result.shard_passes, result.io)
+
+
+class TestCrossEngineParity:
+    """The python and numpy shard-pass kernels compute the same rows and
+    issue the same reads, so every counter agrees, not just the cores."""
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_hub_heavy_proxy(self, executor):
+        expected = list(semi_core_star(
+            load_dataset("webbase", scale=0.03)).cores)
+        for num_shards in (4, 8):
+            for relabel in (False, "bfs"):
+                runs = [_counters(sharded_semi_core_star(
+                    load_dataset("webbase", scale=0.03), num_shards,
+                    engine=engine, executor=executor, balance="arc",
+                    relabel=relabel, trace_changes=True))
+                    for engine in ("python", "numpy")]
+                assert runs[0] == runs[1], (num_shards, relabel)
+                assert runs[0][0] == expected
+
+    @given(graph_edges(max_nodes=20))
+    @settings(max_examples=25, deadline=None)
+    def test_hypothesis_graphs_every_shard_count(self, graph):
+        edges, n = graph
+        for num_shards in shard_counts(n):
+            runs = [_counters(sharded_semi_core_star(
+                GraphStorage.from_edges(edges, n), num_shards,
+                engine=engine, trace_changes=True))
+                for engine in ("python", "numpy")]
+            assert runs[0] == runs[1], num_shards
+
+
 class TestExecutorContract:
     def test_all_executors_identical(self):
         """Cores, rounds, computations and IOStats must all agree."""
@@ -414,6 +451,19 @@ class TestPersistentExecutor:
             PersistentShardExecutor(task_timeout=0.0)
 
 
+class _RecordingExecutor:
+    """In-process executor that logs the shard indices of every round."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.rounds = []
+
+    def run(self, fn, tasks):
+        self.rounds.append([index for index, _ in tasks])
+        return [fn(task) for task in tasks]
+
+
 class TestGatherVectorization:
     def _reference_gather(self, boundary_ids, bounds, estimates):
         """The pre-vectorization per-id gather: one read per row."""
@@ -435,15 +485,17 @@ class TestGatherVectorization:
         return values
 
     def test_coalesced_gather_matches_per_id_reads(self):
-        """Same values AND same charged I/O as the per-id loop."""
+        """Same values AND same charged I/O as the per-id loop, for a
+        full halo followed by the changed-id subsets of later rounds
+        (device caches carry over between gathers, as in the driver).
+        Block sizes that are not a multiple of the entry size make
+        entries straddle blocks."""
         import random
         from array import array
 
-        from repro.core.sharded import (
-            ESTIMATE_ENTRY_SIZE,
-            _ESTIMATE_TYPECODE,
-            _gather_boundary,
-        )
+        import numpy as np
+
+        from repro.core.sharded import _ESTIMATE_TYPECODE, _gather_boundary
         from repro.storage.blockio import IOStats, MemoryBlockDevice
         from repro.storage.shards import shard_bounds
 
@@ -451,33 +503,99 @@ class TestGatherVectorization:
         n, num_shards = 257, 5
         bounds = shard_bounds(n, num_shards)
         table = [rng.randint(0, 99) for _ in range(n)]
-        for trial in range(8):
-            ids = sorted(rng.sample(range(n),
-                                    rng.randint(0, n)))
+        for trial, block_size in enumerate((6, 16, 64, 4096) * 2):
+            boundary = np.array(sorted(rng.sample(range(n),
+                                                  rng.randint(0, n))),
+                                dtype=np.int64)
+            gathers = [boundary]
+            for _ in range(3):
+                moved = np.array(sorted(rng.sample(
+                    range(n), rng.randint(0, n // 4))), dtype=np.int64)
+                gathers.append(boundary[np.isin(boundary, moved,
+                                                assume_unique=True)])
             runs = {}
             for fn in ("vector", "reference"):
                 stats = IOStats()
                 devices = []
                 for a, b in zip(bounds, bounds[1:]):
-                    device = MemoryBlockDevice(stats=stats)
+                    device = MemoryBlockDevice(block_size=block_size,
+                                               stats=stats)
                     device.write_at(0, array(
                         _ESTIMATE_TYPECODE, table[a:b]).tobytes())
                     device.drop_cache()
-                    stats.reset()
                     devices.append(device)
+                stats.reset()
                 gather = (_gather_boundary if fn == "vector"
                           else self._reference_gather)
-                values = gather(array("q", ids), bounds, devices)
-                runs[fn] = (list(values), stats.read_ios,
-                            stats.bytes_read)
-            assert runs["vector"][0] == [table[g] for g in ids], trial
-            # The I/O-model metric -- charged block reads -- must match
-            # the per-id loop exactly: coalescing may only merge reads
-            # of blocks the one-block cache would have served anyway.
-            assert runs["vector"][1] == runs["reference"][1], trial
-            # Coalesced requests cover whole runs, so the bytes actually
-            # requested from the backend can only grow.
-            assert runs["vector"][2] >= runs["reference"][2], trial
+                runs[fn] = []
+                for ids in gathers:
+                    values = gather(ids, bounds, devices)
+                    runs[fn].append((list(values), stats.read_ios,
+                                     stats.bytes_read))
+            for step, (vector, reference) in enumerate(
+                    zip(runs["vector"], runs["reference"])):
+                assert vector[0] == [table[g] for g in gathers[step]]
+                # The I/O-model metric -- charged block reads -- must
+                # match the per-id loop exactly: coalescing may only
+                # merge reads of blocks the one-block cache would have
+                # served anyway.
+                assert vector[1] == reference[1], (trial, step)
+                # Coalesced requests cover whole groups, so the bytes
+                # actually requested from the backend can only grow.
+                assert vector[2] >= reference[2], (trial, step)
+
+
+class TestDeltaRounds:
+    """Later rounds re-gather only moved halo entries and rerun only the
+    shards whose halo moved."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_path_rounds_dispatch_only_moved_shards(self, engine):
+        """On a path over 8 node shards the drops travel inward from
+        both ends one shard per round, so after round 1 only the
+        shards next to a moved shard are rerun."""
+        edges, n = path_graph(2400)
+        executor = _RecordingExecutor()
+        result = sharded_semi_core_star(GraphStorage.from_edges(edges, n),
+                                        8, engine=engine,
+                                        executor=executor)
+        full = semi_core_star(GraphStorage.from_edges(edges, n))
+        assert list(result.cores) == list(full.cores)
+        assert executor.rounds == [
+            list(range(8)),   # round 1 runs everything
+            [1, 6],           # the end shards moved
+            [0, 2, 5, 7],     # their neighbours moved
+            [1, 3, 4, 6],
+            [2, 3, 4, 5],     # the middle moved last; nothing moves
+        ]
+        assert result.iterations == len(executor.rounds)
+        assert result.shard_passes == sum(map(len, executor.rounds))
+
+    def test_disconnected_shards_run_once(self):
+        """Shards without cross-shard edges never see a halo change."""
+        edges, n = [], 0
+        for _ in range(4):
+            block, size = social_graph(60, 2, 6, seed=n + 1)
+            edges += [(u + n, v + n) for u, v in block]
+            n += size
+        executor = _RecordingExecutor()
+        storage = GraphStorage.from_edges(edges, n)
+        result = sharded_semi_core_star(storage, 4, executor=executor)
+        assert result.num_boundary == 0
+        assert list(result.cores) == reference_cores(edges, n)
+        # Round 1 converges every shard; the confirming round runs none.
+        assert executor.rounds == [[0, 1, 2, 3], []]
+        assert result.shard_passes == 4
+
+    def test_computations_within_twice_unsharded(self):
+        unsharded = semi_core_star(load_dataset("webbase", scale=0.1),
+                                   engine="numpy")
+        result = sharded_semi_core_star(
+            load_dataset("webbase", scale=0.1), 8, balance="arc",
+            engine="numpy")
+        assert list(result.cores) == list(unsharded.cores)
+        assert result.node_computations <= \
+            2 * unsharded.node_computations
 
 
 class TestMemoryBound:
