@@ -3,19 +3,14 @@
 The ROADMAP north star is serving heavy query traffic from a maintained
 core index.  This benchmark drives :class:`repro.service.CoreService`
 with the deterministic workload generator -- a zipfian query mix
-interleaved with edge-update batches -- and reports, per engine and per
-cache setting: queries/sec, p50/p99 latency, cache hit rate and read
-I/Os per 1k queries.  The rows land in ``BENCH_RESULTS.json`` through
-the shared results sink.
+interleaved with edge-update batches -- and reports, per engine:
+queries/sec, p50/p99 latency, ``subgraph`` memo hit rate and read I/Os
+per 1k queries.  The rows land in ``BENCH_RESULTS.json`` through the
+shared results sink.
 
-Assertions encode the serving contract:
-
-* query answers are identical with the cache on and off, and across the
-  ``python`` / ``numpy`` engines (the cache and the engines are
-  observationally invisible);
-* at full bench scale the cached zipfian read path is >= 5x faster than
-  the uncached one (the ISSUE's acceptance floor) -- reduced scales
-  only need to not lose.
+The serving contract asserted here: query answers and the final epoch
+are identical across the ``python`` / ``numpy`` engines (the engine is
+observationally invisible).
 
 The concurrent section races reader threads against a live writer over
 the snapshot-isolated read plane: an idle pass (readers only) and a
@@ -43,18 +38,14 @@ DATASET = "lj"
 NUM_QUERIES = 3000
 NUM_UPDATES = 60
 UPDATE_BATCH = 20
-CACHE_CAPACITY = 4096
 QUERY_SEED = 11
 UPDATE_SEED = 13
 
 #: Serving mix: heavier on the set/aggregate queries a core-index
 #: service exists to answer (k-core membership, subgraph extraction,
-#: leaderboards).  Point lookups are O(1) against the resident array
-#: with or without a cache; the expensive queries are where caching
-#: pays, and the uncached baseline must honestly pay for them.
-#: Threshold queries stay within the deepest 8 levels below kmax: the
-#: hot serving path (dense communities / leaderboards), not whole-graph
-#: exports.
+#: leaderboards) than on O(1) point lookups.  Threshold queries stay
+#: within the deepest 8 levels below kmax: the hot serving path (dense
+#: communities / leaderboards), not whole-graph exports.
 MAX_QUERY_DEPTH = 8
 
 QUERY_MIX = (
@@ -69,8 +60,6 @@ QUERY_MIX = (
 
 ENGINES = engine_names()
 
-CACHED_SPEEDUP_FLOOR = 5.0
-
 #: Concurrent section: 4 readers, >= 2000 reads racing >= 20 swaps
 #: (the ISSUE acceptance floor), p99 under write load within 5x of the
 #: idle-read p99 at full scale.
@@ -81,11 +70,10 @@ CONCURRENT_BATCH = 10
 WRITE_LOAD_P99_FACTOR = 5.0
 
 
-def _run_service_workload(engine, cache_capacity):
+def _run_service_workload(engine):
     """One seeded service driven through the standard mixed workload."""
     storage = load_bench_dataset(DATASET)
-    service = CoreService.from_storage(storage, engine=engine,
-                                       cache_capacity=cache_capacity)
+    service = CoreService.from_storage(storage, engine=engine)
     kmax = service.degeneracy()
     queries = generate_queries(service.num_nodes, kmax, NUM_QUERIES,
                                seed=QUERY_SEED, mix=QUERY_MIX,
@@ -104,67 +92,41 @@ def test_service_throughput(benchmark, results):
 
     def run():
         for engine in ENGINES:
-            outcome[engine] = {
-                "uncached": _run_service_workload(engine, 0),
-                "cached": _run_service_workload(engine, CACHE_CAPACITY),
-            }
+            outcome[engine] = _run_service_workload(engine)
 
     once(benchmark, run)
 
-    reference = outcome[ENGINES[0]]["cached"]["results"]
+    reference = outcome[ENGINES[0]]
     for engine in ENGINES:
-        for mode in ("uncached", "cached"):
-            metrics = outcome[engine][mode]
-            results.add(
-                "Service throughput (%s)" % DATASET,
-                engine=engine,
-                mode=mode,
-                qps="%.0f" % metrics["qps"],
-                p50="%.1fus" % (1e6 * metrics["p50_seconds"]),
-                p99="%.1fus" % (1e6 * metrics["p99_seconds"]),
-                hit_rate="%.1f%%" % (100.0 * metrics["hit_rate"]),
-                io_per_1k="%.1f" % metrics["read_ios_per_1k_queries"],
-                epoch=metrics["epoch"],
-                _qps=metrics["qps"],
-                _seconds=metrics["query_seconds"],
-                _p50_seconds=metrics["p50_seconds"],
-                _p99_seconds=metrics["p99_seconds"],
-                _hit_rate=metrics["hit_rate"],
-                _read_ios_per_1k_queries=metrics[
-                    "read_ios_per_1k_queries"],
-                _read_ios=metrics["read_ios"],
-            )
-            # The cache and the engine must both be observationally
-            # invisible: byte-identical answers for the same workload.
-            assert metrics["results"] == reference, \
-                "%s/%s answers diverged" % (engine, mode)
-            assert metrics["epoch"] == reference_epoch(outcome)
-
-    for engine in ENGINES:
-        cached = outcome[engine]["cached"]
-        uncached = outcome[engine]["uncached"]
-        assert cached["hit_rate"] > 0.5, \
-            "zipfian workload should be cache-friendly"
-        speedup = (uncached["query_seconds"] / cached["query_seconds"]
-                   if cached["query_seconds"] else float("inf"))
-        # Cached reads must also do strictly less query I/O.
-        assert (cached["read_ios_per_1k_queries"]
-                <= uncached["read_ios_per_1k_queries"])
-        if BENCH_SCALE >= 1.0:
-            assert speedup >= CACHED_SPEEDUP_FLOOR, \
-                "cached speedup regressed under %s: %.2fx < %.1fx" \
-                % (engine, speedup, CACHED_SPEEDUP_FLOOR)
-
-
-def reference_epoch(outcome):
-    """Every run applies the same batches, so epochs must agree."""
-    return outcome[ENGINES[0]]["cached"]["epoch"]
+        metrics = outcome[engine]
+        results.add(
+            "Service throughput (%s)" % DATASET,
+            engine=engine,
+            qps="%.0f" % metrics["qps"],
+            p50="%.1fus" % (1e6 * metrics["p50_seconds"]),
+            p99="%.1fus" % (1e6 * metrics["p99_seconds"]),
+            hit_rate="%.1f%%" % (100.0 * metrics["hit_rate"]),
+            io_per_1k="%.1f" % metrics["read_ios_per_1k_queries"],
+            epoch=metrics["epoch"],
+            _qps=metrics["qps"],
+            _seconds=metrics["query_seconds"],
+            _p50_seconds=metrics["p50_seconds"],
+            _p99_seconds=metrics["p99_seconds"],
+            _hit_rate=metrics["hit_rate"],
+            _read_ios_per_1k_queries=metrics["read_ios_per_1k_queries"],
+            _read_ios=metrics["read_ios"],
+        )
+        # The engine must be observationally invisible: byte-identical
+        # answers for the same workload, and every run applies the same
+        # batches, so epochs must agree.
+        assert metrics["results"] == reference["results"], \
+            "%s answers diverged" % engine
+        assert metrics["epoch"] == reference["epoch"]
 
 
 def _concurrent_service(engine):
     storage = load_bench_dataset(DATASET)
-    return CoreService.from_storage(storage, engine=engine,
-                                    cache_capacity=CACHE_CAPACITY)
+    return CoreService.from_storage(storage, engine=engine)
 
 
 def test_service_concurrent_throughput(benchmark, results):

@@ -2,8 +2,8 @@
 
 The end-to-end serving story the ROADMAP aims at: seed a core index
 once, keep it maintained under an update stream, answer a zipfian query
-mix from a cache, checkpoint continuously -- and come back after a
-crash by replaying the journal tail instead of recomputing.
+mix from per-epoch snapshots, checkpoint continuously -- and come back
+after a crash by replaying the journal tail instead of recomputing.
 """
 
 import os
@@ -44,7 +44,8 @@ def main():
                                      in_batches(updates, 20))
         print("served %d queries across %d update batches (epoch %d)"
               % (metrics["queries"], 3, metrics["epoch"]))
-        print("  %.0f queries/sec, p99 %.0fus, cache hit rate %.0f%%,"
+        print("  %.0f queries/sec, p99 %.0fus, subgraph memo hit rate"
+              " %.0f%%,"
               " %.1f read I/Os per 1k queries"
               % (metrics["qps"], 1e6 * metrics["p99_seconds"],
                  100 * metrics["hit_rate"],

@@ -70,7 +70,7 @@ from repro.obs import (
     enable_tracing,
     span,
 )
-from repro.service import CoreService, EventJournal, ServiceCache
+from repro.service import CoreService, EventJournal
 
 __all__ = [
     "__version__",
@@ -103,7 +103,6 @@ __all__ = [
     "degeneracy",
     "load_dataset",
     "CoreService",
-    "ServiceCache",
     "EventJournal",
     "MetricsRegistry",
     "MetricsServer",

@@ -11,10 +11,9 @@ the codebase's published-snapshot pattern makes racy reads of a
 monotonic counter acceptable while racy writes never are.
 
 LCK002 enforces statement *order* between two ``with`` blocks inside
-one method (``config.lock_orderings``): ``CoreService._publish`` must
-swap the snapshot in under ``_swap_lock`` before invalidating the
-epoch-gated cache under ``_cache.lock``; the reverse order lets a
-reader repopulate the cache from the outgoing snapshot.
+one method (``config.lock_orderings``), for publication sequences where
+the first block makes state visible and the second depends on it
+having happened (e.g. swap a pointer, then evict what it superseded).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ invariants are written down in machine-checkable form:
 
 * which modules live inside the charged-I/O boundary,
 * which attributes are guarded by which locks,
-* the swap-then-invalidate publication ordering,
+* the two-lock publication orderings (none are declared today),
 * the engine-aware entry points and the kernel registry behind them,
 * the metric- and span-name inventories of the telemetry plane,
 * which subtrees the determinism rules police.
@@ -54,14 +54,13 @@ GUARDED_ATTRIBUTES = {
         "EpochSnapshot": {
             "_refs": GuardSpec("self._lock"),
             "_retired": GuardSpec("self._lock"),
-            "_csr": GuardSpec(
+            "_subgraphs": GuardSpec(
                 "self._lock", exempt_methods=("_drop",),
                 reason="_drop runs exactly once, after the last "
                        "reference is gone; no reader can race it"),
             "_rows": GuardSpec(
                 "self._lock", exempt_methods=("_drop",),
-                reason="last-reference protocol, see _csr"),
-            "_cores_np": GuardSpec("self._lock"),
+                reason="last-reference protocol, see _subgraphs"),
         },
     },
     "repro/obs/registry.py": {
@@ -91,15 +90,9 @@ GUARDED_ATTRIBUTES = {
 
 #: Publication ordering (LCK002): within the named method, the block
 #: ``with <first>:`` must lexically precede the block ``with <then>:``.
-#: CoreService._publish must swap the snapshot in before invalidating
-#: the epoch-gated cache -- the other order lets a reader repopulate the
-#: cache from the *old* snapshot after the invalidate.
-LOCK_ORDERINGS = (
-    ("repro/service/core_service.py", "CoreService", "_publish",
-     "self._swap_lock", "self._cache.lock",
-     "swap-then-invalidate: publish the new snapshot before dropping "
-     "stale cache entries"),
-)
+#: ``CoreService._publish`` holds one lock only (the pointer swap), so
+#: no ordering is declared.
+LOCK_ORDERINGS = ()
 
 # ---------------------------------------------------------------------------
 # Engine parity (ENG001-ENG003).  Every public algorithm entry point

@@ -176,9 +176,6 @@ def _cmd_serve(args):
                          % args.batch_size)
     if args.threads < 0:
         raise ReproError("--threads must be >= 0, got %d" % args.threads)
-    if args.cache_capacity < 0:
-        raise ReproError("--cache-capacity must be >= 0, got %d"
-                         % args.cache_capacity)
     if args.queries < 0 or args.updates < 0:
         raise ReproError("--queries and --updates must be >= 0")
     if args.segment_events is None:
@@ -191,15 +188,13 @@ def _cmd_serve(args):
             os.path.join(args.data_dir, "manifest.json")):
         service = CoreService.open(args.data_dir, storage,
                                    engine=args.engine,
-                                   cache_capacity=args.cache_capacity,
                                    segment_events=args.segment_events)
         print("resumed service from %s at epoch %d"
               % (args.data_dir, service.epoch))
     else:
         service = CoreService.from_storage(
             storage, algorithm=args.algorithm, engine=args.engine,
-            cache_capacity=args.cache_capacity, data_dir=args.data_dir,
-            segment_events=args.segment_events)
+            data_dir=args.data_dir, segment_events=args.segment_events)
     registry = metrics_server = tracer = None
     if args.metrics_port is not None or args.metrics_dump:
         from repro.obs import MetricsRegistry, MetricsServer
@@ -631,8 +626,6 @@ def build_parser():
                    help="decomposition algorithm seeding the index")
     p.add_argument("--engine", default=None, choices=engine_names(),
                    help="execution engine for seeding and maintenance")
-    p.add_argument("--cache-capacity", type=int, default=4096,
-                   help="query cache entries (0 disables the cache)")
     p.add_argument("--data-dir",
                    help="journal + checkpoint directory (resumed when it "
                         "already holds a manifest)")

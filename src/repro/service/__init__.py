@@ -7,10 +7,10 @@ Everything needed to *keep* a decomposition rather than just compute it:
 * :class:`~repro.service.snapshot.EpochSnapshot` /
   :class:`~repro.service.snapshot.SnapshotView` -- the immutable
   per-epoch read plane with refcounted retirement (snapshot-isolated
-  concurrent serving);
-* :class:`~repro.service.cache.ServiceCache` /
-  :class:`~repro.service.cache.CacheStats` -- the read-through LRU with
-  epoch-based invalidation;
+  concurrent serving); every read answer is a function of one
+  snapshot's coreness layout and rows, and
+  :class:`~repro.service.snapshot.CacheStats` counts the probes of its
+  ``subgraph`` memo;
 * :class:`~repro.service.journal.EventJournal` -- the segmented
   write-ahead journal restarts replay from (checkpoint-anchored
   rotation + compaction keep its replay prefix bounded);
@@ -20,14 +20,13 @@ Everything needed to *keep* a decomposition rather than just compute it:
   benchmarks and examples.
 """
 
-from repro.service.cache import CacheStats, ServiceCache
 from repro.service.core_service import CoreService
 from repro.service.journal import (
     DEFAULT_SEGMENT_EVENTS,
     EventJournal,
 )
 from repro.service.scrub import scrub_directory
-from repro.service.snapshot import EpochSnapshot, SnapshotView
+from repro.service.snapshot import CacheStats, EpochSnapshot, SnapshotView
 from repro.service.workload import (
     ZipfianSampler,
     execute_query,
@@ -44,7 +43,6 @@ __all__ = [
     "CoreService",
     "EpochSnapshot",
     "SnapshotView",
-    "ServiceCache",
     "CacheStats",
     "EventJournal",
     "DEFAULT_SEGMENT_EVENTS",

@@ -5,23 +5,21 @@ asks for: it owns a :class:`~repro.storage.dynamic.DynamicGraph` plus a
 maintained ``core[]``/``cnt[]`` index and serves read queries while
 absorbing an edge-update stream.  The three moving parts:
 
-* **read path** -- every query is answered from the *published*
+* **read path** -- every answer is a function of the *published*
   :class:`~repro.service.snapshot.EpochSnapshot` (a frozen ``core[]``
-  copy plus frozen adjacency rows), through a read-through
-  :class:`~repro.service.cache.ServiceCache` whose probes are gated by
-  the reader's pinned epoch.  Reads never touch the mutable maintainer
-  state, so any number of threads can query while a batch applies;
-  :meth:`read_view` pins one epoch across a whole sequence of reads.
-  Results are byte-identical with the cache on or off, and across
+  copy, its coreness-sorted layout and frozen adjacency rows), read
+  from the snapshot the query pinned and from nothing else.  Reads
+  never touch the mutable maintainer state, so any number of threads
+  can query while a batch applies; :meth:`read_view` pins one epoch
+  across a whole sequence of reads.  Results are byte-identical across
   execution engines.
 * **write path** -- :meth:`apply` journals a batch of ``("+"|"-", u, v)``
   events (write-ahead), routes it through the maintenance algorithms of
   Section V (``engine=`` respected end-to-end) against the *private*
   next-epoch state, builds the next snapshot (sharing every untouched
   adjacency row), and publishes it with a single atomic epoch-pointer
-  swap -- only then is the epoch visible and are the affected cache
-  entries evicted.  The superseded snapshot retires once its last
-  in-flight reader releases it.
+  swap -- only then is the epoch visible.  The superseded snapshot
+  retires once its last in-flight reader releases it.
 * **durability** -- every ``checkpoint_interval`` batches the service
   checkpoints the ``core``/``cnt`` arrays
   (:mod:`repro.storage.state`) *plus* the net edge delta
@@ -42,8 +40,8 @@ absorbing an edge-update stream.  The three moving parts:
 
 from __future__ import annotations
 
-import heapq
 import json
+import operator
 import os
 import re
 import struct
@@ -53,7 +51,6 @@ import zlib
 from array import array
 
 from repro.bench.harness import run_decomposition
-from repro.core.kcore import core_histogram, k_core_nodes
 from repro.storage.state import load_checkpoint, save_checkpoint
 from repro.core.maintenance.maintainer import CoreMaintainer
 from repro.errors import (
@@ -67,13 +64,12 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs.trace import span
-from repro.service.cache import DEFAULT_CAPACITY, ServiceCache
 from repro.service.journal import (
     DEFAULT_SEGMENT_EVENTS,
     EventJournal,
     fsync_path as _fsync_path,
 )
-from repro.service.snapshot import EpochSnapshot, SnapshotView
+from repro.service.snapshot import CacheStats, EpochSnapshot, SnapshotView
 from repro.storage.dynamic import DEFAULT_BUFFER_CAPACITY, DynamicGraph
 from repro.storage.graphstore import GraphStorage
 
@@ -230,15 +226,15 @@ class CoreService:
     already-consistent parts together.
     """
 
-    def __init__(self, maintainer, *, cache_capacity=DEFAULT_CAPACITY,
-                 journal=None, data_dir=None,
+    def __init__(self, maintainer, *, journal=None, data_dir=None,
                  checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
                  insert_algorithm="star", epoch=0, events_applied=0,
                  graph_path=None, seed_algorithm=None, edge_delta=None,
                  apply_retries=DEFAULT_APPLY_RETRIES,
                  retry_backoff=DEFAULT_RETRY_BACKOFF):
         self._maintainer = maintainer
-        self._cache = ServiceCache(cache_capacity)
+        #: Probe counters of the per-snapshot ``subgraph`` memos.
+        self._cache_stats = CacheStats()
         self._journal = journal
         self._data_dir = os.fspath(data_dir) if data_dir is not None else None
         self._checkpoint_interval = checkpoint_interval
@@ -313,8 +309,7 @@ class CoreService:
     # ------------------------------------------------------------------
     @classmethod
     def from_storage(cls, storage, *, algorithm="semicore*", engine=None,
-                     cache_capacity=DEFAULT_CAPACITY, data_dir=None,
-                     buffer_capacity=DEFAULT_BUFFER_CAPACITY,
+                     data_dir=None, buffer_capacity=DEFAULT_BUFFER_CAPACITY,
                      path_factory=None,
                      checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
                      insert_algorithm="star",
@@ -333,8 +328,7 @@ class CoreService:
                              path_factory=path_factory)
         return cls.from_graph(
             graph, algorithm=algorithm, engine=engine,
-            cache_capacity=cache_capacity, data_dir=data_dir,
-            checkpoint_interval=checkpoint_interval,
+            data_dir=data_dir, checkpoint_interval=checkpoint_interval,
             insert_algorithm=insert_algorithm,
             segment_events=segment_events,
             graph_path=getattr(storage, "path", None),
@@ -343,7 +337,7 @@ class CoreService:
 
     @classmethod
     def from_graph(cls, graph, *, algorithm="semicore*", engine=None,
-                   cache_capacity=DEFAULT_CAPACITY, data_dir=None,
+                   data_dir=None,
                    checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
                    insert_algorithm="star", graph_path=None,
                    segment_events=DEFAULT_SEGMENT_EVENTS,
@@ -366,8 +360,7 @@ class CoreService:
                     "with CoreService.open instead of reseeding" % data_dir)
             os.makedirs(data_dir, exist_ok=True)
             journal = EventJournal(data_dir, segment_events=segment_events)
-        service = cls(maintainer, cache_capacity=cache_capacity,
-                      journal=journal, data_dir=data_dir,
+        service = cls(maintainer, journal=journal, data_dir=data_dir,
                       checkpoint_interval=checkpoint_interval,
                       insert_algorithm=insert_algorithm,
                       graph_path=graph_path, seed_algorithm=algorithm,
@@ -380,7 +373,6 @@ class CoreService:
 
     @classmethod
     def open(cls, data_dir, storage=None, *, engine=None,
-             cache_capacity=DEFAULT_CAPACITY,
              buffer_capacity=DEFAULT_BUFFER_CAPACITY, path_factory=None,
              checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
              insert_algorithm="star",
@@ -461,8 +453,7 @@ class CoreService:
                                                     CHECKPOINT_NAME)),
                 graph)
             maintainer = CoreMaintainer(graph, cores, cnt, engine=engine)
-            service = cls(maintainer, cache_capacity=cache_capacity,
-                          journal=journal, data_dir=data_dir,
+            service = cls(maintainer, journal=journal, data_dir=data_dir,
                           checkpoint_interval=checkpoint_interval,
                           insert_algorithm=insert_algorithm,
                           epoch=int(manifest["epoch"]),
@@ -528,11 +519,6 @@ class CoreService:
         return self._maintainer
 
     @property
-    def cache(self):
-        """The query cache (read its ``stats`` next to ``io_stats``)."""
-        return self._cache
-
-    @property
     def journal(self):
         """The segmented write-ahead journal (None without a data dir)."""
         return self._journal
@@ -544,8 +530,8 @@ class CoreService:
 
     @property
     def cache_stats(self):
-        """Hit/miss/eviction counters of the query cache."""
-        return self._cache.stats
+        """Hit/miss counters of the per-snapshot ``subgraph`` memos."""
+        return self._cache_stats
 
     @property
     def io_stats(self):
@@ -596,8 +582,8 @@ class CoreService:
                 "epoch": snap.epoch,
                 "events_applied": snap.stats["events_applied"],
                 "queries_served": self._queries_served,
-                "kmax": self._degeneracy(snap),
-                "cache": self._cache.stats.as_dict(),
+                "kmax": snap.kmax,
+                "cache": self._cache_stats.as_dict(),
                 "read_ios": io.read_ios,
                 "write_ios": io.write_ios,
                 "snapshot": {
@@ -652,18 +638,18 @@ class CoreService:
         counter("repro_service_events_quarantined",
                 "Edge events inside quarantined batches."
                 ).set_function(lambda: self._events_quarantined)
-        cache_stats = self._cache.stats
+        cache_stats = self._cache_stats
         for field in ("hits", "misses", "evictions", "invalidations",
                       "stale"):
             counter("repro_cache_%s" % field,
-                    "Query cache %s." % field
+                    "Subgraph memo %s." % field
                     ).set_function(lambda f=field: getattr(cache_stats, f))
         gauge("repro_cache_hit_rate",
-              "Query cache hit rate (0.0 before any lookup)."
+              "Subgraph memo hit rate (0.0 before any lookup)."
               ).set_function(lambda: cache_stats.hit_rate)
         gauge("repro_cache_entries",
-              "Entries resident in the query cache."
-              ).set_function(lambda: len(self._cache))
+              "Subgraph answers memoized on the published snapshot."
+              ).set_function(lambda: self._snapshot.memo_entries)
         gauge("repro_snapshot_epoch",
               "Epoch of the published read snapshot."
               ).set_function(lambda: self._snapshot.epoch)
@@ -751,11 +737,10 @@ class CoreService:
         """Core numbers for a batch of nodes, from one pinned epoch.
 
         The whole batch is validated up front (a rejected batch counts
-        nothing), then each node is one served query and one cache
-        probe -- the counters move exactly as if the caller had issued
-        :meth:`coreness` per node.  Unlike per-node calls, the batch
-        pins a single snapshot, so its values can never straddle an
-        ``apply()`` swap.
+        nothing), then each node is one served query -- the counter
+        moves exactly as if the caller had issued :meth:`coreness` per
+        node.  Unlike per-node calls, the batch pins a single snapshot,
+        so its values can never straddle an ``apply()`` swap.
         """
         snap = self._pin()
         try:
@@ -774,9 +759,10 @@ class CoreService:
     def kcore_subgraph(self, k):
         """Edges of the k-core subgraph, from the epoch snapshot.
 
-        Member adjacencies are filtered against the threshold through
-        the snapshot's CSR artifact, in ascending node order; the result
-        is the sorted ``(u, v)`` edge list with ``u < v``.
+        Member adjacencies are filtered against the threshold in one
+        vectorized pass over the snapshot's rows, memoized on the
+        snapshot; the result is the sorted ``(u, v)`` edge list with
+        ``u < v``.
         """
         snap = self._pin()
         try:
@@ -815,54 +801,43 @@ class CoreService:
     def _coreness(self, snap, v):
         v = self._check_node(v, snap.num_nodes)
         self._count_queries(1)
-        return self._cached(snap, ("coreness", v),
-                            lambda: snap.cores[v])
+        return int(snap.cores[v])
 
     def _coreness_many(self, snap, nodes):
-        # Validation is hoisted ahead of the loop: no counter moves and
-        # no cache entry is touched unless the whole batch is in range.
+        # Validation is hoisted ahead of the lookup: no counter moves
+        # unless the whole batch is in range.
         nodes = [self._check_node(v, snap.num_nodes) for v in nodes]
-        cores = snap.cores
-        values = []
-        for v in nodes:
-            self._count_queries(1)
-            values.append(self._cached(snap, ("coreness", v),
-                                       lambda v=v: cores[v]))
-        return values
+        self._count_queries(len(nodes))
+        return snap.cores[nodes].tolist()
 
     def _kcore_members(self, snap, k):
         k = self._check_k(k)
         self._count_queries(1)
-        value = self._cached(
-            snap, ("members", k),
-            lambda: tuple(k_core_nodes(snap.cores, k)))
-        return list(value)
+        return snap.members(k)
 
     def _kcore_subgraph(self, snap, k):
         k = self._check_k(k)
-        self._count_queries(1)
-        value = self._cached(snap, ("subgraph", k),
-                             lambda: self._extract_subgraph(snap, k))
-        return list(value)
+        edges, hit = snap.subgraph(k)
+        with self._counter_lock:
+            self._queries_served += 1
+            if hit:
+                self._cache_stats.hits += 1
+            else:
+                self._cache_stats.misses += 1
+        return list(edges)
 
     def _core_histogram(self, snap):
         self._count_queries(1)
-        value = self._cached(
-            snap, ("histogram",),
-            lambda: tuple(sorted(
-                core_histogram(snap.cores).items())))
-        return dict(value)
+        return snap.histogram()
 
     def _top_k(self, snap, k):
         k = self._check_k(k)
         self._count_queries(1)
-        value = self._cached(snap, ("top", k),
-                             lambda: self._compute_top(snap, k))
-        return list(value)
+        return snap.top(k)
 
     def _degeneracy(self, snap):
         self._count_queries(1)
-        return self._cached(snap, ("degeneracy",), lambda: snap.kmax)
+        return snap.kmax
 
     def _count_queries(self, n):
         with self._counter_lock:
@@ -877,10 +852,9 @@ class CoreService:
         The batch is validated against the current graph, journaled
         (when the service has a data directory), routed through the
         maintenance algorithms in order, and finally the epoch is bumped
-        and the affected cache entries evicted.  Returns the
-        ``CoreMaintainer.apply_batch`` summary extended with ``epoch``
-        and ``max_core_touched``.  An empty batch is a no-op and does
-        not bump the epoch.
+        by publishing the next snapshot.  Returns the
+        ``CoreMaintainer.apply_batch`` summary extended with ``epoch``.
+        An empty batch is a no-op and does not bump the epoch.
 
         The batch is transactional under storage failure: any
         ``OSError`` / :class:`~repro.errors.StorageError` rolls the
@@ -900,8 +874,7 @@ class CoreService:
             # The no-op summary comes from the same maintainer call the
             # non-empty path uses, so its keys cannot drift from
             # ``_apply_ops``'s.
-            return self._finish_summary(self._maintainer.apply_batch([]),
-                                        touched=0)
+            return self._finish_summary(self._maintainer.apply_batch([]))
         self._check_algorithm(algorithm)
         started = time.perf_counter()
         outcome = "applied"
@@ -1094,47 +1067,6 @@ class CoreService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _cached(self, snap, key, compute):
-        """Read-through probe gated by the reader's pinned epoch.
-
-        A hit must be tagged at or before the pinned epoch (newer
-        entries may reflect state the snapshot predates).  On a miss the
-        value is computed from the snapshot and inserted -- but only if
-        the snapshot is still the published one at insert time, checked
-        under the cache lock so the check cannot interleave with the
-        writer's swap-then-invalidate sequence: either the put lands
-        before the invalidation (which then evicts it if the batch
-        affected it) or the snapshot is already superseded and the put
-        is skipped.  Skipping is always safe; inserting a stale value
-        unguarded would poison later epochs.
-        """
-        hit, value = self._cache.get(key, max_epoch=snap.epoch)
-        if hit:
-            return value
-        value = compute()
-        with self._cache.lock:
-            if self._snapshot is snap:
-                self._cache.put(key, value, snap.epoch)
-        return value
-
-    def _extract_subgraph(self, snap, k):
-        # The snapshot's CSR artifact: filter whole adjacency slices at
-        # once (rows are ascending, slices preserve their order).
-        csr = snap.csr()
-        cores_np = snap.cores_np()
-        edges = []
-        for v in k_core_nodes(snap.cores, k):
-            nbrs = csr.neighbors(v)
-            keep = nbrs[(nbrs > v) & (cores_np[nbrs] >= k)]
-            edges.extend((v, int(u)) for u in keep)
-        return tuple(edges)
-
-    def _compute_top(self, snap, k):
-        cores = snap.cores
-        order = heapq.nsmallest(k, range(len(cores)),
-                                key=lambda v: (-cores[v], v))
-        return tuple((v, cores[v]) for v in order)
-
     def _apply_ops(self, ops, *, batch, algorithm=None):
         """Run one validated, already-journaled batch through maintenance.
 
@@ -1144,10 +1076,6 @@ class CoreService:
         published epoch throughout.  The pointer swap is the single
         instant the batch becomes visible.
         """
-        pre = array("i", self._maintainer.cores)
-        touched = 0
-        for _, u, v in ops:
-            touched = max(touched, min(pre[u], pre[v]))
         # validate=False: the batch was already checked (with overlay
         # semantics) by _validate_ops, so re-validating inside the
         # maintenance kernels would only double the charged reads.
@@ -1155,11 +1083,6 @@ class CoreService:
             summary = self._maintainer.apply_batch(
                 ops, algorithm=algorithm or self._insert_algorithm,
                 validate=False)
-        cores = self._maintainer.cores
-        for _, u, v in ops:
-            touched = max(touched, min(cores[u], cores[v]))
-        for v in summary["changed_nodes"]:
-            touched = max(touched, pre[v], cores[v])
         endpoints = set()
         for _, u, v in ops:
             endpoints.add(u)
@@ -1167,7 +1090,7 @@ class CoreService:
         with span("service.snapshot_advance", io=self.io_stats,
                   batch=batch):
             snapshot = self._snapshot.advance(
-                self.graph, cores, epoch=batch,
+                self.graph, self._maintainer.cores, epoch=batch,
                 events_applied=self._events_applied + len(ops),
                 touched=endpoints)
         # Only once every fallible step (maintenance, snapshot reads)
@@ -1178,8 +1101,8 @@ class CoreService:
         if self._crash_before_publish is not None:
             self._crash_before_publish()
         with span("service.publish", batch=batch):
-            self._publish(snapshot, summary["changed_nodes"], touched)
-        return self._finish_summary(summary, touched)
+            self._publish(snapshot)
+        return self._finish_summary(summary)
 
     def _apply_with_recovery(self, ops, *, batch, algorithm=None):
         """Run a journaled batch with rollback, retry and quarantine.
@@ -1291,7 +1214,7 @@ class CoreService:
         snapshot = self._snapshot.advance(
             self.graph, self._maintainer.cores, epoch=batch,
             events_applied=self._events_applied + len(ops), touched=())
-        self._publish(snapshot, [], 0)
+        self._publish(snapshot)
         self._quarantined.add(batch)
         self._events_quarantined += len(ops)
         self._degraded = ("batch %d quarantined after %d failed "
@@ -1313,28 +1236,23 @@ class CoreService:
         snapshot = self._snapshot.advance(
             self.graph, self._maintainer.cores, epoch=batch,
             events_applied=self._events_applied + len(ops), touched=())
-        self._publish(snapshot, [], 0)
+        self._publish(snapshot)
         self._quarantined.add(batch)
         self._events_quarantined += len(ops)
 
-    def _publish(self, snapshot, changed_nodes, touched):
+    def _publish(self, snapshot):
         """Atomically swap the read plane to ``snapshot``.
 
-        Order matters: (1) swap the pointer under the swap lock -- from
-        here on new pins see the new epoch; (2) evict the affected
-        cache entries under the cache lock -- any stale put racing this
-        either landed before (and is evicted here if affected) or
-        observes the new pointer and skips itself; (3) retire the
-        predecessor, which drops its buffers as soon as the last pinned
-        reader releases.
+        The swap under the swap lock is the only step readers can
+        observe: from then on new pins see the new epoch.  The
+        predecessor then retires and drops its buffers (and its memo)
+        as soon as the last pinned reader releases.
         """
         with self._swap_lock:
             old = self._snapshot
             self._snapshot = snapshot
             self._epoch = snapshot.epoch
             self._events_applied = snapshot.stats["events_applied"]
-        with self._cache.lock:
-            self._cache.invalidate(changed_nodes, touched)
         old.on_drop = self._note_retired
         old.retire()
 
@@ -1342,10 +1260,9 @@ class CoreService:
         with self._counter_lock:
             self._snapshots_retired += 1
 
-    def _finish_summary(self, summary, touched):
+    def _finish_summary(self, summary):
         """Annotate a maintainer batch summary with the serving fields."""
         summary["epoch"] = self._epoch
-        summary["max_core_touched"] = touched
         return summary
 
     def _normalize_event(self, event):
@@ -1407,14 +1324,26 @@ class CoreService:
                 % (algorithm, INSERT_ALGORITHMS))
 
     @staticmethod
-    def _check_node(v, n):
+    def _check_int(value, name):
+        """``value`` as a plain int; bools, floats and strings raise."""
+        if not isinstance(value, bool):
+            try:
+                return operator.index(value)
+            except TypeError:
+                pass
+        raise TypeError("%s must be an integer, got %r" % (name, value))
+
+    @classmethod
+    def _check_node(cls, v, n):
+        v = cls._check_int(v, "node")
         if not 0 <= v < n:
             raise GraphError(
                 "node %d out of range for n=%d" % (v, n))
         return v
 
-    @staticmethod
-    def _check_k(k):
+    @classmethod
+    def _check_k(cls, k):
+        k = cls._check_int(k, "k")
         if k < 0:
             raise ValueError("k must be non-negative")
         return k
@@ -1423,7 +1352,7 @@ class CoreService:
         return ("CoreService(n=%d, epoch=%d, events=%d, queries=%d, "
                 "cache_hit_rate=%.2f)"
                 % (self.graph.num_nodes, self._epoch, self._events_applied,
-                   self._queries_served, self._cache.stats.hit_rate))
+                   self._queries_served, self._cache_stats.hit_rate))
 
 
 def _toggle_delta(delta, op, u, v):

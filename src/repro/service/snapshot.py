@@ -10,25 +10,26 @@ triple of one epoch.  ``apply()`` builds the next epoch's snapshot from
 the private state and publishes it with a single pointer swap, so a
 threaded front end keeps answering under write load with no torn reads.
 
-Three properties make this cheap and safe:
+Every read answer is a function of one snapshot, and these properties
+make that cheap and safe:
 
 * **structural sharing** -- :meth:`EpochSnapshot.advance` copies the row
   *list* (``n`` pointers) but re-reads only the adjacency rows the batch
   touched (its event endpoints); every untouched row object is shared
   with the predecessor snapshot.  The cores array is copied outright
   (``O(n)``, the same cost ``apply()`` already pays per batch).
+* **the coreness layout** -- the constructor sorts the nodes once,
+  vectorized, by descending core number then ascending id, and counts
+  the nodes at or above every core value.  ``members``, ``top``,
+  ``histogram`` and ``degeneracy`` are then slices and lookups of that
+  layout; ``subgraph`` filters the member rows in one numpy pass and is
+  memoized on the snapshot, one entry per distinct k-core.
 * **refcounted retirement** -- readers pin a snapshot with
   :meth:`acquire` before their first read and :meth:`release` it after
-  the last one.  Publishing retires the predecessor; its buffers are
-  dropped only when the last in-flight reader releases, so a reader
-  pinned across a swap finishes on its own epoch, never on a mix.
-* **the CSR fast path** -- :meth:`csr` lazily materializes the frozen
-  rows as a :class:`~repro.storage.csr.CSRGraph` (plus an int32 view of
-  the cores), the same batch substrate the vectorized engines compute
-  on; ``subgraph`` extraction filters whole adjacency slices at once.
-  The build is per-snapshot, thread-safe and
-  charged no I/O: the rows were already paid for when the snapshot was
-  built from the (I/O-counted) graph.
+  the last one.  Publishing retires the predecessor; its buffers (and
+  its memo) are dropped only when the last in-flight reader releases, so
+  a reader pinned across a swap finishes on its own epoch, never on a
+  mix.
 
 The snapshot lifecycle is a tiny state machine::
 
@@ -42,26 +43,74 @@ already pinned to it; ``DROPPED`` frees the buffers.
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.kcore import degeneracy
+from repro.storage import layout
+
+
+class CacheStats:
+    """Probe counters of the ``subgraph`` memo, surfaced next to IOStats.
+
+    Only ``subgraph`` reads probe the memo; every other read is a slice
+    of the snapshot layout and counts nothing here.  ``evictions``,
+    ``invalidations`` and ``stale`` stay 0: a memo lives and dies with
+    its snapshot, so no entry is ever evicted, invalidated or read at
+    another epoch.
+    """
+
+    __slots__ = ("hits", "misses", "evictions", "invalidations", "stale")
+
+    def __init__(self):
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.invalidations = 0
+        self.stale = 0
+
+    @property
+    def lookups(self):
+        """Total number of memo probes."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self):
+        """Fraction of probes served from the memo (0.0 when unused)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+    def as_dict(self):
+        """Plain-dict view for reports and manifests."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "invalidations": self.invalidations,
+            "stale": self.stale,
+            "hit_rate": self.hit_rate,
+        }
+
+    def __repr__(self):
+        return ("CacheStats(hits=%d, misses=%d, evictions=%d, "
+                "invalidations=%d)" % (self.hits, self.misses,
+                                       self.evictions, self.invalidations))
 
 
 class EpochSnapshot:
     """One epoch's frozen, refcounted read state.
 
-    Instances are immutable once published: ``cores`` and the adjacency
-    rows must never be mutated (rows are shared across epochs).  The
-    refcount protocol is ``acquire()`` / ``release()`` around reads and
-    ``retire()`` by the publisher; ``on_drop`` (when set) fires exactly
-    once, when a retired snapshot's last reader releases it.
+    Instances are immutable once published: ``cores`` is a read-only
+    int32 array and the adjacency rows must never be mutated (rows are
+    shared across epochs).  The refcount protocol is ``acquire()`` /
+    ``release()`` around reads and ``retire()`` by the publisher;
+    ``on_drop`` (when set) fires exactly once, when a retired snapshot's
+    last reader releases it.
     """
 
     __slots__ = ("epoch", "cores", "kmax", "stats", "num_nodes", "_rows",
-                 "_refs", "_retired", "_dropped", "_lock", "_csr",
-                 "_cores_np", "on_drop")
+                 "_order", "_at_least", "_histogram", "_subgraphs",
+                 "_refs", "_retired", "_dropped", "_lock", "on_drop")
 
     #: Fires once, when a retired snapshot's last reader releases it.
     on_drop: Callable[["EpochSnapshot"], None] | None
@@ -70,21 +119,31 @@ class EpochSnapshot:
                  rows: list[Sequence[int]],
                  stats: dict[str, Any]) -> None:
         self.epoch = epoch
-        self.cores = cores
-        self.num_nodes = len(cores)
-        self.kmax = degeneracy(cores)
+        self.cores = np.array(cores, dtype=np.int32)
+        self.cores.flags.writeable = False
+        self.num_nodes = len(self.cores)
+        # The coreness layout: nodes by descending core, ascending id;
+        # ``_at_least[k]`` nodes have core >= k, so the k-core is the
+        # head ``_order[:_at_least[k]]``.
+        self._order = np.argsort(-self.cores, kind="stable")
+        counts = np.bincount(self.cores, minlength=1)
+        self._at_least = np.cumsum(counts[::-1])[::-1]
+        self.kmax = len(counts) - 1
+        self._histogram = {k: int(count)
+                           for k, count in enumerate(counts) if count}
         stats = dict(stats)
         stats["epoch"] = epoch
         stats["kmax"] = self.kmax
         stats["num_nodes"] = self.num_nodes
         self.stats = stats
         self._rows: Any = rows
+        #: ``subgraph`` answers keyed by k-core size: thresholds with the
+        #: same member set share one entry.
+        self._subgraphs: dict[int, tuple] = {}
         self._refs = 0
         self._retired = False
         self._dropped = False
         self._lock = threading.Lock()
-        self._csr: Any = None
-        self._cores_np: Any = None
         self.on_drop = None
 
     # ------------------------------------------------------------------
@@ -100,10 +159,8 @@ class EpochSnapshot:
         pays.  Used once per service lifetime (seeding / open); every
         later epoch advances incrementally.
         """
-        from array import array
-
         rows = [nbrs for _, nbrs in graph.iter_adjacency()]
-        return cls(epoch, array("i", cores), rows,
+        return cls(epoch, cores, rows,
                    cls._graph_stats(graph, events_applied))
 
     def advance(self, graph: Any, cores: Sequence[int], *, epoch: int,
@@ -116,12 +173,10 @@ class EpochSnapshot:
         per-node reads, I/O-counted as always.  Core numbers may have
         changed anywhere, so the cores array is copied in full.
         """
-        from array import array
-
         rows = list(self._rows)
         for v in sorted(touched):
             rows[v] = graph.neighbors(v)
-        return type(self)(epoch, array("i", cores), rows,
+        return type(self)(epoch, cores, rows,
                           self._graph_stats(graph, events_applied))
 
     @staticmethod
@@ -132,34 +187,59 @@ class EpochSnapshot:
         }
 
     # ------------------------------------------------------------------
-    # reads
+    # reads (arguments are validated by the caller)
     # ------------------------------------------------------------------
     def neighbors(self, v: int) -> Sequence[int]:
         """Frozen adjacency row of node ``v`` (do not mutate)."""
         return self._rows[v]
 
-    def csr(self) -> Any:
-        """The snapshot's CSR artifact.
+    def kcore_size(self, k: int) -> int:
+        """Number of nodes with core number >= ``k``."""
+        return int(self._at_least[k]) if k <= self.kmax else 0
 
-        Built lazily, once, under the snapshot lock -- concurrent
-        readers share one :class:`CSRGraph` over the frozen rows.
+    def members(self, k: int) -> list[int]:
+        """Ascending node ids of the k-core."""
+        return np.sort(self._order[:self.kcore_size(k)]).tolist()
+
+    def top(self, k: int) -> list[tuple[int, int]]:
+        """The ``k`` first ``(node, core)`` pairs of the layout."""
+        nodes = self._order[:k]
+        return list(zip(nodes.tolist(), self.cores[nodes].tolist()))
+
+    def histogram(self) -> dict[int, int]:
+        """Mapping ``core number -> node count`` (a copy)."""
+        return dict(self._histogram)
+
+    def subgraph(self, k: int) -> tuple[tuple[tuple[int, int], ...], bool]:
+        """The k-core's ``(u, v)`` edges with ``u < v``, and a memo-hit flag.
+
+        Edges come in ascending ``u``, then row order (rows are sorted).
+        Extraction runs outside the lock: two readers racing on one miss
+        both extract (equal answers) and both count a miss.
         """
+        size = self.kcore_size(k)
         with self._lock:
-            if self._csr is None:
-                from repro.storage.csr import CSRGraph
-
-                rows = self._rows
-                self._csr = CSRGraph.from_rows(
-                    range(self.num_nodes), self.num_nodes,
-                    lambda v: rows[v])
-            return self._csr
-
-    def cores_np(self) -> Any:
-        """The frozen cores as an int32 numpy view."""
+            edges = self._subgraphs.get(size)
+        if edges is not None:
+            return edges, True
+        members = np.sort(self._order[:size])
+        rows = [self._rows[v] for v in members.tolist()]
+        nbrs = np.frombuffer(b"".join(
+            row if isinstance(row, array)
+            and row.typecode == layout.EDGE_TYPECODE
+            else array(layout.EDGE_TYPECODE, row) for row in rows),
+            dtype=np.uint32)
+        owners = np.repeat(members, [len(row) for row in rows])
+        keep = (nbrs > owners) & (self.cores[nbrs] >= k)
+        edges = tuple(zip(owners[keep].tolist(), nbrs[keep].tolist()))
         with self._lock:
-            if self._cores_np is None:
-                self._cores_np = np.frombuffer(self.cores, dtype=np.int32)
-            return self._cores_np
+            self._subgraphs[size] = edges
+        return edges, False
+
+    @property
+    def memo_entries(self) -> int:
+        """Number of memoized ``subgraph`` answers (diagnostics)."""
+        return len(self._subgraphs)
 
     # ------------------------------------------------------------------
     # refcount protocol
@@ -198,7 +278,7 @@ class EpochSnapshot:
         """Free the buffers; fires ``on_drop`` exactly once."""
         self._dropped = True
         self._rows = None
-        self._csr = None
+        self._subgraphs = {}
         callback = self.on_drop
         if callback is not None:
             self.on_drop = None

@@ -4,10 +4,11 @@ Benchmarks and examples need a repeatable "millions of users" traffic
 shape.  Real query logs are heavily skewed -- a few hot entities absorb
 most lookups -- so node and threshold choices follow a zipfian rank
 distribution: rank ``r`` is drawn with probability proportional to
-``1 / (r + 1) ** s``.  The skew is exactly what makes the service cache
-earn its keep, and every stream is a pure function of its seed, so the
-same workload can be replayed against cached/uncached services and
-across engines to assert byte-identical answers.
+``1 / (r + 1) ** s``.  Hot thresholds repeat, which is what the
+per-snapshot ``subgraph`` memo serves, and every stream is a pure
+function of its seed, so the same workload can be replayed across
+engines, or against a straight-through replay, to assert byte-identical
+answers.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def generate_queries(num_nodes, kmax, count, *, seed=0, mix=DEFAULT_MIX,
     Node-valued queries pick zipfian node ids (low ids are hot, matching
     the registry proxies whose planted cliques sit at low ids);
     threshold-valued queries pick zipfian *depths*, i.e. hot thresholds
-    sit near ``kmax`` where the cores are small and cache-friendly.
+    sit near ``kmax`` where the cores are small.
     ``max_depth`` bounds how far below ``kmax`` the threshold queries
     reach: a serving workload asking for ``k``-cores near the degeneracy
     (leaderboards, dense-community lookups) never touches the
@@ -162,9 +163,9 @@ def execute_query(service, query):
 def run_queries(service, queries):
     """Execute ``queries`` in order; returns ``(results, latencies)``.
 
-    ``results`` is the per-query answer list (compare it across cache
-    settings and engines -- it must be identical); ``latencies`` the
-    per-query wall-clock seconds.
+    ``results`` is the per-query answer list (compare it across engines
+    -- it must be identical); ``latencies`` the per-query wall-clock
+    seconds.
     """
     results = []
     latencies = []
@@ -191,8 +192,8 @@ def run_mixed_workload(service, queries, update_batches):
     blocks with one update batch applied between consecutive blocks --
     the serving pattern the ISSUE's benchmark measures.  Returns a dict
     with the query results (for parity checks) and the serving metrics:
-    queries/sec, p50/p99 latency, cache hit rate and read I/Os per 1k
-    queries.
+    queries/sec, p50/p99 latency, ``subgraph`` memo hit rate and read
+    I/Os per 1k queries.
     """
     blocks = len(update_batches) + 1
     per_block = max(1, (len(queries) + blocks - 1) // blocks)

@@ -176,9 +176,6 @@ class TestServe:
                      "--batch-size", "0"]) == 1
         assert "error" in capsys.readouterr().err
         assert main(["serve", "--graph", converted_graph,
-                     "--cache-capacity", "-1"]) == 1
-        assert "error" in capsys.readouterr().err
-        assert main(["serve", "--graph", converted_graph,
                      "--threads", "-2"]) == 1
         assert "threads" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 """Tests for the CoreService serving subsystem (read/write API)."""
 
+import numpy as np
 import pytest
 
 from repro.core.kcore import (
@@ -21,6 +22,26 @@ from repro.service.workload import generate_updates, in_batches
 from repro.storage.graphstore import GraphStorage
 
 SEED_ALGORITHMS = ["semicore*", "semicore", "emcore", "imcore"]
+
+
+def oracle_answer(graph, cores, query):
+    """One workload query answered straight from ``core[]`` and the graph."""
+    kind = query[0]
+    if kind == "coreness":
+        return cores[query[1]]
+    if kind == "coreness_many":
+        return [cores[v] for v in query[1]]
+    if kind == "members":
+        return k_core_nodes(cores, query[1])
+    if kind == "subgraph":
+        return sorted(k_core_subgraph(graph, cores, query[1]).edges())
+    if kind == "top":
+        ranked = sorted(range(len(cores)), key=lambda v: (-cores[v], v))
+        return [(v, cores[v]) for v in ranked[:query[1]]]
+    if kind == "histogram":
+        return core_histogram(cores)
+    assert kind == "degeneracy"
+    return degeneracy(cores)
 
 
 def paper_service(**kwargs):
@@ -121,28 +142,55 @@ class TestQueries:
 
     def test_coreness_many_accounting_matches_coreness(self):
         """Regression: the batch path validates up front, then moves
-        the served counter and the cache exactly as the equivalent
-        sequence of per-node :meth:`coreness` calls would."""
+        the served counter exactly as the equivalent sequence of
+        per-node :meth:`coreness` calls would.  Point reads are array
+        lookups: neither path probes the subgraph memo."""
         nodes = [0, 4, 8, 4, 0]
         batched = paper_service()
         single = paper_service()
         values = batched.coreness_many(nodes)
         assert values == [single.coreness(v) for v in nodes]
+        assert all(type(value) is int for value in values)
         assert batched.queries_served == single.queries_served == 5
-        assert batched.cache_stats.lookups == single.cache_stats.lookups
-        assert batched.cache_stats.hits == single.cache_stats.hits == 2
-        assert batched.cache_stats.misses == single.cache_stats.misses
+        assert batched.cache_stats.lookups == 0
+        assert single.cache_stats.lookups == 0
 
     def test_coreness_many_rejected_batch_probes_nothing(self):
-        """Validation is hoisted ahead of the loop: a batch with any
-        out-of-range node moves no counter and touches no cache entry,
-        even when valid nodes precede the bad one."""
+        """Validation is hoisted ahead of the lookup: a batch with any
+        out-of-range node moves no counter, even when valid nodes
+        precede the bad one."""
         service = paper_service()
         with pytest.raises(GraphError):
             service.coreness_many([0, 4, 99])
         assert service.queries_served == 0
         assert service.cache_stats.lookups == 0
-        assert len(service.cache) == 0
+
+    @pytest.mark.parametrize("bad", [2.5, "3", True])
+    @pytest.mark.parametrize("kind", ["coreness", "coreness_many",
+                                      "members", "subgraph", "top"])
+    @pytest.mark.parametrize("through_view", [False, True])
+    def test_non_integer_arguments_rejected_before_counting(
+            self, kind, bad, through_view):
+        """Floats, strings and bools are not node ids or thresholds:
+        every read kind rejects them before any counter moves, whether
+        called on the service or on a pinned view.  Numpy integers are
+        integers and stay accepted."""
+        service = paper_service()
+        reader = service.read_view() if through_view else service
+        call = {
+            "coreness": lambda x: reader.coreness(x),
+            "coreness_many": lambda x: reader.coreness_many([0, x]),
+            "members": lambda x: reader.kcore_members(x),
+            "subgraph": lambda x: reader.kcore_subgraph(x),
+            "top": lambda x: reader.top_k(x),
+        }[kind]
+        with pytest.raises(TypeError):
+            call(bad)
+        assert service.queries_served == 0
+        assert service.cache_stats.lookups == 0
+        assert call(np.int64(2)) == call(2)
+        if through_view:
+            reader.close()
 
 
 class TestSeeding:
@@ -187,7 +235,6 @@ class TestApply:
         assert set(empty) == set(real)
         assert empty["inserts"] == 0 and empty["deletes"] == 0
         assert empty["changed_nodes"] == []
-        assert empty["max_core_touched"] == 0
         assert empty["io"].read_ios == 0 and empty["io"].write_ios == 0
 
     def test_updates_keep_index_exact(self):
@@ -234,41 +281,41 @@ class TestApply:
         assert summary["deletes"] == 1
         assert service.verify()
 
-    def test_summary_reports_touched_coreness(self):
+    def test_summary_reports_epoch_and_io(self):
         service = paper_service()
         summary = service.apply([("+", 4, 6)])
-        assert summary["max_core_touched"] >= 2
+        assert summary["epoch"] == 1
         assert "io" in summary
 
 
-class TestCacheTransparency:
-    """The acceptance bar: answers identical with the cache on or off."""
+class TestOracleAgreement:
+    """The acceptance bar: every answer equals a from-scratch oracle."""
 
-    def test_results_identical_cache_on_off(self):
-        streams = []
-        for capacity in (4096, 0):
-            service, edges, n = social_service(cache_capacity=capacity)
-            kmax = service.degeneracy()
-            queries = generate_queries(n, kmax, 400, seed=7)
-            updates = in_batches(generate_updates(edges, n, 24, seed=8), 8)
-            results = []
-            position = 0
-            for batch in updates + [None]:
-                block = queries[position:position + 100]
-                position += 100
-                block_results, _ = run_queries(service, block)
-                results.extend(block_results)
-                if batch is not None:
-                    service.apply(batch)
-            streams.append((results, service.epoch,
-                            list(service.maintainer.cores)))
-        (cached, cached_epoch, cached_cores), \
-            (uncached, uncached_epoch, uncached_cores) = streams
-        assert cached == uncached
-        assert cached_epoch == uncached_epoch
-        assert cached_cores == uncached_cores
+    def test_results_equal_from_scratch_oracle(self):
+        service, edges, n = social_service()
+        present = {tuple(sorted(edge)) for edge in edges}
+        kmax = service.degeneracy()
+        queries = generate_queries(n, kmax, 400, seed=7)
+        updates = in_batches(generate_updates(edges, n, 24, seed=8), 8)
+        for step, batch in enumerate(updates + [None]):
+            block = queries[100 * step:100 * (step + 1)]
+            results, _ = run_queries(service, block)
+            storage = GraphStorage.from_edges(sorted(present), n)
+            cores = semi_core_star(storage).cores
+            assert results == [oracle_answer(storage, cores, query)
+                               for query in block]
+            if batch is not None:
+                service.apply(batch)
+                for op, u, v in batch:
+                    key = (min(u, v), max(u, v))
+                    if op == "+":
+                        present.add(key)
+                    else:
+                        present.remove(key)
+        assert service.epoch == len(updates)
+        assert list(service.maintainer.cores) == list(cores)
 
-    def test_invalidation_serves_fresh_values(self):
+    def test_deep_batch_serves_fresh_values(self):
         service = paper_service()
         k = service.degeneracy()
         before_members = service.kcore_members(k)

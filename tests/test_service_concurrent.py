@@ -19,6 +19,7 @@ varying ``REPRO_CONCURRENT_SEED`` values (see ``_stress_seed``).
 
 import os
 import random
+import sys
 import threading
 
 import pytest
@@ -72,6 +73,26 @@ def paper_service(**kwargs):
     edges, n = paper_example_graph()
     return CoreService.from_storage(GraphStorage.from_edges(edges, n),
                                     **kwargs)
+
+
+class _RunAfterFirstRelease:
+    """A lock wrapper that runs ``action`` right after its first release;
+    later acquisitions, the ones ``action`` makes included, just lock."""
+
+    def __init__(self, lock, action):
+        self._lock = lock
+        self._action = action
+
+    def __enter__(self):
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._lock.release()
+        action, self._action = self._action, None
+        if action is not None:
+            action()
+        return False
 
 
 class TestSwapWindow:
@@ -174,6 +195,25 @@ class TestSwapWindow:
             out["after"] = (view.epoch, view.coreness(3))
         assert out["during"] == (0, 0)
         assert out["after"] == (1, 3)
+
+    def test_read_right_after_the_swap_answers_the_new_epoch(self):
+        """A reader that pins the moment the swap lock is released must
+        get the new epoch's answer, not one computed at the old epoch.
+        Joining node 0 to node 2 pulls nodes 0 and 1 into the 2-core."""
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)]
+        service = CoreService.from_storage(GraphStorage.from_edges(edges, 5))
+        assert service.kcore_members(2) == [2, 3, 4]
+        observed = {}
+
+        def read():
+            with service.read_view() as view:
+                observed["read"] = (view.epoch, view.kcore_members(2))
+
+        service._swap_lock = _RunAfterFirstRelease(service._swap_lock,
+                                                   read)
+        service.apply([("+", 0, 2)])
+        assert observed["read"] == (1, [0, 1, 2, 3, 4])
+        assert service.kcore_members(2) == [0, 1, 2, 3, 4]
 
 
 class TestSnapshotRetirement:
@@ -283,6 +323,45 @@ class TestConcurrentStress:
         # All superseded snapshots retired once the readers drained.
         assert service.stats()["snapshot"]["retired"] == 20
         assert service.verify()
+
+    @pytest.mark.concurrent
+    def test_readers_racing_on_the_subgraph_memo(self):
+        """More reader threads than cores hammer one snapshot's memo
+        with a tiny switch interval: every answer equals the
+        single-threaded one and no probe is lost from the counters."""
+        edges, n = social_graph(200, attach=3, clique=8, seed=9)
+        service = CoreService.from_storage(
+            GraphStorage.from_edges(edges, n))
+        ks = list(range(service.degeneracy() + 2))
+        want = {k: CoreService.from_storage(GraphStorage.from_edges(
+            edges, n)).kcore_subgraph(k) for k in ks}
+        rounds, threads_count = 20, 8
+        wrong = []
+
+        def reader(offset):
+            for step in range(rounds * len(ks)):
+                k = ks[(offset + step) % len(ks)]
+                if service.kcore_subgraph(k) != want[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(index,))
+                       for index in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert service.cache_stats.lookups == \
+            threads_count * rounds * len(ks)
+        sizes = {len(service.kcore_members(k)) for k in ks}
+        with service.read_view() as view:
+            assert view.snapshot.memo_entries == len(sizes)
 
     @pytest.mark.concurrent
     def test_stale_views_race_the_writer(self):

@@ -46,21 +46,26 @@ def _quarantine_one_batch(service):
 
 
 def test_hit_rate_is_zero_before_any_query(service):
-    # Nothing was ever served from the cache; the rate must be a clean
-    # 0.0, not NaN or a ZeroDivisionError.  (stats() itself performs
-    # one internal degeneracy lookup, so misses may already be 1.)
+    # Nothing was ever served from the memo; the rate must be a clean
+    # 0.0, not NaN or a ZeroDivisionError.
     stats = service.stats()
     assert stats["cache"]["hits"] == 0
     assert stats["cache"]["hit_rate"] == 0.0
 
 
 def test_hit_rate_after_queries(service):
-    before = service.cache_stats.hits
+    # Point reads are array lookups and leave the counters alone; a
+    # repeated subgraph read hits the snapshot's memo.
     service.coreness(0)
     service.coreness(0)
+    assert service.stats()["cache"]["hits"] == 0
+    service.kcore_subgraph(1)
+    service.kcore_subgraph(1)
     stats = service.stats()["cache"]
-    assert stats["hits"] == before + 1  # second lookup hits
-    assert 0.0 < stats["hit_rate"] < 1.0
+    assert (stats["hits"], stats["misses"]) == (1, 1)
+    assert stats["hit_rate"] == 0.5
+    assert (stats["evictions"], stats["invalidations"], stats["stale"]) \
+        == (0, 0, 0)
 
 
 def test_stats_healthy_shape(service):
@@ -102,6 +107,8 @@ def test_registry_views_track_stats_dict(service):
     assert registry.get("repro_cache_hit_rate").value == 0.0
     service.coreness(0)
     service.coreness(0)
+    service.kcore_subgraph(1)
+    assert registry.get("repro_cache_entries").value == 1
     _quarantine_one_batch(service)
     stats = service.stats()
     assert registry.get("repro_service_degraded").value == 1
