@@ -23,6 +23,7 @@ import heapq
 import os
 import time
 from array import array
+from contextlib import contextmanager
 
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
 from repro.core.sharded import get_executor
@@ -103,6 +104,58 @@ def _partition_ub_task(records):
     return _partition_upper_bounds(records, _ZERO_DEPOSIT)
 
 
+@contextmanager
+def _ub_executor(executor):
+    """The executor for the partitioning pass's upper-bound pseudo-peels.
+
+    Yields ``(executor, wave)``: peels drain in waves of one task per
+    worker (one at a time on the serial executor), so at most ``wave``
+    partitions wait resident for their peel.  An executor resolved here
+    from None or a name is closed on exit; an executor object stays the
+    caller's.  Shared by both engines' EMCore implementations.
+    """
+    exec_obj = get_executor(executor)
+    if getattr(exec_obj, "name", "serial") == "serial":
+        wave = 1
+    else:
+        wave = max(1, getattr(exec_obj, "processes", None)
+                   or (os.cpu_count() or 1))
+    try:
+        yield exec_obj, wave
+    finally:
+        if executor is None or isinstance(executor, str):
+            closer = getattr(exec_obj, "close", None)
+            if closer is not None:
+                closer()
+
+
+def _select_range(metas, budget):
+    """Choose one round's range ``[kl, ku]`` and the partitions to load.
+
+    Partitions are grouped by their largest upper bound and taken in
+    descending order while the loaded bytes fit ``budget`` (the first
+    group always loads); the first group left out sets ``kl`` one above
+    its bound.  Returns ``(selected_pids, kl, ku, loaded_bytes)``.
+    Shared by both engines' EMCore implementations.
+    """
+    groups = {}
+    for pid, meta in metas.items():
+        groups.setdefault(meta["max_ub"], []).append(pid)
+    ordered = sorted(groups.items(), reverse=True)
+    ku = ordered[0][0]
+    selected = []
+    loaded_bytes = 0
+    kl = 1
+    for bound, pids in ordered:
+        group_bytes = sum(metas[p]["bytes"] for p in pids)
+        if selected and loaded_bytes + group_bytes > budget:
+            kl = bound + 1
+            break
+        selected.extend(pids)
+        loaded_bytes += group_bytes
+    return selected, max(1, min(kl, ku)), ku, loaded_bytes
+
+
 def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
             merge_partitions=True, engine=None, executor=None):
     """Run EMCore against a storage-backed graph.
@@ -165,16 +218,8 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
     # Partitioning pass: sequential scan, contiguous ranges, local ubs.
     # Partitions are written in scan order; their upper-bound pseudo-
     # peels (pure functions of the records -- deposits are all zero
-    # here) drain through the executor in waves of one task per worker,
-    # so at most ``wave`` partitions' records are resident at once.
+    # here) drain through the executor in waves (see _ub_executor).
     # ------------------------------------------------------------------
-    exec_obj = get_executor(executor)
-    owns_executor = executor is None or isinstance(executor, str)
-    if getattr(exec_obj, "name", "serial") == "serial":
-        wave = 1
-    else:
-        wave = max(1, getattr(exec_obj, "processes", None)
-                   or (os.cpu_count() or 1))
     pending = []
     pending_arcs = 0
     pending_ubs = []  # (pid, size, records) awaiting their pseudo-peel
@@ -208,29 +253,23 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
         if len(pending_ubs) >= wave:
             drain_ubs()
 
-    try:
-        with span("emcore.partition",
-                  io=getattr(storage, "io_stats", None)) as part_span:
-            for v, nbrs in storage.iter_adjacency():
-                if len(nbrs) == 0:
-                    core[v] = 0
-                    continue
-                if pending_arcs and \
-                        pending_arcs + len(nbrs) > partition_arcs:
-                    flush_partition()
-                # The scan yields fresh adjacency arrays; keeping them
-                # avoids the per-edge Python list rebuild the partition
-                # writer used to do.
-                pending.append((v, nbrs))
-                pending_arcs += len(nbrs)
-            flush_partition()
-            drain_ubs()
-            part_span.annotate(partitions=len(metas))
-    finally:
-        if owns_executor:
-            closer = getattr(exec_obj, "close", None)
-            if closer is not None:
-                closer()
+    with _ub_executor(executor) as (exec_obj, wave), \
+            span("emcore.partition",
+                 io=getattr(storage, "io_stats", None)) as part_span:
+        for v, nbrs in storage.iter_adjacency():
+            if len(nbrs) == 0:
+                core[v] = 0
+                continue
+            if pending_arcs and pending_arcs + len(nbrs) > partition_arcs:
+                flush_partition()
+            # The scan yields fresh adjacency arrays; keeping them
+            # avoids the per-edge Python list rebuild the partition
+            # writer used to do.
+            pending.append((v, nbrs))
+            pending_arcs += len(nbrs)
+        flush_partition()
+        drain_ubs()
+        part_span.annotate(partitions=len(metas))
 
     # ------------------------------------------------------------------
     # Top-down range computation.
@@ -241,25 +280,8 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
         rounds += 1
         with span("emcore.round", io=getattr(storage, "io_stats", None),
                   round=rounds) as round_span:
-            groups = {}
-            for pid, meta in metas.items():
-                groups.setdefault(meta["max_ub"], []).append(pid)
-            ordered = sorted(groups.items(), reverse=True)
-            ku = ordered[0][0]
-
-            selected = []
-            loaded_bytes = 0
-            kl = 1
-            for bound, pids in ordered:
-                group_bytes = sum(metas[p]["bytes"] for p in pids)
-                if (selected
-                        and loaded_bytes + group_bytes
-                        > memory_budget_bytes):
-                    kl = bound + 1
-                    break
-                selected.extend(pids)
-                loaded_bytes += group_bytes
-            kl = max(1, min(kl, ku))
+            selected, kl, ku, loaded_bytes = _select_range(
+                metas, memory_budget_bytes)
             exhaustive = len(selected) == len(metas)
             peak_loaded = max(peak_loaded, loaded_bytes)
             round_span.annotate(kl=kl, ku=ku, partitions=len(selected))

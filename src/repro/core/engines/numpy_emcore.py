@@ -20,10 +20,16 @@ kernels:
   the write-I/O figures match the reference block for block, and reads
   decode via ``np.frombuffer`` into CSR slices with no per-edge Python
   objects;
-* :func:`_peel_values` is a bin-bucket peel with level jumps: it
-  produces the same generalized peel values as the reference's lazy-heap
-  peel because those values are unique (the largest ``k`` such that the
+* every peel is :func:`~repro.core.engines.numpy_engine._peel_values`,
+  the numpy engine's bin-bucket peel with level jumps: it produces the
+  same generalized peel values as the reference's lazy-heap peel
+  because those values are unique (the largest ``k`` such that the
   node survives at level ``k`` does not depend on tie-breaking).
+
+The ``[kl, ku]`` selection and the executor waves of the partitioning
+pass are the reference implementation's own (:func:`~repro.core.emcore.
+_select_range`, :func:`~repro.core.emcore._ub_executor`); only the
+partition representation and the peels are engine-specific.
 
 Exactness of the observable counters follows from determinism: peel
 values are unique, so the finalized sets, deposits, refreshed upper
@@ -34,14 +40,17 @@ evolve identically to the reference run.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
-from repro.core.engines.numpy_engine import _as_core_array
+from repro.core.emcore import _select_range, _ub_executor
+from repro.core.engines.numpy_engine import (
+    _as_core_array,
+    _gather_rows,
+    _peel_values,
+)
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
-from repro.core.sharded import get_executor
 from repro.errors import GraphError
 from repro.storage.csr import CSRGraph
 from repro.storage.partition import PartitionStore
@@ -54,59 +63,18 @@ from repro.storage.partition_codec import (
 __all__ = ["em_core_numpy"]
 
 
-def _gather_rows(indptr, indices, rows):
-    """Concatenate the adjacency slices of ``rows``.
+def _filter_csr(counts, keep, values):
+    """Rebuild a local CSR after dropping entries of a gathered row set.
 
-    Returns ``(flat, counts)`` where ``flat`` holds the neighbour ids of
-    every listed row laid out row after row and ``counts`` the per-row
-    lengths.
+    ``counts`` are the per-row lengths of the flat entries, ``keep`` a
+    mask over them and ``values`` what each kept entry stores.  Returns
+    ``(indptr, values[keep], degrees)`` of the filtered rows.
     """
-    counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=indices.dtype), counts
-    starts = np.zeros(len(rows), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    positions = np.arange(total, dtype=np.int64) + \
-        np.repeat(indptr[rows] - starts, counts)
-    return indices[positions], counts
-
-
-def _peel_values(indptr, indices, eff):
-    """Vectorized generalized peel over a local-id CSR subgraph.
-
-    ``eff`` holds each node's starting effective degree (decrementable
-    local degree plus immortal support) and is consumed in place.  The
-    returned value of a node is the level at which it peels away -- the
-    unique largest ``k`` such that the node survives peeling at ``k`` --
-    matching the reference lazy-heap peel.  Levels jump straight to the
-    minimum surviving effective degree, so sparse level ranges (large
-    immortal supports) cost nothing.
-    """
-    p = indptr.size - 1
-    value = np.zeros(p, dtype=np.int64)
-    alive = np.ones(p, dtype=bool)
-    remaining = p
-    level = 0
-    empty = np.zeros(0, dtype=np.int64)
-    while remaining:
-        floor = int(eff[alive].min())
-        if floor > level:
-            level = floor
-        frontier = np.flatnonzero(alive & (eff <= level))
-        while frontier.size:
-            value[frontier] = level
-            alive[frontier] = False
-            remaining -= int(frontier.size)
-            nbr, _ = _gather_rows(indptr, indices, frontier)
-            live = nbr[alive[nbr]] if nbr.size else empty
-            if live.size:
-                eff -= np.bincount(live, minlength=p)
-                touched = np.unique(live)
-                frontier = touched[eff[touched] <= level]
-            else:
-                frontier = empty
-    return value
+    row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    deg = np.bincount(row[keep], minlength=len(counts))
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    return indptr, values[keep], deg
 
 
 class _Renumber:
@@ -122,18 +90,11 @@ class _Renumber:
         entries of ``indices`` outside ``nodes`` are dropped (they are
         the peel's immortal support, accounted by the caller).
         """
-        p = len(nodes)
         loc = self._loc
-        loc[nodes] = np.arange(p, dtype=np.int64)
+        loc[nodes] = np.arange(len(nodes), dtype=np.int64)
         mapped = loc[indices]
-        keep = mapped >= 0
-        row = np.repeat(np.arange(p, dtype=np.int64), np.diff(indptr))
-        local_deg = np.bincount(row[keep], minlength=p)
-        local_indptr = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(local_deg, out=local_indptr[1:])
-        local_indices = mapped[keep]
         loc[nodes] = -1
-        return local_indptr, local_indices, local_deg
+        return _filter_csr(np.diff(indptr), mapped >= 0, mapped)
 
 
 def _partition_ub_task_numpy(task):
@@ -151,13 +112,10 @@ def _partition_ub_task_numpy(task):
     in_range = mapped < len(part)
     keep = np.zeros(len(sub_indices), dtype=bool)
     keep[in_range] = part[mapped[in_range]] == sub_indices[in_range]
-    row = np.repeat(np.arange(len(part), dtype=np.int64),
-                    np.diff(sub_indptr))
-    local_deg = np.bincount(row[keep], minlength=len(part))
-    l_indptr = np.zeros(len(part) + 1, dtype=np.int64)
-    np.cumsum(local_deg, out=l_indptr[1:])
+    l_indptr, l_indices, local_deg = _filter_csr(np.diff(sub_indptr), keep,
+                                                 mapped)
     external = part_degrees - local_deg
-    return _peel_values(l_indptr, mapped[keep], local_deg + external)
+    return _peel_values(l_indptr, l_indices, local_deg + external)
 
 
 def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
@@ -195,17 +153,9 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
     nonzero = np.flatnonzero(degrees)
 
     # Upper-bound pseudo-peels drain through the shard executor in
-    # waves of one task per worker (deposits are all zero here, so the
-    # tasks are pure functions of their CSR slices); partitions are
-    # still written in scan order, keeping pids and metas identical to
-    # the serial run.
-    exec_obj = get_executor(executor)
-    owns_executor = executor is None or isinstance(executor, str)
-    if getattr(exec_obj, "name", "serial") == "serial":
-        wave = 1
-    else:
-        wave = max(1, getattr(exec_obj, "processes", None)
-                   or (os.cpu_count() or 1))
+    # waves (deposits are all zero here, so the tasks are pure functions
+    # of their CSR slices); partitions are still written in scan order,
+    # keeping pids and metas identical to the serial run.
     pending_ubs = []  # (pid, size, part, sub_indptr, sub_indices)
 
     def drain_ubs():
@@ -230,7 +180,7 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
     bounds = np.zeros(len(nonzero) + 1, dtype=np.int64)
     np.cumsum(degrees[nonzero], out=bounds[1:])
     start = 0
-    try:
+    with _ub_executor(executor) as (exec_obj, wave):
         while start < len(nonzero):
             # Largest prefix whose total adjacency fits partition_arcs;
             # a single oversized adjacency forms its own partition --
@@ -256,11 +206,6 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
             if len(pending_ubs) >= wave:
                 drain_ubs()
         drain_ubs()
-    finally:
-        if owns_executor:
-            closer = getattr(exec_obj, "close", None)
-            if closer is not None:
-                closer()
 
     # ------------------------------------------------------------------
     # Top-down range computation (identical round structure).
@@ -269,23 +214,8 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
     peak_loaded = 0
     while metas:
         rounds += 1
-        groups = {}
-        for pid, meta in metas.items():
-            groups.setdefault(meta["max_ub"], []).append(pid)
-        ordered = sorted(groups.items(), reverse=True)
-        ku = ordered[0][0]
-
-        selected = []
-        loaded_bytes = 0
-        kl = 1
-        for bound, pids in ordered:
-            group_bytes = sum(metas[p]["bytes"] for p in pids)
-            if selected and loaded_bytes + group_bytes > memory_budget_bytes:
-                kl = bound + 1
-                break
-            selected.extend(pids)
-            loaded_bytes += group_bytes
-        kl = max(1, min(kl, ku))
+        selected, kl, _, loaded_bytes = _select_range(metas,
+                                                      memory_budget_bytes)
         exhaustive = len(selected) == len(metas)
         peak_loaded = max(peak_loaded, loaded_bytes)
 
@@ -330,7 +260,7 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
                 fin_rows = np.flatnonzero(values >= kl)
             core[mem_nodes[fin_rows]] = values[fin_rows]
             nbr_fin, _ = _gather_rows(mem_indptr, mem_indices, fin_rows)
-            alive_nbr = nbr_fin[core[nbr_fin] < 0] if nbr_fin.size else nbr_fin
+            alive_nbr = nbr_fin[core[nbr_fin] < 0]
             if alive_nbr.size:
                 deposit += np.bincount(alive_nbr, minlength=n)
 
@@ -345,12 +275,8 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
                 continue
             rem_nodes = nodes_p[rem_rows]
             flat, counts = _gather_rows(indptr_p, indices_p, rem_rows)
-            keep = core[flat] < 0
-            row = np.repeat(np.arange(len(rem_rows), dtype=np.int64), counts)
-            f_deg = np.bincount(row[keep], minlength=len(rem_rows))
-            f_indices = flat[keep]
-            f_indptr = np.zeros(len(rem_rows) + 1, dtype=np.int64)
-            np.cumsum(f_deg, out=f_indptr[1:])
+            f_indptr, f_indices, f_deg = _filter_csr(counts, core[flat] < 0,
+                                                     flat)
 
             l_indptr, l_indices, local_deg = renumber.induce(
                 rem_nodes, f_indptr, f_indices)
@@ -374,14 +300,10 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
                                                   kept_rows)
             # Re-filtering on core < 0 drops exactly the entries this
             # partition just finalized to zero.
-            keep2 = core[kept_flat] < 0
-            krow = np.repeat(np.arange(len(kept_rows), dtype=np.int64),
-                             kept_counts)
-            k_deg = np.bincount(krow[keep2], minlength=len(kept_rows))
-            k_indptr = np.zeros(len(kept_rows) + 1, dtype=np.int64)
-            np.cumsum(k_deg, out=k_indptr[1:])
+            k_indptr, k_indices, _ = _filter_csr(
+                kept_counts, core[kept_flat] < 0, kept_flat)
             size = store.rewrite_bytes(
-                pid, encode_csr(kept_nodes, k_indptr, kept_flat[keep2]))
+                pid, encode_csr(kept_nodes, k_indptr, k_indices))
             metas[pid] = {
                 "bytes": size,
                 "max_ub": int(ub[kept_nodes].max()),

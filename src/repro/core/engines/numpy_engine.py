@@ -17,20 +17,31 @@ values, the post-pass values ``new`` solve the *triangular* system
 
     new[v] = LocalCore({new[u] : u < v} + {old[u] : u > v}, cold=old[v])
 
-because ``v`` depends only on smaller ids.  :func:`_sequential_pass`
-solves that system by fixpoint iteration of batched h-index evaluations:
-start from ``old``, recompute the violating nodes, then keep recomputing
-any node with a smaller-id neighbour that just changed, until nothing
-moves.  Values are monotone non-increasing, each sub-round only re-reads
-the in-memory snapshot, and the fixpoint of the batched operator is the
+because ``v`` depends only on smaller ids.  :func:`_sweep` solves that
+system by fixpoint iteration of batched h-index evaluations: start from
+``old``, recompute the violating nodes, then keep recomputing any node
+with a smaller-id neighbour that just changed, until nothing moves.
+Values are monotone non-increasing, each sub-round only re-reads the
+in-memory snapshot, and the fixpoint of the batched operator is the
 unique triangular solution -- so each outer pass lands on exactly the
 state the reference pass produces.
 
-SemiCore* reuses the same pass kernel: a converge pass of Algorithm 5
-only skips nodes whose recomputation would be a no-op (``cnt(v) >=
-core(v)`` implies ``LocalCore`` returns ``core(v)``), so its per-pass
-state evolution equals the full sweep, and its scheduling bookkeeping
-reduces to "the next pass runs while violators remain".
+Every pass-based algorithm runs that one sweep kernel:
+
+* SemiCore* -- a converge pass of Algorithm 5 only skips nodes whose
+  recomputation would be a no-op (``cnt(v) >= core(v)`` implies
+  ``LocalCore`` returns ``core(v)``), so its per-pass state evolution
+  equals the full sweep, and its scheduling bookkeeping reduces to "the
+  next pass runs while violators remain";
+* the sharded shard pass -- the same converge loop with the halo rows
+  frozen (``limit``);
+* SemiCore+ -- the sweep restricted to a window that grows while the
+  pass runs (``window``): a dropper recruits its larger-id neighbours
+  into the same pass.
+
+Eq. 2 support is counted by one kernel, :func:`_support`, and
+:func:`_peel_values` is the one peel (IMCore here, the EMCore
+partitions in :mod:`repro.core.engines.numpy_emcore`).
 
 I/O accounting
 --------------
@@ -65,66 +76,78 @@ __all__ = ["semi_core_numpy", "semi_core_plus_numpy",
 # batched kernels
 # ----------------------------------------------------------------------
 
-def _row_members(csr, rows):
-    """Gather the adjacency of ``rows`` as flat arrays.
+def _gather_rows(indptr, indices, rows):
+    """Gather the adjacency of ``rows`` from a CSR pair as flat arrays.
 
-    Returns ``(nbr, owner, counts, local_starts)`` where ``nbr`` holds the
-    neighbour ids of every listed row laid out row after row, ``owner``
-    the owning row id per position, ``counts`` the per-row lengths and
-    ``local_starts`` the per-row offsets into ``nbr``.
+    Returns ``(nbr, counts)`` where ``nbr`` holds the neighbour ids of
+    every listed row (int64) laid out row after row and ``counts`` the
+    per-row lengths.
     """
-    indptr = csr.indptr
     counts = indptr[rows + 1] - indptr[rows]
-    total = int(counts.sum())
-    local_starts = np.zeros(len(rows), dtype=np.int64)
-    if len(rows):
-        np.cumsum(counts[:-1], out=local_starts[1:])
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, counts, local_starts
-    positions = np.arange(total, dtype=np.int64) + \
-        np.repeat(indptr[rows] - local_starts, counts)
-    nbr = csr.indices[positions].astype(np.int64)
-    owner = np.repeat(rows, counts)
-    return nbr, owner, counts, local_starts
+    starts = np.zeros(len(rows), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    positions = np.arange(int(counts.sum()), dtype=np.int64) + \
+        np.repeat(indptr[rows] - starts, counts)
+    return indices[positions].astype(np.int64, copy=False), counts
+
+
+def _weigh(csr, rows, x, old):
+    """Weigh every neighbour of ``rows`` under sweep semantics.
+
+    Neighbour ``u`` of ``v`` contributes its updated value ``x[u]`` when
+    it precedes ``v`` in scan order and its pass-start value ``old[u]``
+    otherwise (plainly ``old[u]`` when ``x is old``).  ``rows=None``
+    stands for every row and reads ``csr.indices`` in place, without a
+    gather.  Returns ``(w, owner, local, counts)``: the weights row after
+    row, the owning node and its position in ``rows`` per entry, and the
+    per-row lengths.
+    """
+    if rows is None:
+        nbr, counts = csr.indices, csr.degrees()
+        owner = local = np.repeat(np.arange(len(counts), dtype=np.int64),
+                                  counts)
+    else:
+        nbr, counts = _gather_rows(csr.indptr, csr.indices, rows)
+        owner = np.repeat(rows, counts)
+        local = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+    if x is old:
+        w = old[nbr]
+    else:
+        w = np.where(nbr < owner, x[nbr], old[nbr])
+    return w, owner, local, counts
 
 
 def _local_core_batch(csr, rows, current, old):
     """Vectorized ``LocalCore`` (Eq. 1) for a batch of nodes.
 
-    Evaluates the h-index-style tightening for every node in ``rows`` at
-    once under sequential-sweep semantics: neighbour ``u`` contributes
-    its updated value ``current[u]`` when ``u`` precedes the owner in
-    scan order and its pass-start value ``old[u]`` otherwise; the result
-    is clamped by the owner's pass-start value.
+    Evaluates the h-index-style tightening for every node in ``rows``
+    (every node when None) at once under sequential-sweep semantics
+    (see :func:`_weigh`); the result is clamped by the owner's
+    pass-start value.
     """
-    nbr, owner, counts, local_starts = _row_members(csr, rows)
-    if nbr.size == 0:
-        return np.zeros(len(rows), dtype=np.int64)
-    w = np.where(nbr < owner, current[nbr], old[nbr])
+    w, owner, local, counts = _weigh(csr, rows, current, old)
     np.minimum(w, old[owner], out=w)
-    local_rows = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
     # Descending sort within each row; rows are already grouped, so the
     # stable lexsort only permutes inside row blocks.
-    order = np.lexsort((-w, local_rows))
+    order = np.lexsort((-w, local))
     ranked = w[order]
     position = np.arange(ranked.size, dtype=np.int64) - \
-        np.repeat(local_starts, counts)
+        np.repeat(np.cumsum(counts) - counts, counts)
     # h-index: within a descending row the positions satisfying
     # ranked >= position + 1 form a prefix, so counting them is the
     # largest k with at least k neighbours of value >= k.
     satisfied = ranked >= position + 1
-    h = np.bincount(local_rows, weights=satisfied, minlength=len(rows))
+    h = np.bincount(local, weights=satisfied, minlength=len(counts))
     return h.astype(np.int64)
 
 
-def _count_supporting(csr, core):
-    """Eq. 2 for every node at once: ``|{u in nbr(v): core(u) >= core(v)}|``."""
-    n = csr.num_nodes
-    deg = csr.degrees()
-    row = np.repeat(np.arange(n, dtype=np.int64), deg)
-    supported = core[csr.indices] >= core[row]
-    return np.bincount(row[supported], minlength=n)
+def _support(csr, rows, x, old):
+    """Eq. 2 support of ``rows`` (every node when None) under sweep
+    semantics: ``|{u in nbr(v): w(u) >= x[v]}|`` with ``w`` from
+    :func:`_weigh`.  With ``x is old`` this is the plain counter
+    ``|{u in nbr(v): old[u] >= old[v]}|``."""
+    w, owner, local, counts = _weigh(csr, rows, x, old)
+    return np.bincount(local[w >= x[owner]], minlength=len(counts))
 
 
 def _refresh_supporting(csr, core, cnt, changed):
@@ -136,44 +159,37 @@ def _refresh_supporting(csr, core, cnt, changed):
     proportional to the frontier instead of the whole graph.
     """
     if changed.size == 0:
-        return cnt
-    nbr, _, _, _ = _row_members(csr, changed)
+        return
+    nbr, _ = _gather_rows(csr.indptr, csr.indices, changed)
     mark = np.zeros(csr.num_nodes, dtype=bool)
     mark[changed] = True
     mark[nbr] = True
     affected = np.flatnonzero(mark)
-    anbr, aowner, counts, _ = _row_members(csr, affected)
-    cnt[affected] = 0
-    if anbr.size:
-        supported = core[anbr] >= core[aowner]
-        local = np.repeat(np.arange(len(affected), dtype=np.int64), counts)
-        cnt[affected] = np.bincount(local[supported],
-                                    minlength=len(affected))
-    return cnt
+    cnt[affected] = _support(csr, affected, core, core)
 
 
-def _sequential_pass(csr, core, cnt=None, limit=None):
+def _sweep(csr, old, active, *, limit=None, window=None):
     """Exact result of one ascending Gauss-Seidel sweep, vectorized.
 
-    ``core`` holds the pass-start values; ``cnt`` (optional, recomputed
-    when absent) their supporting counts.  ``limit`` restricts the sweep
-    to rows below it: rows at or past ``limit`` are read like any
-    neighbour but never recomputed (the sharded engine's frozen halo
-    rows).  Returns the post-pass values without mutating ``core``.
+    ``old`` holds the pass-start values and ``active`` the nodes that
+    violate Theorem 4.1 against them: the only ones the sweep can move
+    first.  Everything else joins the active set when a smaller-id
+    neighbour drops.  Violators drop by definition, so every active node
+    gets the full h-index treatment.
+
+    ``limit`` restricts the sweep to rows below it: rows at or past
+    ``limit`` are read like any neighbour but never recomputed (the
+    sharded engine's frozen halo rows).  ``window`` is SemiCore+'s
+    processed mask: the larger-id neighbours of every dropper join it
+    (they are processed in the same pass, whether or not they drop), so
+    it ends as the least closure of the schedule under "a dropper
+    recruits its larger neighbours" -- the reference's processed set.
+    The fixpoint is monotone -- values only decrease as the active set
+    grows -- so it lands on exactly the sequential pass's state.
+    Returns the post-pass values without mutating ``old``.
     """
-    old = core
-    if cnt is None:
-        cnt = _count_supporting(csr, old)
     x = old.copy()
     mark = np.zeros(csr.num_nodes, dtype=bool)
-    # Nodes violating Theorem 4.1 against the pass-start state are the
-    # only ones the sweep can move first; everything else joins the
-    # active set when a smaller-id neighbour drops.  Violators drop by
-    # definition, so every active node gets the full h-index treatment.
-    if limit is None:
-        active = np.flatnonzero(cnt < old)
-    else:
-        active = np.flatnonzero(cnt[:limit] < old[:limit])
     while active.size:
         h = _local_core_batch(csr, active, x, old)
         dropped = h < x[active]
@@ -183,12 +199,14 @@ def _sequential_pass(csr, core, cnt=None, limit=None):
         x[changed] = h[dropped]
         # Larger-id neighbours of just-changed nodes are the only nodes
         # the sweep still has in front of it ...
-        nbr, owner, _, _ = _row_members(csr, changed)
-        larger = nbr[nbr > owner]
+        nbr, counts = _gather_rows(csr.indptr, csr.indices, changed)
+        larger = nbr[nbr > np.repeat(changed, counts)]
         if limit is not None:
             larger = larger[larger < limit]
         if larger.size == 0:
             break
+        if window is not None:
+            window[larger] = True
         mark[larger] = True
         candidates = np.flatnonzero(mark)
         mark[candidates] = False
@@ -196,77 +214,40 @@ def _sequential_pass(csr, core, cnt=None, limit=None):
         # falls short of their current value will drop (LocalCore(v) <
         # x[v] iff fewer than x[v] neighbours weigh in at >= x[v]), so
         # the expensive h-index runs only on true droppers.
-        cnbr, cowner, counts, _ = _row_members(csr, candidates)
-        weighed = np.where(cnbr < cowner, x[cnbr], old[cnbr])
-        supported = weighed >= x[cowner]
-        local = np.repeat(np.arange(len(candidates), dtype=np.int64),
-                          counts)
-        support = np.bincount(local[supported], minlength=len(candidates))
+        support = _support(csr, candidates, x, old)
         active = candidates[support < x[candidates]]
     return x
 
 
-def _plus_pass(csr, core, scheduled):
-    """Exact result of one SemiCore+ pass, vectorized.
+def _peel_values(indptr, indices, eff):
+    """Vectorized generalized peel over a CSR (sub)graph.
 
-    A SemiCore+ pass is the same ascending Gauss-Seidel sweep as a
-    SemiCore pass, restricted to a *window* that grows while the pass
-    runs: the scheduled nodes are recomputed, and whenever one of them
-    drops, its larger-id neighbours join the window of the same pass
-    (they are popped later, so ascending order is preserved) while its
-    smaller-id neighbours wait for the next pass.  The processed set is
-    therefore the least closure of ``scheduled`` under "a changed node
-    recruits its larger neighbours", and the post-pass values solve the
-    triangular system of :func:`_sequential_pass` restricted to that
-    closure.  Both are computed by one monotone fixpoint iteration:
-    values only decrease as the window grows, so changed sets only grow,
-    and the iteration lands on exactly the sequential pass's state.
-
-    Returns ``(new_values, processed_ids, changed_ids)`` without
-    mutating ``core``.
+    ``eff`` holds each node's starting effective degree (decrementable
+    local degree plus any immortal support) and is consumed in place.
+    The returned value of a node is the level at which it peels away --
+    the unique largest ``k`` such that the node survives peeling at
+    ``k``: its core number when ``eff`` is the plain degree.  Levels
+    jump straight to the minimum surviving effective degree, so sparse
+    level ranges (large immortal supports) cost nothing.
     """
-    old = core
-    x = core.copy()
-    n = csr.num_nodes
-    window = np.zeros(n, dtype=bool)
-    window[scheduled] = True
-    mark = np.zeros(n, dtype=bool)
-    # Every scheduled node is recomputed (SemiCore+ counts them all),
-    # but only droppers move the state; a scheduled node drops iff it
-    # violates Theorem 4.1 against the pass-start values, so the cheap
-    # support count spares the rest the full h-index.
-    snbr, sowner, scounts, _ = _row_members(csr, scheduled)
-    ssupported = old[snbr] >= old[sowner]
-    slocal = np.repeat(np.arange(len(scheduled), dtype=np.int64), scounts)
-    ssupport = np.bincount(slocal[ssupported], minlength=len(scheduled))
-    active = scheduled[ssupport < old[scheduled]]
-    while active.size:
-        h = _local_core_batch(csr, active, x, old)
-        dropped = h < x[active]
-        changed = active[dropped]
-        if changed.size == 0:
-            break
-        x[changed] = h[dropped]
-        nbr, owner, _, _ = _row_members(csr, changed)
-        larger = nbr[nbr > owner]
-        if larger.size == 0:
-            break
-        # Every larger neighbour of a dropper joins this pass's window
-        # (and is therefore *processed*, whether or not it drops) ...
-        window[larger] = True
-        mark[larger] = True
-        candidates = np.flatnonzero(mark)
-        mark[candidates] = False
-        # ... but only true droppers need the h-index (see
-        # _sequential_pass for the support-count argument).
-        cnbr, cowner, counts, _ = _row_members(csr, candidates)
-        weighed = np.where(cnbr < cowner, x[cnbr], old[cnbr])
-        supported = weighed >= x[cowner]
-        local = np.repeat(np.arange(len(candidates), dtype=np.int64),
-                          counts)
-        support = np.bincount(local[supported], minlength=len(candidates))
-        active = candidates[support < x[candidates]]
-    return x, np.flatnonzero(window), np.flatnonzero(x != old)
+    p = indptr.size - 1
+    value = np.zeros(p, dtype=np.int64)
+    alive = np.ones(p, dtype=bool)
+    remaining = p
+    level = 0
+    while remaining:
+        level = max(level, int(eff[alive].min()))
+        frontier = np.flatnonzero(alive & (eff <= level))
+        while frontier.size:
+            value[frontier] = level
+            alive[frontier] = False
+            remaining -= int(frontier.size)
+            nbr, _ = _gather_rows(indptr, indices, frontier)
+            live = nbr[alive[nbr]]
+            eff -= np.bincount(live, minlength=p)
+            touched = np.unique(live)
+            frontier = touched[eff[touched] <= level]
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +339,8 @@ def semi_core_numpy(graph, *, initial_cores=None, trace_changes=False,
         if csr.num_arcs > max_arcs:
             max_arcs = csr.num_arcs
         if cnt is None:
-            cnt = _count_supporting(csr, core)
-        new = _sequential_pass(csr, core, cnt=cnt)
+            cnt = _support(csr, None, core, core)
+        new = _sweep(csr, core, np.flatnonzero(cnt < core))
         changed_ids = np.flatnonzero(new != core)
         core = new
         _refresh_supporting(csr, core, cnt, changed_ids)
@@ -422,7 +403,16 @@ def semi_core_plus_numpy(graph, *, initial_cores=None, trace_changes=False,
         if csr is None:
             csr = CSRGraph.from_rows(scheduled, n, graph.neighbors)
             num_arcs = csr.num_arcs
-        new, processed, changed_ids = _plus_pass(csr, core, scheduled)
+        # Every scheduled node is recomputed (SemiCore+ counts them
+        # all), but a scheduled node drops iff it violates Theorem 4.1
+        # against the pass-start values, so only those enter the sweep.
+        window = np.zeros(n, dtype=bool)
+        window[scheduled] = True
+        support = _support(csr, scheduled, core, core)
+        new = _sweep(csr, core, scheduled[support < core[scheduled]],
+                     window=window)
+        processed = np.flatnonzero(window)
+        changed_ids = np.flatnonzero(new != core)
         core = new
         computations += int(processed.size)
         if iterations > 1:
@@ -431,8 +421,8 @@ def semi_core_plus_numpy(graph, *, initial_cores=None, trace_changes=False,
             changes.append(int(changed_ids.size))
         if trace_computed:
             computed_log.append([int(v) for v in processed])
-        nbr, owner, _, _ = _row_members(csr, changed_ids)
-        scheduled = np.unique(nbr[nbr < owner])
+        nbr, counts = _gather_rows(csr.indptr, csr.indices, changed_ids)
+        scheduled = np.unique(nbr[nbr < np.repeat(changed_ids, counts)])
 
     elapsed = time.perf_counter() - started
     # The snapshot stays resident plus the old/new value vectors.
@@ -466,13 +456,14 @@ def _converge_star_passes(graph, csr, core, *, first=None, limit=None,
     ``changes`` / ``computed_log`` traces when given.  Returns ``(core,
     cnt, iterations, computations)``.
     """
-    supporting = _count_supporting(csr, core)
+    supporting = _support(csr, None, core, core)
+    active = np.flatnonzero(supporting[:limit] < core[:limit])
     iterations = 0
     computations = 0
     while True:
         iterations += 1
         old = core
-        core = _sequential_pass(csr, core, cnt=supporting, limit=limit)
+        core = _sweep(csr, old, active, limit=limit)
         changed_ids = np.flatnonzero(core != old)
         if iterations == 1 and first is not None:
             processed = first
@@ -486,7 +477,8 @@ def _converge_star_passes(graph, csr, core, *, first=None, limit=None,
         if computed_log is not None:
             computed_log.append([int(v) for v in processed])
         _refresh_supporting(csr, core, supporting, changed_ids)
-        if not np.any(supporting[:limit] < core[:limit]):
+        active = np.flatnonzero(supporting[:limit] < core[:limit])
+        if not active.size:
             return core, supporting, iterations, computations
 
 
@@ -592,13 +584,12 @@ def distributed_core_numpy(graph, *, initial_cores=None,
     computations = 0
     messages = 0
     max_arcs = 0
-    rows = np.arange(n, dtype=np.int64)
     update = True
     while update:
         csr = CSRGraph.from_graph(graph)
         if csr.num_arcs > max_arcs:
             max_arcs = csr.num_arcs
-        new = _local_core_batch(csr, rows, core, core)
+        new = _local_core_batch(csr, None, core, core)
         changed = int(np.count_nonzero(new != core))
         core = new
         rounds += 1
@@ -631,40 +622,18 @@ def distributed_core_numpy(graph, *, initial_cores=None,
 def im_core_numpy(graph):
     """Vectorized Algorithm 1: level-synchronous bin peeling.
 
-    Peels every node of current degree ``<= k`` as one batch, propagating
-    degree decrements with ``bincount`` until level ``k`` is exhausted.
-    Produces the canonical core numbers (they are unique) with the same
-    ingest scan, iteration count and node-computation figure as the
-    reference peeling.
+    :func:`_peel_values` over the degrees peels every node of current
+    degree ``<= k`` as one batch, propagating degree decrements with
+    ``bincount`` until level ``k`` is exhausted.  Produces the canonical
+    core numbers (they are unique, so skipping empty levels cannot
+    change them) with the same ingest scan, iteration count and
+    node-computation figure as the reference peeling.
     """
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     n = graph.num_nodes
     csr = CSRGraph.from_graph(graph)
-
-    degree = csr.degrees().copy()
-    core = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    remaining = n
-    k = 0
-    while remaining:
-        frontier = np.flatnonzero(alive & (degree <= k))
-        while frontier.size:
-            core[frontier] = k
-            alive[frontier] = False
-            remaining -= int(frontier.size)
-            nbr, _, _, _ = _row_members(csr, frontier)
-            if nbr.size:
-                live = nbr[alive[nbr]]
-                if live.size:
-                    degree -= np.bincount(live, minlength=n)
-                    touched = np.unique(live)
-                    frontier = touched[degree[touched] <= k]
-                else:
-                    frontier = live
-            else:
-                frontier = nbr
-        k += 1
+    core = _peel_values(csr.indptr, csr.indices, csr.degrees())
 
     elapsed = time.perf_counter() - started
     model_memory = csr.model_memory_bytes() + 16 * n + n

@@ -228,7 +228,7 @@ class CoreService:
 
     def __init__(self, maintainer, *, journal=None, data_dir=None,
                  checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
-                 insert_algorithm="star", epoch=0, events_applied=0,
+                 epoch=0, events_applied=0,
                  graph_path=None, seed_algorithm=None, edge_delta=None,
                  apply_retries=DEFAULT_APPLY_RETRIES,
                  retry_backoff=DEFAULT_RETRY_BACKOFF):
@@ -238,8 +238,6 @@ class CoreService:
         self._journal = journal
         self._data_dir = os.fspath(data_dir) if data_dir is not None else None
         self._checkpoint_interval = checkpoint_interval
-        self._check_algorithm(insert_algorithm)
-        self._insert_algorithm = insert_algorithm
         self._epoch = epoch
         self._events_applied = events_applied
         self._graph_path = graph_path
@@ -312,7 +310,6 @@ class CoreService:
                      data_dir=None, buffer_capacity=DEFAULT_BUFFER_CAPACITY,
                      path_factory=None,
                      checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
-                     insert_algorithm="star",
                      segment_events=DEFAULT_SEGMENT_EVENTS,
                      apply_retries=DEFAULT_APPLY_RETRIES,
                      retry_backoff=DEFAULT_RETRY_BACKOFF):
@@ -329,7 +326,6 @@ class CoreService:
         return cls.from_graph(
             graph, algorithm=algorithm, engine=engine,
             data_dir=data_dir, checkpoint_interval=checkpoint_interval,
-            insert_algorithm=insert_algorithm,
             segment_events=segment_events,
             graph_path=getattr(storage, "path", None),
             apply_retries=apply_retries, retry_backoff=retry_backoff,
@@ -339,7 +335,7 @@ class CoreService:
     def from_graph(cls, graph, *, algorithm="semicore*", engine=None,
                    data_dir=None,
                    checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
-                   insert_algorithm="star", graph_path=None,
+                   graph_path=None,
                    segment_events=DEFAULT_SEGMENT_EVENTS,
                    apply_retries=DEFAULT_APPLY_RETRIES,
                    retry_backoff=DEFAULT_RETRY_BACKOFF):
@@ -362,7 +358,6 @@ class CoreService:
             journal = EventJournal(data_dir, segment_events=segment_events)
         service = cls(maintainer, journal=journal, data_dir=data_dir,
                       checkpoint_interval=checkpoint_interval,
-                      insert_algorithm=insert_algorithm,
                       graph_path=graph_path, seed_algorithm=algorithm,
                       apply_retries=apply_retries,
                       retry_backoff=retry_backoff)
@@ -375,7 +370,6 @@ class CoreService:
     def open(cls, data_dir, storage=None, *, engine=None,
              buffer_capacity=DEFAULT_BUFFER_CAPACITY, path_factory=None,
              checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
-             insert_algorithm="star",
              segment_events=DEFAULT_SEGMENT_EVENTS,
              apply_retries=DEFAULT_APPLY_RETRIES,
              retry_backoff=DEFAULT_RETRY_BACKOFF):
@@ -455,7 +449,6 @@ class CoreService:
             maintainer = CoreMaintainer(graph, cores, cnt, engine=engine)
             service = cls(maintainer, journal=journal, data_dir=data_dir,
                           checkpoint_interval=checkpoint_interval,
-                          insert_algorithm=insert_algorithm,
                           epoch=int(manifest["epoch"]),
                           events_applied=applied, graph_path=graph_path,
                           seed_algorithm=manifest.get("seed_algorithm"),
@@ -846,7 +839,7 @@ class CoreService:
     # ------------------------------------------------------------------
     # write API
     # ------------------------------------------------------------------
-    def apply(self, events, *, algorithm=None):
+    def apply(self, events):
         """Apply a batch of ``("+"|"-", u, v)`` events to graph and index.
 
         The batch is validated against the current graph, journaled
@@ -875,7 +868,6 @@ class CoreService:
             # non-empty path uses, so its keys cannot drift from
             # ``_apply_ops``'s.
             return self._finish_summary(self._maintainer.apply_batch([]))
-        self._check_algorithm(algorithm)
         started = time.perf_counter()
         outcome = "applied"
         try:
@@ -905,8 +897,7 @@ class CoreService:
                         self._journal.append(ops, batch)
                 if self._crash_after_journal is not None:
                     self._crash_after_journal()
-                summary = self._apply_with_recovery(ops, batch=batch,
-                                                    algorithm=algorithm)
+                summary = self._apply_with_recovery(ops, batch=batch)
         except BatchQuarantinedError:
             outcome = "quarantined"
             raise
@@ -1067,22 +1058,30 @@ class CoreService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _apply_ops(self, ops, *, batch, algorithm=None):
+    def _apply_ops(self, ops, *, batch):
         """Run one validated, already-journaled batch through maintenance.
 
         Everything up to :meth:`_publish` mutates only the private
         next-epoch state (maintainer arrays, graph, edge delta) and
         builds the next snapshot; readers keep answering from the
         published epoch throughout.  The pointer swap is the single
-        instant the batch becomes visible.
+        instant the batch becomes visible.  Inserts use SemiInsert*:
+        ``core`` and ``cnt`` are functions of the final graph, so the
+        choice never shows in the served state or in a replay.
         """
+        history = self._maintainer.history
+        pre_history = len(history)
         # validate=False: the batch was already checked (with overlay
         # semantics) by _validate_ops, so re-validating inside the
         # maintenance kernels would only double the charged reads.
-        with span("service.maintain", io=self.io_stats, batch=batch):
-            summary = self._maintainer.apply_batch(
-                ops, algorithm=algorithm or self._insert_algorithm,
-                validate=False)
+        try:
+            with span("service.maintain", io=self.io_stats, batch=batch):
+                summary = self._maintainer.apply_batch(ops, validate=False)
+        finally:
+            # The batch summary is what the service reports; the
+            # per-event results would otherwise pile up for as long as
+            # the service runs (and survive a rolled-back attempt).
+            del history[pre_history:]
         endpoints = set()
         for _, u, v in ops:
             endpoints.add(u)
@@ -1104,7 +1103,7 @@ class CoreService:
             self._publish(snapshot)
         return self._finish_summary(summary)
 
-    def _apply_with_recovery(self, ops, *, batch, algorithm=None):
+    def _apply_with_recovery(self, ops, *, batch):
         """Run a journaled batch with rollback, retry and quarantine.
 
         Storage failures (``OSError`` / :class:`StorageError`) roll the
@@ -1119,19 +1118,17 @@ class CoreService:
         """
         pre_cores = array("i", self._maintainer.cores)
         pre_cnt = array("i", self._maintainer.cnt)
-        pre_history = len(self._maintainer.history)
         error = None
         for attempt in range(self._apply_retries + 1):
             if attempt:
                 time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
                 self._m_apply_retry_count += 1
             try:
-                summary = self._apply_ops(ops, batch=batch,
-                                          algorithm=algorithm)
+                summary = self._apply_ops(ops, batch=batch)
             except (OSError, StorageError) as exc:
                 error = exc
                 try:
-                    self._rollback(ops, pre_cores, pre_cnt, pre_history)
+                    self._rollback(ops, pre_cores, pre_cnt)
                 except (OSError, StorageError) as failure:
                     self._poisoned = True
                     self._degraded = ("rollback of batch %d failed: %s"
@@ -1146,7 +1143,7 @@ class CoreService:
                 return summary
         self._quarantine(ops, batch, error)
 
-    def _rollback(self, ops, pre_cores, pre_cnt, pre_history):
+    def _rollback(self, ops, pre_cores, pre_cnt):
         """Restore the pre-batch live plane after a failed attempt.
 
         Idempotent, and retried internally with the same backoff
@@ -1159,14 +1156,13 @@ class CoreService:
             if attempt:
                 time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
             try:
-                self._restore_pre_batch(ops, pre_cores, pre_cnt,
-                                        pre_history)
+                self._restore_pre_batch(ops, pre_cores, pre_cnt)
                 return
             except (OSError, StorageError) as exc:
                 error = exc
         raise error
 
-    def _restore_pre_batch(self, ops, pre_cores, pre_cnt, pre_history):
+    def _restore_pre_batch(self, ops, pre_cores, pre_cnt):
         """One rollback attempt: arrays in place, graph by repair.
 
         Graph membership is recovered from the batch itself: validation
@@ -1179,7 +1175,6 @@ class CoreService:
         maintainer = self._maintainer
         maintainer.cores[:] = pre_cores
         maintainer.cnt[:] = pre_cnt
-        del maintainer.history[pre_history:]
         graph = self.graph
         first = {}
         for op, u, v in ops:
@@ -1307,21 +1302,6 @@ class CoreService:
                     raise EdgeNotFoundError(
                         "edge (%d, %d) not present" % (u, v))
             overlay[key] = op == "+"
-
-    def _check_algorithm(self, algorithm):
-        """Reject unknown insert algorithms *before* the batch is journaled.
-
-        The maintainer would raise on its own -- but only mid-batch,
-        after the journal append and possibly after earlier events
-        mutated the index, leaving a half-applied batch the journal
-        would still replay in full.
-        """
-        from repro.core.maintenance.maintainer import INSERT_ALGORITHMS
-
-        if algorithm is not None and algorithm not in INSERT_ALGORITHMS:
-            raise ValueError(
-                "unknown insert algorithm %r (choose from %r)"
-                % (algorithm, INSERT_ALGORITHMS))
 
     @staticmethod
     def _check_int(value, name):

@@ -28,9 +28,7 @@ segments whose events are all covered by the durable checkpoint --
 the on-disk replay prefix stays bounded by the checkpoint interval
 instead of growing with the lifetime of the service.  Event history is
 *not* retained in memory: reads stream from the segment files
-(:meth:`iter_events` / :meth:`iter_batches`), and only a fixed-size
-retention window of the most recent events is kept for introspection
-(:meth:`recent_events`).
+(:meth:`iter_events` / :meth:`iter_batches`).
 
 A journal created by the v1 code (one ``journal.log`` file) is adopted
 as segment 0 with base offset 0: appends continue into it until the
@@ -81,7 +79,6 @@ import os
 import re
 import struct
 import zlib
-from collections import deque
 
 from repro.errors import CorruptStorageError
 
@@ -112,10 +109,6 @@ _SEGMENT_RE = re.compile(r"^journal\.(\d{6,})\.log$")
 #: (rotation also happens on every checkpoint).  ``None`` disables the
 #: size trigger.
 DEFAULT_SEGMENT_EVENTS = 4096
-
-#: Most recent events kept in memory for introspection -- the journal
-#: never holds its full history resident.
-DEFAULT_RETENTION_EVENTS = 256
 
 #: Event kind byte <-> the public "+" / "-" operation codes.
 _KIND_TO_OP = {0: "+", 1: "-"}
@@ -155,7 +148,7 @@ def list_segments(directory):
     return found + sorted(numbered)
 
 
-def scan_segment(path, seq, legacy, *, retain=0):
+def scan_segment(path, seq, legacy):
     """Read-only, streaming scan of one journal file.
 
     Verifies the header and every record checksum in a single pass and
@@ -169,8 +162,6 @@ def scan_segment(path, seq, legacy, *, retain=0):
       i.e. the truncation point; 0 when the header itself is damaged;
     * ``size`` -- the file size in bytes;
     * ``quarantined`` -- batch ids named by quarantine markers;
-    * ``recent`` -- the last ``retain`` events of complete batches, as
-      ``(batch, op, u, v)``;
     * ``damage`` -- None, or ``{"problem", "offset", "torn"}`` for the
       first bytes that are not a valid journal, where ``torn`` marks a
       short read at the end of the file: the crash-mid-append
@@ -181,8 +172,7 @@ def scan_segment(path, seq, legacy, *, retain=0):
     """
     scan = {"name": os.path.basename(path), "path": path, "seq": seq,
             "legacy": legacy, "base": None, "events": 0, "good_pos": 0,
-            "size": 0, "quarantined": [], "recent": deque(maxlen=retain),
-            "damage": None}
+            "size": 0, "quarantined": [], "damage": None}
     header_size = _HEADERS[legacy][0].size
     with open(path, "rb") as handle:
         size = scan["size"] = handle.seek(0, os.SEEK_END)
@@ -201,8 +191,10 @@ def scan_segment(path, seq, legacy, *, retain=0):
                     # Standalone marker: no event body, no offset moved.
                     scan["quarantined"].append(batch)
                 else:
-                    scan["recent"].extend(_read_batch_body(
-                        handle, pos, header_size, batch, count))
+                    # Read for its checks only: every record's CRC, kind
+                    # and batch id.
+                    _read_batch_body(handle, pos, header_size, batch,
+                                     count)
                     scan["events"] += count
                     pos += RECORD_SIZE * count
                 scan["good_pos"] = pos
@@ -335,8 +327,7 @@ class _Segment:
 class EventJournal:
     """Append-only segmented journal of ``("+"|"-", u, v)`` batches."""
 
-    def __init__(self, directory, *, segment_events=DEFAULT_SEGMENT_EVENTS,
-                 retention_events=DEFAULT_RETENTION_EVENTS):
+    def __init__(self, directory, *, segment_events=DEFAULT_SEGMENT_EVENTS):
         """Open (or create) the journal living under ``directory``.
 
         Opening scans every live segment once, streaming: per-segment
@@ -350,7 +341,6 @@ class EventJournal:
             raise ValueError("segment_events must be positive or None")
         self.directory = os.fspath(directory)
         self.segment_events = segment_events
-        self._retention = deque(maxlen=max(0, retention_events))
         self._closed = False
         self._handle = None
         self._quarantined = set()
@@ -361,8 +351,7 @@ class EventJournal:
         self._segments = []
         listed = self._discover()
         for index, (seq, path, legacy) in enumerate(listed):
-            scan = scan_segment(path, seq, legacy,
-                                retain=self._retention.maxlen)
+            scan = scan_segment(path, seq, legacy)
             self._segments.append(
                 self._adopt(scan, active=index == len(listed) - 1))
         if not self._segments:
@@ -395,7 +384,6 @@ class EventJournal:
         self._sync(self._handle)
         active.append_pos += len(blob)
         active.num_events += len(events)
-        self._retention.extend((batch, op, u, v) for op, u, v in events)
         if (self.segment_events is not None
                 and active.num_events >= self.segment_events):
             self.rotate()
@@ -426,10 +414,6 @@ class EventJournal:
     def quarantined_batches(self):
         """Sorted ids of batches marked quarantined (scan + this run)."""
         return sorted(self._quarantined)
-
-    def is_quarantined(self, batch):
-        """Whether ``batch`` carries a quarantine marker."""
-        return batch in self._quarantined
 
     def rotate(self):
         """Seal the active segment by opening the next one.
@@ -524,10 +508,6 @@ class EventJournal:
             "disk_bytes": disk_bytes,
             "fsyncs": self.fsyncs,
         }
-
-    def recent_events(self):
-        """The in-memory retention window of most recent events."""
-        return list(self._retention)
 
     def iter_events(self, start=0, stop=None):
         """Stream ``(batch, op, u, v)`` for global indexes
@@ -714,7 +694,6 @@ class EventJournal:
         segment.num_events = scan["events"]
         segment.append_pos = scan["good_pos"]
         self._quarantined.update(scan["quarantined"])
-        self._retention.extend(scan["recent"])
         return segment
 
     def _iter_segment(self, segment, start, stop):

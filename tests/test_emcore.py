@@ -140,17 +140,19 @@ class TestPartitionExecutors:
         edges = make_random_edges(rng, n, 0.12)
         expected = nx_core_numbers(edges, n)
         runs = {}
-        for executor in EXECUTOR_NAMES:
-            storage = GraphStorage.from_edges(edges, n)
-            runs[executor] = em_core(storage, partition_arcs=32,
-                                     memory_budget_bytes=1024,
-                                     executor=executor)
-            assert list(runs[executor].cores) == expected, executor
-        serial = runs["serial"]
-        for executor in EXECUTOR_NAMES[1:]:
-            other = runs[executor]
-            assert other.iterations == serial.iterations
-            assert other.io == serial.io
+        for engine in ("python", "numpy"):
+            for executor in EXECUTOR_NAMES:
+                storage = GraphStorage.from_edges(edges, n)
+                runs[engine, executor] = em_core(
+                    storage, partition_arcs=32, memory_budget_bytes=1024,
+                    engine=engine, executor=executor)
+                assert list(runs[engine, executor].cores) == expected, \
+                    (engine, executor)
+        serial = runs["python", "serial"]
+        for key, other in runs.items():
+            assert other.iterations == serial.iterations, key
+            assert other.node_computations == serial.node_computations, key
+            assert other.io == serial.io, key
 
     def test_executor_object_is_not_closed_by_emcore(self, paper_graph):
         from repro.core.sharded import PersistentShardExecutor

@@ -258,20 +258,42 @@ class TestApply:
         assert service.epoch == 0
         assert service.verify()
 
-    def test_bad_algorithm_rejected_before_any_effect(self, tmp_path):
-        """An unknown algorithm must fail before the journal append --
-        otherwise a half-applied batch would replay in full on restart."""
+    def test_insert_algorithm_is_not_an_option(self, tmp_path):
+        """The service always inserts with SemiInsert* (core and cnt are
+        functions of the final graph either way): an algorithm argument
+        is a TypeError, raised before the batch is journaled."""
         edges, n = paper_example_graph()
         service = CoreService.from_storage(
             GraphStorage.from_edges(edges, n), data_dir=tmp_path / "svc")
-        with pytest.raises(ValueError, match="algorithm"):
-            service.apply([("-", 0, 1), ("+", 4, 6)], algorithm="typo")
+        with pytest.raises(TypeError):
+            service.apply([("-", 0, 1), ("+", 4, 6)], algorithm="star")
         assert service.epoch == 0
         assert service._journal.num_events == 0
         assert service.verify()
-        with pytest.raises(ValueError, match="algorithm"):
+        with pytest.raises(TypeError):
             CoreService.from_storage(GraphStorage.from_edges(edges, n),
-                                     insert_algorithm="typo")
+                                     insert_algorithm="star")
+
+    def test_no_per_event_history_is_kept(self, tmp_path):
+        """Per-event maintenance results are dropped once the batch is
+        summarised -- after apply() and after open() replays a tail --
+        so a long-running service does not accumulate them."""
+        edges, n = social_graph(300, attach=3, clique=9, seed=5)
+        data_dir = tmp_path / "svc"
+        service = CoreService.from_storage(
+            GraphStorage.from_edges(edges, n), data_dir=data_dir,
+            checkpoint_interval=None)
+        before = len(service.maintainer.history)
+        for batch in in_batches(generate_updates(edges, n, 40, seed=3), 8):
+            service.apply(batch)
+        assert len(service.maintainer.history) == before
+        service.close()
+
+        resumed = CoreService.open(data_dir,
+                                   GraphStorage.from_edges(edges, n))
+        assert resumed.epoch == 5
+        assert len(resumed.maintainer.history) == 0
+        assert resumed.verify()
 
     def test_batch_internal_overlay(self):
         # An insert followed by its own deletion is a valid batch.

@@ -93,14 +93,6 @@ class TestRoundtrip:
                                                    (1, "+", 5, 6)]
         journal.close()
 
-    def test_retention_window_is_bounded(self, tmp_path):
-        journal = EventJournal(tmp_path, retention_events=3)
-        journal.append([("+", v, v + 1) for v in range(5)], batch=1)
-        assert journal.recent_events() == [(1, "+", 2, 3), (1, "+", 3, 4),
-                                           (1, "+", 4, 5)]
-        assert journal.num_events == 5  # the counter is not the window
-        journal.close()
-
     def test_repr(self, tmp_path):
         journal = EventJournal(tmp_path)
         assert "events=0" in repr(journal)
