@@ -9,14 +9,29 @@ The trace is produced under every available execution engine.  Engines
 are contractually bit-identical, so beyond reporting both side by side
 this benchmark asserts that the numpy engine reproduces the reference
 convergence series and I/O figures exactly.
+
+The same Twitter SemiCore workload also holds the tracing-overhead
+budget: after one warm-up run, three untraced and three traced runs
+alternate; the traced run must give identical cores and I/O, record one
+span per pass, and its best time must stay within 5% of the untraced
+best (plus a small absolute slack that absorbs timer noise on
+sub-second runs).
 """
+
+import time
 
 import pytest
 
 from repro.core.engines import engine_names
 from repro.core.semicore import semi_core
+from repro.obs import MetricsRegistry, disable_tracing, enable_tracing
 
 from benchmarks.conftest import load_bench_dataset, once
+
+#: Tracing budget: traced <= untraced * this + ABS_SLACK_SECONDS.
+OVERHEAD_BUDGET = 1.05
+ABS_SLACK_SECONDS = 0.05
+BEST_OF = 3
 
 
 @pytest.mark.parametrize("name", ["twitter", "uk"])
@@ -72,3 +87,70 @@ def test_fig3_changed_nodes_per_iteration(benchmark, results, name):
         assert total >= 50
         tail = changes[total // 2:]
         assert max(tail) <= max(1, changes[0] // 10)
+
+
+def _timed_semicore(storage, traced):
+    """One SemiCore run: seconds, cores, I/O, and the tracer/registry."""
+    tracer = registry = None
+    if traced:
+        registry = MetricsRegistry()
+        tracer = enable_tracing(registry=registry)
+    storage.drop_caches()
+    storage.io_stats.reset()
+    try:
+        started = time.perf_counter()
+        result = semi_core(storage)
+        seconds = time.perf_counter() - started
+    finally:
+        disable_tracing()
+    stats = storage.io_stats
+    return {"seconds": seconds, "cores": list(result.cores),
+            "io": (stats.read_ios, stats.write_ios, stats.bytes_read,
+                   stats.bytes_written),
+            "tracer": tracer, "registry": registry}
+
+
+def test_fig3_tracing_overhead_within_budget(benchmark, results):
+    storage = load_bench_dataset("twitter")
+    runs = {False: [], True: []}
+
+    def run():
+        _timed_semicore(storage, False)  # warm-up, not measured
+        # Alternate the modes so drift in machine load hits both alike.
+        for _ in range(BEST_OF):
+            for traced in (False, True):
+                runs[traced].append(_timed_semicore(storage, traced))
+
+    once(benchmark, run)
+    t_off = min(r["seconds"] for r in runs[False])
+    t_on = min(r["seconds"] for r in runs[True])
+    off, on = runs[False][-1], runs[True][-1]
+    overhead_pct = 100.0 * (t_on - t_off) / t_off if t_off else 0.0
+    for mode, seconds in (("untraced", t_off), ("traced", t_on)):
+        results.add(
+            "Observability overhead (Fig 3 workload)",
+            dataset="twitter",
+            algorithm="SemiCore",
+            mode=mode,
+            seconds="%.3f" % seconds,
+            overhead="%+.1f%%" % overhead_pct,
+            _seconds=seconds,
+            _read_ios=off["io"][0],
+            _write_ios=off["io"][1],
+            _overhead_pct=overhead_pct,
+        )
+
+    # Tracing observes, never participates.
+    assert on["cores"] == off["cores"]
+    assert on["io"] == off["io"]
+    # The traced run really traced: one span per pass, histogram fed.
+    passes = [r for r in on["tracer"].records
+              if r["name"] == "semicore.pass"]
+    assert passes
+    assert sum(r["read_ios"] for r in passes) > 0
+    family = on["registry"].get("repro_span_seconds")
+    assert family.labels(name="semicore.pass").count == len(passes)
+    assert t_on <= t_off * OVERHEAD_BUDGET + ABS_SLACK_SECONDS, (
+        "tracing overhead %.1f%% exceeds the %.0f%% budget "
+        "(untraced %.3fs, traced %.3fs)"
+        % (overhead_pct, (OVERHEAD_BUDGET - 1) * 100, t_off, t_on))

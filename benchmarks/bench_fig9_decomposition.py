@@ -21,7 +21,7 @@ import pytest
 
 from repro.bench.harness import run_decomposition
 from repro.bench.reporting import format_bytes, format_count, format_seconds
-from repro.core.engines import ENGINE_AWARE_ALGORITHMS, engine_names
+from repro.core.engines import engine_names
 from repro.datasets.registry import BIG_DATASETS, SMALL_DATASETS
 
 from benchmarks.conftest import load_bench_dataset, once
@@ -31,17 +31,10 @@ BIG_ALGORITHMS = ["semicore", "semicore+", "semicore*"]
 
 ENGINES = engine_names()
 
-
-def _engines_for(algorithm):
-    if algorithm in ENGINE_AWARE_ALGORITHMS:
-        return ENGINES
-    return ["python"]
-
-
 SMALL_CASES = [(d, a, e) for d in SMALL_DATASETS for a in SMALL_ALGORITHMS
-               for e in _engines_for(a)]
+               for e in ENGINES]
 BIG_CASES = [(d, a, e) for d in BIG_DATASETS for a in BIG_ALGORITHMS
-             for e in _engines_for(a)]
+             for e in ENGINES]
 
 
 def _run_cell(benchmark, results, figure, dataset, algorithm, engine):

@@ -2,9 +2,7 @@
 
 from repro.bench.harness import (
     DECOMPOSITION_ALGORITHMS,
-    compare_engines,
     decomposition_metrics,
-    engine_speedups,
     maintenance_trial,
     run_decomposition,
     sample_existing_edges,
@@ -22,8 +20,6 @@ from repro.bench.reporting import (
 
 __all__ = [
     "DECOMPOSITION_ALGORITHMS",
-    "compare_engines",
-    "engine_speedups",
     "run_decomposition",
     "maintenance_trial",
     "sample_existing_edges",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 
 from repro.core.distributed import distributed_core
-from repro.core.engines import ENGINE_AWARE_ALGORITHMS
 from repro.core.imcore import im_core
 from repro.core.emcore import em_core
 from repro.core.maintenance.inmemory import im_delete, im_insert
@@ -40,9 +39,9 @@ DECOMPOSITION_ALGORITHMS = {
 def run_decomposition(algorithm, graph, *, engine=None, **kwargs):
     """Run one decomposition algorithm by registry name.
 
-    ``engine`` selects an execution engine (see :mod:`repro.core.engines`)
-    for the algorithms that support one; the reference engine is the
-    default everywhere.
+    ``engine`` selects an execution engine (see :mod:`repro.core.engines`);
+    every algorithm here is engine-aware, and the reference engine is
+    the default everywhere.
     """
     name = algorithm.lower()
     try:
@@ -53,46 +52,12 @@ def run_decomposition(algorithm, graph, *, engine=None, **kwargs):
             % (algorithm, ", ".join(sorted(DECOMPOSITION_ALGORITHMS)))
         ) from None
     if engine is not None:
-        if name in ENGINE_AWARE_ALGORITHMS:
-            kwargs["engine"] = engine
-        elif engine != "python":
-            raise ReproError(
-                "algorithm %r has no engine support (engine-aware: %s)"
-                % (algorithm, ", ".join(ENGINE_AWARE_ALGORITHMS))
-            )
+        kwargs["engine"] = engine
     # One coarse span around the whole run: numpy-engine kernels have no
     # per-pass spans of their own, so this keeps every engine attributed.
     with span("decompose", io=getattr(graph, "io_stats", None),
               algorithm=name, engine=engine or "python"):
         return runner(graph, **kwargs)
-
-
-def compare_engines(algorithm, storage, engines=("python", "numpy"),
-                    **kwargs):
-    """Run one algorithm under several engines on the same stored graph.
-
-    Device caches are dropped before each run so every engine starts from
-    the same cold state and the reported I/O figures are comparable
-    block for block.  Returns ``{engine: DecompositionResult}`` in run
-    order; pair it with :func:`engine_speedups` for the report rows.
-    """
-    results = {}
-    for engine in engines:
-        if hasattr(storage, "drop_caches"):
-            storage.drop_caches()
-        results[engine] = run_decomposition(algorithm, storage,
-                                            engine=engine, **kwargs)
-    return results
-
-
-def engine_speedups(results, baseline="python"):
-    """Wall-clock speedup of each engine relative to ``baseline``."""
-    base = results[baseline].elapsed_seconds
-    return {
-        engine: (base / result.elapsed_seconds
-                 if result.elapsed_seconds else float("inf"))
-        for engine, result in results.items()
-    }
 
 
 def sample_existing_edges(storage, count, seed=0):

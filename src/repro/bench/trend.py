@@ -4,22 +4,16 @@
 repository revision that produced it, so the trajectory accumulates one
 row set per benchmark per PR.  This module turns that history into the
 ROADMAP's "trend view": group records into *series* (figure + label
-keys), order each series by revision, render sparkline tables
-(:func:`render_trend`), and flag configurable regressions
-(:func:`check_regressions`) -- ``repro report --trend`` wires both into
-the CLI and exits non-zero when a regression rule trips.
+keys), order each series by revision and render sparkline tables
+(:func:`render_trend`) -- ``repro report --trend`` prints them.  It is a
+viewer, not a gate: ``benchmarks/perf/run.py --compare`` applies the
+metric directions and bounds of ``BENCHMARK.json``.
 
 A record looks like::
 
     {"figure": "fig3_convergence", "rev": "1.6.0", "scale": 1.0,
      "dataset": "twitter", "algorithm": "SemiCore", "engine": "numpy",
      "metrics": {"seconds": 1.23, "read_ios": 456, ...}}
-
-Regression rules are ``metric:pct`` strings ("seconds:20" = fail when
-``seconds`` worsened by more than 20% between the last two revisions).
-Whether larger is worse depends on the metric: throughput-like metrics
-(:data:`HIGHER_IS_BETTER`) regress by *dropping*, everything else
-(latencies, I/O counts, bytes) by *rising*.
 """
 
 from __future__ import annotations
@@ -27,12 +21,8 @@ from __future__ import annotations
 import json
 
 __all__ = [
-    "HIGHER_IS_BETTER",
-    "Regression",
     "build_series",
-    "check_regressions",
     "load_trajectory",
-    "parse_rule",
     "render_trend",
     "sparkline",
 ]
@@ -40,12 +30,6 @@ __all__ = [
 #: Label keys identifying one series within a figure (mirrors
 #: ``LABEL_KEYS`` in ``benchmarks/collect_results.py``).
 SERIES_KEYS = ("dataset", "algorithm", "engine", "fraction", "mode")
-
-#: Metrics where a *drop* is a regression; everything else regresses by
-#: rising (seconds, I/O counts, bytes, percentiles).
-HIGHER_IS_BETTER = frozenset({
-    "qps", "hit_rate", "speedup", "events_per_sec", "queries",
-})
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
@@ -195,75 +179,3 @@ def render_trend(records, *, metrics=None, min_points=1):
             out.extend(lines)
         out.append("")
     return "\n".join(out)
-
-
-class Regression:
-    """One tripped regression rule (a plain record with a message)."""
-
-    def __init__(self, key, metric, previous_rev, previous, last_rev,
-                 last, pct, threshold):
-        self.series = series_label(key)
-        self.metric = metric
-        self.previous_rev = previous_rev
-        self.previous = previous
-        self.last_rev = last_rev
-        self.last = last
-        self.pct = pct
-        self.threshold = threshold
-
-    def __str__(self):
-        direction = ("dropped" if self.metric in HIGHER_IS_BETTER
-                     else "rose")
-        return ("%s: %s %s %.1f%% (%s -> %s, rev %s -> %s; "
-                "threshold %.1f%%)"
-                % (self.series, self.metric, direction, abs(self.pct),
-                   _format_number(self.previous),
-                   _format_number(self.last),
-                   self.previous_rev, self.last_rev, self.threshold))
-
-
-def parse_rule(text):
-    """Parse a ``metric:pct`` rule string into ``(metric, float_pct)``."""
-    metric, sep, pct = text.partition(":")
-    metric = metric.strip()
-    if not sep or not metric:
-        raise ValueError(
-            "regression rule must look like 'metric:pct', got %r" % text)
-    try:
-        threshold = float(pct)
-    except ValueError:
-        raise ValueError(
-            "regression rule %r: %r is not a number" % (text, pct)
-        ) from None
-    if threshold < 0:
-        raise ValueError(
-            "regression rule %r: threshold must be >= 0" % text)
-    return metric, threshold
-
-
-def check_regressions(records, rules):
-    """Evaluate ``(metric, pct)`` rules over the last step of each series.
-
-    A rule trips when the metric moved in its *bad* direction (see
-    :data:`HIGHER_IS_BETTER`) by more than ``pct`` percent between the
-    last two revisions that measured it.  Series with fewer than two
-    samples of the metric never trip.  Returns a list of
-    :class:`Regression`.
-    """
-    regressions = []
-    series = build_series(records)
-    for metric, threshold in rules:
-        for key in sorted(series):
-            samples = _numeric_points(series[key], metric)
-            if len(samples) < 2:
-                continue
-            (prev_rev, previous), (last_rev, last) = samples[-2:]
-            if previous == 0:
-                continue
-            pct = (last - previous) / abs(previous) * 100
-            bad = -pct if metric in HIGHER_IS_BETTER else pct
-            if bad > threshold:
-                regressions.append(Regression(
-                    key, metric, prev_rev, previous, last_rev, last,
-                    pct, threshold))
-    return regressions

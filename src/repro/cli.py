@@ -419,7 +419,7 @@ def _cmd_report(args):
 
     from repro.bench.reporting import load_results
 
-    if args.trend or args.regress:
+    if args.trend:
         return _report_trend(args)
     paths = sorted(glob.glob(os.path.join(args.results, "*.json")))
     if not paths:
@@ -455,7 +455,7 @@ def _cmd_report(args):
             title="== %s (scale %s) ==" % (figure,
                                            payload.get("scale", "?")),
         ))
-        summary = _service_summary(rows)
+        summary = _restart_summary(rows)
         if summary:
             print(summary)
         print()
@@ -463,22 +463,12 @@ def _cmd_report(args):
 
 
 def _report_trend(args):
-    """``repro report --trend [--regress metric:pct]``: the trajectory
-    as per-benchmark trend tables, exit 2 on a tripped regression rule."""
-    from repro.bench.trend import (
-        check_regressions,
-        load_trajectory,
-        parse_rule,
-        render_trend,
-    )
+    """``repro report --trend``: the trajectory as per-benchmark trend
+    tables."""
+    from repro.bench.trend import load_trajectory, render_trend
 
     path = args.trajectory or os.path.join(args.results,
                                            "BENCH_RESULTS.json")
-    try:
-        rules = [parse_rule(text) for text in (args.regress or [])]
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     records = load_trajectory(path)
     if not records:
         # Graceful: an empty/missing trajectory is a state to report,
@@ -486,60 +476,32 @@ def _report_trend(args):
         print("no benchmark trajectory at %s (run the benchmarks, then "
               "benchmarks/collect_results.py)" % path)
         return 0
-    if args.trend:
-        print(render_trend(records), end="")
-    regressions = check_regressions(records, rules)
-    for regression in regressions:
-        print("regression: %s" % regression, file=sys.stderr)
-    if regressions:
-        return 2
-    if rules:
-        print("no regressions under %d rule(s)" % len(rules))
+    print(render_trend(records), end="")
     return 0
 
 
-def _service_summary(rows):
-    """One-line digest of service-bench rows under a reported table.
+def _restart_summary(rows):
+    """One-line digest of service-restart rows under a reported table.
 
-    The service throughput benchmark saves raw ``_qps`` / ``_hit_rate``
-    metrics per row and the restart benchmark ``_restart_seconds`` /
-    ``_journal_disk_bytes``; whenever a reported figure carries either,
-    ``repro report`` condenses the serving picture under the table.
+    The restart benchmark saves raw ``_restart_seconds`` /
+    ``_journal_disk_bytes`` / ``_events_replayed`` metrics per row;
+    whenever a reported figure carries them, ``repro report`` condenses
+    the restart picture under the table.
     """
-    service_rows = [row for row in rows
-                    if "_qps" in row or "_hit_rate" in row]
-    parts = []
-    if service_rows:
-        best_qps = max((row.get("_qps", 0.0) for row in service_rows),
-                       default=0.0)
-        hit_rates = [row["_hit_rate"] for row in service_rows
-                     if "_hit_rate" in row]
-        parts.append("service: peak %s queries/sec"
-                     % format_count(int(best_qps)))
-        if hit_rates:
-            parts.append("best cache hit rate %.1f%%"
-                         % (100.0 * max(hit_rates)))
-        io_rows = [row["_read_ios_per_1k_queries"] for row in service_rows
-                   if "_read_ios_per_1k_queries" in row]
-        if io_rows:
-            parts.append("min %.1f read I/Os per 1k queries"
-                         % min(io_rows))
     restart_rows = [row for row in rows if "_restart_seconds" in row]
-    if restart_rows:
-        worst = max(row["_restart_seconds"] for row in restart_rows)
-        parts.append("restart: worst %s" % format_seconds(worst))
-        journal_bytes = [row["_journal_disk_bytes"] for row in restart_rows
-                         if "_journal_disk_bytes" in row]
-        if journal_bytes:
-            parts.append("journal dir <= %s"
-                         % format_bytes(max(journal_bytes)))
-        replayed = [row["_events_replayed"] for row in restart_rows
-                    if "_events_replayed" in row]
-        if replayed:
-            parts.append("<= %s events replayed"
-                         % format_count(int(max(replayed))))
-    if not parts:
+    if not restart_rows:
         return None
+    worst = max(row["_restart_seconds"] for row in restart_rows)
+    parts = ["restart: worst %s" % format_seconds(worst)]
+    journal_bytes = [row["_journal_disk_bytes"] for row in restart_rows
+                     if "_journal_disk_bytes" in row]
+    if journal_bytes:
+        parts.append("journal dir <= %s" % format_bytes(max(journal_bytes)))
+    replayed = [row["_events_replayed"] for row in restart_rows
+                if "_events_replayed" in row]
+    if replayed:
+        parts.append("<= %s events replayed"
+                     % format_count(int(max(replayed))))
     return "   " + ", ".join(parts)
 
 
@@ -704,14 +666,8 @@ def build_parser():
                    help="render per-benchmark trend tables (sparklines "
                         "across revisions) from the BENCH_RESULTS.json "
                         "trajectory instead of the per-figure tables")
-    p.add_argument("--regress", metavar="METRIC:PCT", action="append",
-                   help="exit 2 when METRIC worsened by more than PCT "
-                        "percent between the last two revisions of any "
-                        "benchmark series (repeatable; throughput-like "
-                        "metrics regress by dropping, everything else "
-                        "by rising)")
     p.add_argument("--trajectory", default=None,
-                   help="trajectory file for --trend/--regress "
+                   help="trajectory file for --trend "
                         "(default: <results>/BENCH_RESULTS.json)")
     p.set_defaults(func=_cmd_report)
     return parser

@@ -11,8 +11,9 @@ stage, not the individual block read.  A span marks one such phase::
 
 When tracing is **disabled** (the default) ``span()`` returns a shared
 no-op object: the cost is one global read and an empty ``with`` block,
-which is what keeps the overhead budget (<= 5% on the fig3 bench,
-asserted by ``benchmarks/bench_observability.py``) trivially met.
+which is what keeps the overhead budget (<= 5% plus 0.05 s on the fig3
+workload, asserted by ``benchmarks/bench_fig3_convergence.py``)
+trivially met.
 Tracing never mutates anything the algorithms read, so cores, traces and
 ``IOStats`` block counts are bit-identical with tracing on or off
 (asserted by ``tests/test_obs_trace.py``).

@@ -247,6 +247,9 @@ class CoreService:
         if apply_retries < 0:
             raise ReproError(
                 "apply_retries must be >= 0, got %d" % apply_retries)
+        if retry_backoff < 0:
+            raise ReproError(
+                "retry_backoff must be >= 0, got %r" % (retry_backoff,))
         self._apply_retries = apply_retries
         self._retry_backoff = retry_backoff
         #: Why the last write attempt failed (None while healthy); set
@@ -847,7 +850,9 @@ class CoreService:
         maintenance algorithms in order, and finally the epoch is bumped
         by publishing the next snapshot.  Returns the
         ``CoreMaintainer.apply_batch`` summary extended with ``epoch``.
-        An empty batch is a no-op and does not bump the epoch.
+        An empty batch is a no-op and does not bump the epoch.  An
+        endpoint that is not an integer (a float, bool or string) is a
+        ``TypeError``, raised before anything is journaled.
 
         The batch is transactional under storage failure: any
         ``OSError`` / :class:`~repro.errors.StorageError` rolls the
@@ -1270,7 +1275,8 @@ class CoreService:
         if op not in ("+", "-"):
             raise ReproError(
                 "event kind must be '+' or '-', got %r" % (op,))
-        return op, int(u), int(v)
+        return (op, self._check_int(u, "endpoint"),
+                self._check_int(v, "endpoint"))
 
     def _validate_ops(self, ops):
         """Check a batch is applicable *before* it reaches the journal.

@@ -30,11 +30,6 @@ from repro.storage.partition_codec import decode_records, encode_records
 
 _U32 = 4
 
-# Backwards-compatible aliases: the codec is the single (de)serialization
-# code path shared by both execution engines.
-_serialize = encode_records
-_deserialize = decode_records
-
 
 class PartitionStore:
     """On-disk store of EMCore partitions with shared I/O accounting."""

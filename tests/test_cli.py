@@ -230,23 +230,23 @@ class TestReport:
     def test_empty_directory_fails(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path)]) == 1
 
-    def test_service_rows_get_a_summary_line(self, tmp_path, capsys):
+    def test_restart_rows_get_a_summary_line(self, tmp_path, capsys):
         from repro.bench.reporting import save_results
         save_results(tmp_path / "svc.json", {
-            "figure": "Service throughput (demo)", "scale": 1.0,
+            "figure": "Service restart (demo)", "scale": 1.0,
             "rows": [
-                {"engine": "python", "mode": "cached", "qps": "9000",
-                 "_qps": 9000.0, "_hit_rate": 0.85,
-                 "_read_ios_per_1k_queries": 12.0},
-                {"engine": "python", "mode": "uncached", "qps": "800",
-                 "_qps": 800.0, "_hit_rate": 0.0,
-                 "_read_ios_per_1k_queries": 900.0},
+                {"engine": "python", "batches": 10,
+                 "_restart_seconds": 0.25, "_journal_disk_bytes": 4096,
+                 "_events_replayed": 40},
+                {"engine": "python", "batches": 34,
+                 "_restart_seconds": 0.5, "_journal_disk_bytes": 2048,
+                 "_events_replayed": 40},
             ],
         })
         assert main(["report", "--results", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "service: peak" in out
-        assert "85.0%" in out
+        assert "restart: worst" in out
+        assert "<= 40 events replayed" in out
 
     def test_non_service_rows_get_no_summary(self, tmp_path, capsys):
         from repro.bench.reporting import save_results
@@ -255,7 +255,7 @@ class TestReport:
             "rows": [{"dataset": "dblp", "_seconds": 1.0}],
         })
         assert main(["report", "--results", str(tmp_path)]) == 0
-        assert "service:" not in capsys.readouterr().out
+        assert "restart:" not in capsys.readouterr().out
 
 
 class TestShardedDecompose:

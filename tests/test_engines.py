@@ -20,8 +20,7 @@ from repro.core.engines import (
     get_engine,
     register_engine,
 )
-from repro.bench.harness import DECOMPOSITION_ALGORITHMS, compare_engines, \
-    engine_speedups, run_decomposition
+from repro.bench.harness import DECOMPOSITION_ALGORITHMS, run_decomposition
 from repro.core.emcore import em_core
 from repro.core.imcore import im_core
 from repro.core.semicore import semi_core
@@ -106,19 +105,6 @@ class TestRegistry:
                 result = run_decomposition(algorithm, paper_storage,
                                            engine=engine)
                 assert result.kmax == 3, (algorithm, engine)
-
-    def test_harness_rejects_engine_for_unaware_algorithm(
-            self, paper_storage, monkeypatch):
-        # Every shipped algorithm is engine-aware now; shrink the aware
-        # set to prove the harness guard still fires for future ones.
-        import repro.bench.harness as harness
-        monkeypatch.setattr(harness, "ENGINE_AWARE_ALGORITHMS",
-                            ("semicore",))
-        with pytest.raises(ReproError, match="no engine support"):
-            run_decomposition("emcore", paper_storage, engine="numpy")
-        result = run_decomposition("emcore", paper_storage,
-                                   engine="python")
-        assert result.kmax == 3
 
 
 def assert_parity(reference, vectorized, check_io=True):
@@ -326,25 +312,3 @@ class TestEMCoreParity:
         n = 50
         edges = make_random_edges(rng, n, 0.2)
         self.run_both(edges, n)
-
-
-class TestCompareEngines:
-    def test_compare_reports_both_engines(self, paper_graph):
-        edges, n = paper_graph
-        storage = GraphStorage.from_edges(edges, n, block_size=64)
-        results = compare_engines("semicore", storage)
-        assert set(results) == {"python", "numpy"}
-        assert_parity(results["python"], results["numpy"])
-        speedups = engine_speedups(results)
-        assert speedups["python"] == pytest.approx(1.0)
-        assert speedups["numpy"] > 0
-
-    def test_compare_drops_caches_between_runs(self, paper_graph):
-        """Each engine starts cold, so the I/O figures are comparable."""
-        edges, n = paper_graph
-        storage = GraphStorage.from_edges(edges, n, block_size=64)
-        first = compare_engines("semicore", storage)
-        second = compare_engines("semicore", storage)
-        for engine in ("python", "numpy"):
-            assert first[engine].io.read_ios == \
-                second[engine].io.read_ios

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.blockio import IOStats
-from repro.storage.partition import PartitionStore, _deserialize, _serialize
+from repro.storage.partition import PartitionStore
+from repro.storage.partition_codec import decode_records, encode_records
 
 
 def records_equal(a, b):
@@ -17,19 +18,19 @@ def records_equal(a, b):
 class TestSerialization:
     def test_roundtrip(self):
         records = [(3, array("I", [1, 2])), (7, array("I", []))]
-        assert records_equal(_deserialize(_serialize(records)), records)
+        assert records_equal(decode_records(encode_records(records)), records)
 
     def test_empty_record_list(self):
-        assert _deserialize(_serialize([])) == []
+        assert decode_records(encode_records([])) == []
 
     def test_truncated_payload_rejected(self):
-        data = _serialize([(1, [2, 3])])
+        data = encode_records([(1, [2, 3])])
         with pytest.raises(StorageError):
-            _deserialize(data[:8])
+            decode_records(data[:8])
 
     def test_empty_payload_rejected(self):
         with pytest.raises(StorageError):
-            _deserialize(b"")
+            decode_records(b"")
 
 
 class TestStore:

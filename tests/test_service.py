@@ -274,6 +274,27 @@ class TestApply:
             CoreService.from_storage(GraphStorage.from_edges(edges, n),
                                      insert_algorithm="star")
 
+    def test_non_integer_endpoints_rejected_before_journal(self,
+                                                           tmp_path):
+        """Event endpoints pass the integer check the reads use: a
+        float, bool or string endpoint is a TypeError raised before the
+        batch is journaled, not an edge between truncated ids."""
+        service = CoreService.from_storage(
+            GraphStorage.from_edges([(0, 1), (1, 2)], 5),
+            data_dir=tmp_path / "svc")
+        for event in [("+", 2.7, "3"), ("+", True, 3), ("+", 4, 3.0),
+                      ("-", "0", 1)]:
+            with pytest.raises(TypeError, match="endpoint"):
+                service.apply([("+", 0, 4), event])
+        assert service.epoch == 0
+        assert service._journal.num_events == 0
+        assert sorted(service.graph.edges()) == [(0, 1), (1, 2)]
+        # numpy integers are integers.
+        service.apply([("+", np.int64(2), np.int32(3))])
+        assert service.epoch == 1
+        assert service.graph.has_edge(2, 3)
+        assert service.verify()
+
     def test_no_per_event_history_is_kept(self, tmp_path):
         """Per-event maintenance results are dropped once the batch is
         summarised -- after apply() and after open() replays a tail --

@@ -10,8 +10,8 @@ Three layers of adversarial pressure on the epoch-snapshot protocol:
 * stress + property layers -- reader threads race a writer across many
   swaps (zero torn reads, and every returned value must equal a
   single-threaded straight-through replay at the epoch the read
-  observed), on random graphs and on the small registry proxies, across
-  engines.
+  observed), on random graphs, on the small registry proxies and under
+  the subgraph-heavy serving mix on the lj proxy, across engines.
 
 Threaded tests carry ``@pytest.mark.concurrent``: CI repeats them with
 varying ``REPRO_CONCURRENT_SEED`` values (see ``_stress_seed``).
@@ -36,6 +36,7 @@ from repro.service import (
     verify_epoch_coherence,
 )
 from repro.service.workload import (
+    DEFAULT_MIX,
     execute_query,
     generate_updates,
     in_batches,
@@ -46,6 +47,29 @@ from tests.conftest import graph_edges
 
 ENGINES = engine_names()
 SMALL_PROXIES = ["dblp", "youtube", "wiki"]
+
+#: A subgraph-heavy serving mix: set and aggregate reads outweigh point
+#: lookups.  Cold ``subgraph`` reads are the slowest kind, so this mix
+#: holds readers longest across a snapshot swap.
+SERVING_MIX = (
+    ("coreness", 0.20),
+    ("coreness_many", 0.10),
+    ("members", 0.30),
+    ("top", 0.10),
+    ("histogram", 0.05),
+    ("degeneracy", 0.02),
+    ("subgraph", 0.23),
+)
+
+#: Inputs of the 4-reader race: graph, reads, query mix, max_depth,
+#: updates, batch size.  ``lj-serving`` is the serving shape: threshold
+#: reads within 8 levels of kmax while 24 batches swap snapshots.
+RACE_SHAPES = {
+    "social": (lambda: social_graph(300, attach=3, clique=9, seed=5),
+               600, DEFAULT_MIX, 6, 100, 5),
+    "lj-serving": (lambda: generate_dataset("lj", scale=0.05),
+                   2000, SERVING_MIX, 8, 240, 10),
+}
 
 #: A batch that provably moves core numbers: the seed graph is a
 #: triangle plus an isolated node, the batch completes the 4-clique
@@ -295,9 +319,11 @@ class TestConcurrentStress:
 
     @pytest.mark.concurrent
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_four_readers_race_twenty_swaps(self, engine):
+    @pytest.mark.parametrize("shape", sorted(RACE_SHAPES))
+    def test_four_readers_race_the_writer(self, shape, engine):
         seed = _stress_seed()
-        edges, n = social_graph(300, attach=3, clique=9, seed=5)
+        graph, reads, mix, max_depth, updates, batch = RACE_SHAPES[shape]
+        edges, n = graph()
 
         def factory():
             return CoreService.from_storage(
@@ -305,15 +331,16 @@ class TestConcurrentStress:
 
         service = factory()
         kmax = service.degeneracy()
-        queries = generate_queries(n, kmax, 600, seed=seed + 2,
-                                   max_depth=6)
+        queries = generate_queries(n, kmax, reads, seed=seed + 2, mix=mix,
+                                   max_depth=max_depth)
         batches = in_batches(
-            generate_updates(edges, n, 100, seed=seed + 3), 5)
-        assert len(batches) == 20
+            generate_updates(edges, n, updates, seed=seed + 3), batch)
+        swaps = updates // batch
+        assert len(batches) == swaps
         metrics = run_concurrent_workload(service, queries, batches,
                                           reader_threads=4)
-        assert metrics["reads"] == 600
-        assert metrics["swaps"] == 20
+        assert metrics["reads"] == reads
+        assert metrics["swaps"] == swaps
         assert metrics["torn_reads"] == 0
         for record in metrics["records"]:
             assert (record["epoch_lo"] <= record["epoch"]
@@ -321,7 +348,7 @@ class TestConcurrentStress:
         assert verify_epoch_coherence(factory, batches,
                                       metrics["records"]) == []
         # All superseded snapshots retired once the readers drained.
-        assert service.stats()["snapshot"]["retired"] == 20
+        assert service.stats()["snapshot"]["retired"] == swaps
         assert service.verify()
 
     @pytest.mark.concurrent

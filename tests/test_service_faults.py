@@ -118,6 +118,20 @@ class TestTransactionalApply:
             list(oracle.maintainer.cores)
         assert sorted(faulty.graph.edges()) == sorted(oracle.graph.edges())
 
+    def test_negative_retry_backoff_rejected(self, small_graph, tmp_path):
+        """A negative backoff would make the retry's sleep raise after
+        the rollback, leaving the live service behind its journal."""
+        edges, n = small_graph
+        with pytest.raises(ReproError, match="retry_backoff"):
+            _service(edges, n, retry_backoff=-0.5)
+        service = _service(edges, n, data_dir=str(tmp_path),
+                           retry_backoff=0.0)
+        service.close()
+        with pytest.raises(ReproError, match="retry_backoff"):
+            CoreService.open(str(tmp_path),
+                             GraphStorage.from_edges(edges, n),
+                             retry_backoff=-1.0)
+
     def test_exhausted_retries_quarantine_the_batch(self, small_graph,
                                                     tmp_path):
         edges, n = small_graph

@@ -338,7 +338,7 @@ class TestExecutorContract:
 
 class TestPersistentExecutor:
     def test_forks_exactly_once_per_decomposition(self):
-        """Bench-smoke acceptance: one pool spawn, however many rounds."""
+        """One pool spawn per decomposition, however many rounds."""
         edges, n = social_graph(200, 2, 6, seed=4)
         executor = PersistentShardExecutor(processes=2)
         storage = GraphStorage.from_edges(edges, n)

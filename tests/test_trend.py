@@ -8,9 +8,7 @@ import pytest
 
 from repro.bench.trend import (
     build_series,
-    check_regressions,
     load_trajectory,
-    parse_rule,
     render_trend,
     rev_sort_key,
     sparkline,
@@ -26,7 +24,7 @@ def _record(figure, rev, **metrics):
 
 @pytest.fixture
 def trajectory():
-    """Three PRs of history for two figures; fig3 regresses last."""
+    """Three revisions of history for two figures."""
     return [
         _record("fig3_convergence", "1.4.0", seconds=2.0, qps=100.0),
         _record("fig3_convergence", "1.5.0", seconds=1.5, qps=130.0),
@@ -77,30 +75,6 @@ def test_render_trend_empty():
     assert "no benchmark trajectory" in render_trend([])
 
 
-def test_parse_rule():
-    assert parse_rule("seconds:20") == ("seconds", 20.0)
-    assert parse_rule("qps:7.5") == ("qps", 7.5)
-    for bad in ("seconds", ":5", "seconds:-1", "seconds:zap"):
-        with pytest.raises(ValueError):
-            parse_rule(bad)
-
-
-def test_regression_direction_depends_on_metric(trajectory):
-    # qps dropped 30.8%: higher-is-better, so it trips at 10%.
-    regs = check_regressions(trajectory, [("qps", 10.0)])
-    assert [r.metric for r in regs] == ["qps"]
-    assert regs[0].last_rev == "1.6.0"
-    # seconds *fell* in fig7 (improvement) and rose only 6.7% in fig3.
-    assert check_regressions(trajectory, [("seconds", 10.0)]) == []
-    regs = check_regressions(trajectory, [("seconds", 5.0)])
-    assert len(regs) == 1 and "fig3" in regs[0].series
-
-
-def test_single_point_series_never_trips():
-    records = [_record("fig3", "1.6.0", seconds=99.0)]
-    assert check_regressions(records, [("seconds", 0.0)]) == []
-
-
 def test_load_trajectory_tolerates_garbage(tmp_path):
     assert load_trajectory(str(tmp_path / "missing.json")) == []
     bad = tmp_path / "bad.json"
@@ -120,37 +94,8 @@ def test_cli_trend_renders(tmp_path, capsys, trajectory):
     assert "fig3_convergence" in out and "fig7_maintenance" in out
 
 
-def test_cli_regress_flags_injected_regression(tmp_path, capsys,
-                                               trajectory):
-    path = _write(tmp_path, trajectory)
-    rc = cli_main(["report", "--trend", "--regress", "qps:10",
-                   "--trajectory", path])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "regression:" in captured.err
-    assert "qps dropped" in captured.err
-
-
-def test_cli_regress_passes_clean_trajectory(tmp_path, capsys,
-                                             trajectory):
-    path = _write(tmp_path, trajectory)
-    rc = cli_main(["report", "--regress", "seconds:50",
-                   "--trajectory", path])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert "no regressions" in captured.out
-
-
 def test_cli_trend_missing_trajectory_is_graceful(tmp_path, capsys):
     rc = cli_main(["report", "--trend", "--results", str(tmp_path)])
     captured = capsys.readouterr()
     assert rc == 0
     assert "no benchmark trajectory" in captured.out
-
-
-def test_cli_bad_rule_is_an_error(tmp_path, capsys, trajectory):
-    path = _write(tmp_path, trajectory)
-    rc = cli_main(["report", "--regress", "nope", "--trajectory", path])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "metric:pct" in captured.err
