@@ -288,3 +288,74 @@ class TestRevisionHistory:
         err = capsys.readouterr().err
         assert "zero new rows" in err
         assert "Fig 10" in err and "Fig 9" not in err
+
+
+class TestPerfWorkloadRecords:
+    """The perf workloads merge into the exported trajectory.
+
+    CI exports the figure rows, then ``benchmarks/perf/run.py --out``
+    appends its ``perf.*`` records to the same file, and the trend
+    report renders both.  No workload runs here: the records come from
+    synthetic results.
+    """
+
+    @staticmethod
+    def perf_result(workload, trace, ops_per_s):
+        return {"workload": workload, "scale": 0.02, "dataset": "lj",
+                "trace": trace, "seed": 1, "quick": True,
+                "attempted": 40, "failed": 0,
+                "metrics": {"ops_per_s": ops_per_s, "op_p50_ms": 2.5}}
+
+    def merge_perf(self, path, monkeypatch, rev, results):
+        from benchmarks.perf import run as perf_run
+        monkeypatch.setattr(perf_run, "machine", lambda: {"git_rev": None})
+        monkeypatch.setenv("REPRO_BENCH_REV", rev)
+        perf_run.write_results(path, results)
+
+    def test_perf_records_land_beside_figure_records(self, tmp_path,
+                                                     monkeypatch):
+        directory = sample_results_dir(tmp_path)
+        path = write_trajectory(directory, rev="1.6.0")
+        self.merge_perf(path, monkeypatch, "1.6.0", [
+            self.perf_result("serve-read", False, 400.0),
+            self.perf_result("serve-read", True, 380.0),
+        ])
+        with open(path, "r", encoding="ascii") as handle:
+            payload = json.load(handle)
+        figures = sorted({r["figure"] for r in payload["records"]})
+        assert figures == ["Fig 10", "Fig 9", "perf.serve-read"]
+        assert {"perf.serve-read/traced",
+                "perf.serve-read/untraced"} <= set(payload["spread"])
+
+    def test_next_export_carries_perf_records(self, tmp_path, monkeypatch):
+        directory = sample_results_dir(tmp_path)
+        path = write_trajectory(directory, rev="1.6.0")
+        self.merge_perf(path, monkeypatch, "1.6.0",
+                        [self.perf_result("decompose-web", False, 3.0)])
+        write_trajectory(directory, rev="1.7.0")
+        with open(path, "r", encoding="ascii") as handle:
+            payload = json.load(handle)
+        perf = [r for r in payload["records"]
+                if r["figure"] == "perf.decompose-web"]
+        assert len(perf) == 1 and perf[0]["rev"] == "1.6.0"
+
+    def test_trend_renders_one_perf_series_per_mode(self, tmp_path,
+                                                    monkeypatch):
+        from repro.bench.trend import load_trajectory, render_trend
+
+        directory = sample_results_dir(tmp_path)
+        path = write_trajectory(directory, rev="1.6.0")
+        for rev, qps in (("1.6.0", 400.0), ("1.7.0", 500.0)):
+            self.merge_perf(path, monkeypatch, rev, [
+                self.perf_result("serve-read", False, qps),
+                self.perf_result("serve-read", True, qps * 0.9),
+            ])
+        text = render_trend(load_trajectory(path))
+        assert "== perf.serve-read ==" in text and "== Fig 9 ==" in text
+        assert "revisions: 1.6.0 1.7.0" in text
+        untraced = [line for line in text.splitlines()
+                    if "mode=untraced" in line and "ops_per_s" in line]
+        assert len(untraced) == 1
+        assert "400 -> 500 (+25.0% vs 1.6.0)" in untraced[0]
+        assert sum("mode=traced" in line and "ops_per_s" in line
+                   for line in text.splitlines()) == 1

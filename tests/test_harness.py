@@ -52,6 +52,25 @@ class TestRunDecomposition:
                             "total_ios", "write_ios", "node_computations"}
 
 
+    @pytest.mark.parametrize("engine", [None, "numpy"])
+    def test_run_is_one_decompose_span(self, paper_storage, engine):
+        """Every engine's run is attributed by one root span carrying
+        the algorithm, the engine and the run's I/O."""
+        from repro.obs import disable_tracing, enable_tracing
+
+        tracer = enable_tracing()
+        try:
+            result = run_decomposition("semicore", paper_storage,
+                                       engine=engine)
+        finally:
+            disable_tracing()
+        (root,) = [r for r in tracer.records if r["depth"] == 0]
+        assert root["name"] == "decompose"
+        assert root["attrs"] == {"algorithm": "semicore",
+                                 "engine": engine or "python"}
+        assert root["read_ios"] == result.io.read_ios
+
+
 class TestEdgeSampling:
     def test_samples_existing_edges(self, small_storage):
         sampled = sample_existing_edges(small_storage, 20, seed=1)

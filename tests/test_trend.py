@@ -11,6 +11,7 @@ from repro.bench.trend import (
     load_trajectory,
     render_trend,
     rev_sort_key,
+    series_label,
     sparkline,
 )
 from repro.cli import main as cli_main
@@ -73,6 +74,42 @@ def test_render_trend_mentions_every_series(trajectory):
 
 def test_render_trend_empty():
     assert "no benchmark trajectory" in render_trend([])
+
+
+def test_same_revision_rerun_last_record_wins(trajectory):
+    rerun = _record("fig7_maintenance", "1.6.0", seconds=0.9)
+    series = build_series(trajectory + [rerun])
+    (fig7_key,) = [k for k in series if k[0] == "fig7_maintenance"]
+    assert series[fig7_key] == [("1.5.0", {"seconds": 0.8}),
+                                ("1.6.0", {"seconds": 0.9})]
+
+
+def test_label_keys_split_series():
+    records = [
+        dict(_record("fig9", "1.6.0", seconds=1.0), engine="python"),
+        dict(_record("fig9", "1.6.0", seconds=0.2), engine="numpy"),
+    ]
+    series = build_series(records)
+    assert len(series) == 2
+    labels = sorted(series_label(key) for key in series)
+    assert labels == [
+        "fig9 [dataset=twitter, algorithm=SemiCore*, engine=numpy]",
+        "fig9 [dataset=twitter, algorithm=SemiCore*, engine=python]",
+    ]
+    assert series_label(("fig9",)) == "fig9"
+
+
+def test_render_trend_metric_filter_and_min_points(trajectory):
+    text = render_trend(trajectory, metrics=["qps"])
+    assert "qps" in text and "seconds" not in text
+    # fig7 has no qps samples: its block is dropped, not left empty.
+    assert "fig7_maintenance" not in text
+    # Two revisions of fig7 pass min_points=3; three of fig3 do.
+    text = render_trend(trajectory, min_points=3)
+    assert "fig3_convergence" in text
+    assert "fig7_maintenance" not in text
+    assert "no benchmark trajectory" in render_trend(trajectory,
+                                                     min_points=4)
 
 
 def test_load_trajectory_tolerates_garbage(tmp_path):
