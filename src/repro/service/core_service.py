@@ -32,10 +32,9 @@ absorbing an edge-update stream.  The three moving parts:
   index, and streams only the journal *tail* past the watermark
   through the maintenance algorithms -- reproducing the
   straight-through state exactly (``tests/test_service_recovery.py``
-  kills a service mid-batch, and mid-checkpoint, to prove it).  A data
-  directory written by the v1 single-file-journal code still opens
-  (full prefix replay, as before) and is migrated to the segmented
-  layout by its first checkpoint.
+  kills a service mid-batch, and mid-checkpoint, to prove it).  Every
+  file of the directory carries a checksum, the manifest's included;
+  a directory in any other layout is refused, untouched.
 """
 
 from __future__ import annotations
@@ -74,9 +73,6 @@ from repro.storage.dynamic import DEFAULT_BUFFER_CAPACITY, DynamicGraph
 from repro.storage.graphstore import GraphStorage
 
 MANIFEST_NAME = "manifest.json"
-#: v1 fixed file names (still read when resuming a v1 data directory).
-CHECKPOINT_NAME = "state.ckpt"
-JOURNAL_NAME = "journal.log"
 MANIFEST_VERSION = 2
 
 #: Batches applied between automatic checkpoints (None disables them).
@@ -119,29 +115,26 @@ def _manifest_copy_file(epoch):
 
 
 def _manifest_body(manifest):
-    """Canonical serialization the manifest checksum covers.
-
-    The ``crc32`` field itself is excluded, so the checksum is additive:
-    manifests written before it existed verify as unprotected, and the
-    bytes on disk are exactly ``body`` plus the field.
-    """
+    """Canonical serialization the manifest checksum covers: every
+    field but ``crc32`` itself."""
     data = {key: value for key, value in manifest.items()
             if key != "crc32"}
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-#: Manifest fields ``open()`` reads when present, with their JSON types.
-_OPTIONAL_FIELDS = {"checkpoint": str, "graph_path": (str, type(None)),
-                    "quarantined_batches": list}
+#: Manifest fields ``open()`` reads, with their JSON types.
+_FIELDS = {"epoch": int, "events_applied": int, "checkpoint": str,
+           "delta": str, "graph_path": (str, type(None)),
+           "seed_algorithm": (str, type(None)), "quarantined_batches": list}
 
 
 def load_manifest(path):
     """Read and verify a service manifest.
 
     Shared between :meth:`CoreService.open` and ``repro scrub``.
-    Propagates :class:`FileNotFoundError`; anything unparsable, failing
-    its ``crc32`` (when present), of an unsupported version or missing
-    or mistyping a field ``open()`` reads raises
+    Propagates :class:`FileNotFoundError`; anything unparsable, of
+    another version, failing or lacking its ``crc32``, or missing or
+    mistyping a field ``open()`` reads raises
     :class:`~repro.errors.CorruptStorageError` carrying ``path``.
     """
     try:
@@ -160,29 +153,21 @@ def load_manifest(path):
         raise CorruptStorageError(
             "service manifest %s is not a JSON object" % path,
             path=path)
-    crc = manifest.get("crc32")
-    if crc is not None:
-        body = _manifest_body(manifest).encode("ascii")
-        if crc != zlib.crc32(body) & 0xFFFFFFFF:
-            raise CorruptStorageError(
-                "service manifest %s fails its checksum" % path,
-                path=path)
     version = manifest.get("version")
-    if isinstance(version, bool) or version not in (1, MANIFEST_VERSION):
+    if isinstance(version, bool) or version != MANIFEST_VERSION:
         raise CorruptStorageError(
-            "unsupported service manifest version %r" % (version,),
+            "service manifest %s has unsupported version %r (expected %d)"
+            % (path, version, MANIFEST_VERSION),
             path=path)
-    # A v1 manifest carries no checksum, so a flipped bit can rename or
-    # retype a key and still parse: check every field open() reads.
-    fields = {"epoch": int, "events_applied": int}
-    if version == MANIFEST_VERSION:
-        fields["delta"] = str
-    fields.update((key, kind) for key, kind in _OPTIONAL_FIELDS.items()
-                  if key in manifest)
-    for key, kind in fields.items():
+    body = _manifest_body(manifest).encode("ascii")
+    if manifest.get("crc32") != zlib.crc32(body) & 0xFFFFFFFF:
+        raise CorruptStorageError(
+            "service manifest %s fails its checksum" % path,
+            path=path)
+    for key, kind in _FIELDS.items():
         value = manifest.get(key)
-        if isinstance(value, bool) or not isinstance(value, kind) or \
-                (kind is int and value < 0):
+        if key not in manifest or isinstance(value, bool) or \
+                not isinstance(value, kind) or (kind is int and value < 0):
             raise CorruptStorageError(
                 "service manifest %s has no valid %r field" % (path, key),
                 path=path)
@@ -195,7 +180,7 @@ def check_watermark(manifest_path, manifest, num_events,
 
     ``num_events`` and ``first_retained_event`` describe the journal
     (as :class:`EventJournal` reports them).  The checkpoint watermark
-    may not cover more events than the journal holds, and a v2 journal
+    may not cover more events than the journal holds, and the journal
     must not have been compacted past it.  Shared between
     :meth:`CoreService.open` and ``repro scrub``; raises
     :class:`~repro.errors.CorruptStorageError` naming the manifest and
@@ -207,8 +192,7 @@ def check_watermark(manifest_path, manifest, num_events,
             "journal holds %d events but the checkpoint covers %d"
             % (num_events, applied),
             path=manifest_path)
-    if manifest["version"] == MANIFEST_VERSION \
-            and applied < first_retained_event:
+    if applied < first_retained_event:
         raise CorruptStorageError(
             "journal was compacted past the checkpoint: first retained "
             "event is %d but the checkpoint covers only %d"
@@ -387,9 +371,7 @@ class CoreService:
         watermark is streamed through the maintenance algorithms -- so
         the resumed ``core``, ``cnt`` and epoch equal a
         straight-through run's, at a cost independent of how many
-        events the service ever absorbed.  A v1 manifest (single-file
-        journal, no delta) falls back to replaying the full journal
-        prefix into the graph, exactly as the v1 code did.  A
+        events the service ever absorbed.  A damaged manifest or
         corrupted journal raises
         :class:`~repro.errors.CorruptStorageError` before any state is
         touched.
@@ -403,7 +385,7 @@ class CoreService:
                 "no service manifest under %s (seed one with "
                 "CoreService.from_storage(data_dir=...))" % data_dir
             ) from None
-        graph_path = manifest.get("graph_path")
+        graph_path = manifest["graph_path"]
         owned_storage = None
         if storage is None:
             if not graph_path:
@@ -420,46 +402,28 @@ class CoreService:
                                       journal.first_retained_event)
             graph = DynamicGraph(storage, buffer_capacity=buffer_capacity,
                                  path_factory=path_factory)
-            edge_delta = {}
-            if manifest["version"] == 1:
-                # v1 layout: no delta file, nothing ever compacted --
-                # the checkpointed arrays describe the graph *after*
-                # the first ``applied`` events, so stream that prefix
-                # into the graph alone (no maintenance needed -- the
-                # index already reflects it).  The first checkpoint
-                # migrates the directory to the segmented layout.
-                for _, op, u, v in journal.iter_events(0, applied):
-                    if op == "+":
-                        graph.insert_edge(u, v, validate=False)
-                    else:
-                        graph.delete_edge(u, v, validate=False)
-                    _toggle_delta(edge_delta, op, u, v)
-            else:
-                edge_delta = read_delta_file(
-                    os.path.join(data_dir, manifest["delta"]))
-                # The delta is the *net* difference at the watermark;
-                # applying it reproduces the exact observable graph of
-                # an event-order replay (adjacency is merged sorted).
-                for (u, v), op in sorted(edge_delta.items()):
-                    if op == "+":
-                        graph.insert_edge(u, v, validate=False)
-                    else:
-                        graph.delete_edge(u, v, validate=False)
+            edge_delta = read_delta_file(
+                os.path.join(data_dir, manifest["delta"]))
+            # The delta is the *net* difference at the watermark;
+            # applying it reproduces the exact observable graph of an
+            # event-order replay (adjacency is merged sorted).
+            for (u, v), op in sorted(edge_delta.items()):
+                if op == "+":
+                    graph.insert_edge(u, v, validate=False)
+                else:
+                    graph.delete_edge(u, v, validate=False)
             cores, cnt = load_checkpoint(
-                os.path.join(data_dir, manifest.get("checkpoint",
-                                                    CHECKPOINT_NAME)),
-                graph)
+                os.path.join(data_dir, manifest["checkpoint"]), graph)
             maintainer = CoreMaintainer(graph, cores, cnt, engine=engine)
             service = cls(maintainer, journal=journal, data_dir=data_dir,
                           checkpoint_interval=checkpoint_interval,
                           epoch=int(manifest["epoch"]),
                           events_applied=applied, graph_path=graph_path,
-                          seed_algorithm=manifest.get("seed_algorithm"),
+                          seed_algorithm=manifest["seed_algorithm"],
                           edge_delta=edge_delta,
                           apply_retries=apply_retries,
                           retry_backoff=retry_backoff)
-            service._quarantined.update(
-                manifest.get("quarantined_batches") or ())
+            service._quarantined.update(manifest["quarantined_batches"])
             # Stream the journal tail through the full maintenance
             # path, preserving the original batch boundaries (= epoch
             # sequence).  Only segments past the watermark are read; a
@@ -947,7 +911,7 @@ class CoreService:
            with the per-segment event offsets;
         4. **compact** -- sealed segments fully covered by the new
            watermark are unlinked, and checkpoint/delta files of
-           earlier epochs (including a v1 ``state.ckpt``) are retired.
+           earlier epochs are retired.
 
         A crash anywhere in the sequence leaves a directory that opens
         to a consistent state: before step 3 the previous
@@ -1038,10 +1002,9 @@ class CoreService:
     def _retire_stale_files(self, state_name, delta_name, copy_name):
         """Unlink checkpoint/delta files the manifest no longer names.
 
-        Also collects a migrated v1 ``state.ckpt``, superseded manifest
-        duplicates, and any ``.tmp`` strays a crashed checkpoint left
-        behind (the journal's own temp files are the journal's to
-        clean).
+        Also collects superseded manifest duplicates and any ``.tmp``
+        strays a crashed checkpoint left behind (the journal's own temp
+        files are the journal's to clean).
         """
         removed = False
         for name in os.listdir(self._data_dir):
@@ -1374,26 +1337,29 @@ def read_delta_file(path):
             blob = handle.read()
     except FileNotFoundError:
         raise CorruptStorageError(
-            "manifest names a missing delta file %s" % path) from None
+            "manifest names a missing delta file %s" % path,
+            path=path) from None
     if len(blob) < _DELTA_HEADER.size + _DELTA_CRC.size:
-        raise CorruptStorageError("delta file %s is truncated" % path)
+        raise CorruptStorageError("delta file %s is truncated" % path,
+                                  path=path)
     magic, version, count = _DELTA_HEADER.unpack(
         blob[:_DELTA_HEADER.size])
     if magic != _DELTA_MAGIC:
         raise CorruptStorageError(
-            "delta file %s: bad magic %r" % (path, magic))
+            "delta file %s: bad magic %r" % (path, magic), path=path)
     if version != _DELTA_VERSION:
         raise CorruptStorageError(
-            "delta file %s: unsupported version %d" % (path, version))
+            "delta file %s: unsupported version %d" % (path, version),
+            path=path)
     body = blob[_DELTA_HEADER.size:-_DELTA_CRC.size]
     if len(body) != count * _DELTA_RECORD.size:
         raise CorruptStorageError(
             "delta file %s holds %d bytes for %d records"
-            % (path, len(body), count))
+            % (path, len(body), count), path=path)
     if _DELTA_CRC.unpack(blob[-_DELTA_CRC.size:])[0] != \
             zlib.crc32(body) & 0xFFFFFFFF:
         raise CorruptStorageError(
-            "delta file %s fails its checksum" % path)
+            "delta file %s fails its checksum" % path, path=path)
     delta = {}
     for index in range(count):
         kind, u, v = _DELTA_RECORD.unpack_from(
@@ -1401,7 +1367,7 @@ def read_delta_file(path):
         if kind not in _DELTA_KINDS:
             raise CorruptStorageError(
                 "delta file %s: record %d has kind %d"
-                % (path, index, kind))
+                % (path, index, kind), path=path)
         delta[(u, v)] = _DELTA_KINDS[kind]
     return delta
 

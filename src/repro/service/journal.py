@@ -30,11 +30,6 @@ instead of growing with the lifetime of the service.  Event history is
 *not* retained in memory: reads stream from the segment files
 (:meth:`iter_events` / :meth:`iter_batches`).
 
-A journal created by the v1 code (one ``journal.log`` file) is adopted
-as segment 0 with base offset 0: appends continue into it until the
-first rotation seals it, after which compaction retires it like any
-other sealed segment.
-
 Durability model
 ----------------
 * A record is 21 bytes: a kind byte, two 32-bit fields, the 64-bit id
@@ -82,26 +77,17 @@ import zlib
 
 from repro.errors import CorruptStorageError
 
-_LEGACY_MAGIC = b"RPRJRNL1"
-_LEGACY_VERSION = 1
-_LEGACY_HEADER = struct.Struct("<8sI4x")
-
 _SEGMENT_MAGIC = b"RPRJRNL2"
 _SEGMENT_VERSION = 2
 #: magic, version, pad, sequence number, base event offset.
 _SEGMENT_HEADER = struct.Struct("<8sI4xQQ")
-
-#: Header layout, magic and version, keyed by ``legacy``.
-_HEADERS = {False: (_SEGMENT_HEADER, _SEGMENT_MAGIC, _SEGMENT_VERSION),
-            True: (_LEGACY_HEADER, _LEGACY_MAGIC, _LEGACY_VERSION)}
+_HEADER_SIZE = _SEGMENT_HEADER.size
 
 _PAYLOAD = struct.Struct("<BIIQ")
 _CRC = struct.Struct("<I")
 
 RECORD_SIZE = _PAYLOAD.size + _CRC.size
 
-#: The v1 single-file journal, adopted as segment 0 when present.
-LEGACY_NAME = "journal.log"
 #: 6 digits zero-padded, but sequences outlive the padding: match more.
 _SEGMENT_RE = re.compile(r"^journal\.(\d{6,})\.log$")
 
@@ -132,31 +118,26 @@ def _pack_record(kind, u, v, batch):
 
 
 def list_segments(directory):
-    """Journal files under ``directory`` as ``(seq, path, legacy)``,
-    oldest first: the v1 ``journal.log`` (sequence 0) when present,
-    then the numbered segments."""
+    """Segment files under ``directory`` as ``(seq, path)``, oldest
+    first."""
     found = []
-    legacy = os.path.join(directory, LEGACY_NAME)
-    if os.path.exists(legacy):
-        found.append((0, legacy, True))
-    numbered = []
     for name in os.listdir(directory):
         match = _SEGMENT_RE.match(name)
         if match:
-            numbered.append((int(match.group(1)),
-                             os.path.join(directory, name), False))
-    return found + sorted(numbered)
+            found.append((int(match.group(1)),
+                          os.path.join(directory, name)))
+    return sorted(found)
 
 
-def scan_segment(path, seq, legacy):
+def scan_segment(path, seq):
     """Read-only, streaming scan of one journal file.
 
     Verifies the header and every record checksum in a single pass and
     returns a dict:
 
-    * ``name``, ``path``, ``seq``, ``legacy`` -- the file scanned;
-    * ``base`` -- the header's base event offset (0 for the v1 file);
-      None when the file is empty or its header is damaged;
+    * ``name``, ``path``, ``seq`` -- the file scanned;
+    * ``base`` -- the header's base event offset; None when the file
+      is empty or its header is damaged;
     * ``events`` -- the number of events in complete batches;
     * ``good_pos`` -- the byte offset one past the last complete batch,
       i.e. the truncation point; 0 when the header itself is damaged;
@@ -171,9 +152,8 @@ def scan_segment(path, seq, legacy):
     each apply their own policy to the result.
     """
     scan = {"name": os.path.basename(path), "path": path, "seq": seq,
-            "legacy": legacy, "base": None, "events": 0, "good_pos": 0,
-            "size": 0, "quarantined": [], "damage": None}
-    header_size = _HEADERS[legacy][0].size
+            "base": None, "events": 0, "good_pos": 0, "size": 0,
+            "quarantined": [], "damage": None}
     with open(path, "rb") as handle:
         size = scan["size"] = handle.seek(0, os.SEEK_END)
         if size == 0:
@@ -181,11 +161,10 @@ def scan_segment(path, seq, legacy):
             return scan
         handle.seek(0)
         try:
-            scan["base"] = _read_header(handle, seq, legacy)
-            pos = scan["good_pos"] = header_size
+            scan["base"] = _read_header(handle, seq)
+            pos = scan["good_pos"] = _HEADER_SIZE
             while pos < size:
-                kind, count, batch = _read_batch_header(handle, pos,
-                                                        header_size)
+                kind, count, batch = _read_batch_header(handle, pos)
                 pos += RECORD_SIZE
                 if kind == _KIND_QUARANTINE:
                     # Standalone marker: no event body, no offset moved.
@@ -193,8 +172,7 @@ def scan_segment(path, seq, legacy):
                 else:
                     # Read for its checks only: every record's CRC, kind
                     # and batch id.
-                    _read_batch_body(handle, pos, header_size, batch,
-                                     count)
+                    _read_batch_body(handle, pos, batch, count)
                     scan["events"] += count
                     pos += RECORD_SIZE * count
                 scan["good_pos"] = pos
@@ -204,14 +182,13 @@ def scan_segment(path, seq, legacy):
     return scan
 
 
-def write_segment_header(handle, seq, base, *, legacy=False):
+def write_segment_header(handle, seq, base):
     """Make the file behind ``handle`` an empty segment: write the
-    header of segment ``seq`` starting at event ``base`` (or the v1
-    header when ``legacy``), drop everything after it, and fsync."""
-    layout, magic, version = _HEADERS[legacy]
-    fields = (magic, version) if legacy else (magic, version, seq, base)
+    header of segment ``seq`` starting at event ``base``, drop
+    everything after it, and fsync."""
     handle.seek(0)
-    handle.write(layout.pack(*fields))
+    handle.write(_SEGMENT_HEADER.pack(_SEGMENT_MAGIC, _SEGMENT_VERSION,
+                                      seq, base))
     handle.truncate()
     handle.flush()
     os.fsync(handle.fileno())
@@ -227,32 +204,30 @@ class _Damage(Exception):
         self.torn = torn
 
 
-def _read_header(handle, seq, legacy):
+def _read_header(handle, seq):
     """Validate the header at the start of ``handle``; returns the base
-    event offset.  The v2 header is written atomically with the file's
-    creation, so only the v1 file can have a short one after a crash."""
-    layout, magic, version = _HEADERS[legacy]
-    header = handle.read(layout.size)
-    if len(header) < layout.size:
+    event offset.  A short header is marked torn so scrub can rebuild
+    an active segment's; ``open()`` refuses any damaged header, since
+    the header is written atomically with the file's creation."""
+    header = handle.read(_HEADER_SIZE)
+    if len(header) < _HEADER_SIZE:
         raise _Damage("header truncated", 0, torn=True)
-    fields = layout.unpack(header)
-    if fields[0] != magic:
-        raise _Damage("bad magic %r" % (fields[0],), 0)
-    if fields[1] != version:
-        raise _Damage("unsupported version %d" % fields[1], 0)
-    if legacy:
-        return 0
-    if fields[2] != seq:
-        raise _Damage("header claims sequence %d" % fields[2], 0)
-    return fields[3]
+    magic, version, header_seq, base = _SEGMENT_HEADER.unpack(header)
+    if magic != _SEGMENT_MAGIC:
+        raise _Damage("bad magic %r" % (magic,), 0)
+    if version != _SEGMENT_VERSION:
+        raise _Damage("unsupported version %d" % version, 0)
+    if header_seq != seq:
+        raise _Damage("header claims sequence %d" % header_seq, 0)
+    return base
 
 
-def _record_at(pos, header_size):
+def _record_at(pos):
     return "record %d at byte offset %d" % (
-        (pos - header_size) // RECORD_SIZE, pos)
+        (pos - _HEADER_SIZE) // RECORD_SIZE, pos)
 
 
-def _read_record(handle, pos, header_size):
+def _read_record(handle, pos):
     """The record at byte ``pos`` (where ``handle`` stands) as
     ``(kind, u, v, batch)``; None at a short read."""
     record = handle.read(RECORD_SIZE)
@@ -262,35 +237,35 @@ def _read_record(handle, pos, header_size):
     if _CRC.unpack_from(record, _PAYLOAD.size)[0] \
             != zlib.crc32(payload) & 0xFFFFFFFF:
         raise _Damage("%s fails its checksum (corrupted tail)"
-                      % _record_at(pos, header_size), pos)
+                      % _record_at(pos), pos)
     return _PAYLOAD.unpack(payload)
 
 
-def _read_batch_header(handle, pos, header_size):
+def _read_batch_header(handle, pos):
     """``(kind, count, batch)`` of the batch header or quarantine
     marker at byte ``pos``."""
-    record = _read_record(handle, pos, header_size)
+    record = _read_record(handle, pos)
     if record is None:
         raise _Damage("torn record", pos, torn=True)
     kind, count, _, batch = record
     if kind not in (_KIND_BATCH, _KIND_QUARANTINE):
         raise _Damage("%s is not a batch header (kind %d)"
-                      % (_record_at(pos, header_size), kind), pos)
+                      % (_record_at(pos), kind), pos)
     return kind, count, batch
 
 
-def _read_batch_body(handle, pos, header_size, batch, count):
+def _read_batch_body(handle, pos, batch, count):
     """The ``count`` events of ``batch`` starting at byte ``pos``, as
     ``(batch, op, u, v)``."""
     events = []
     for _ in range(count):
-        record = _read_record(handle, pos, header_size)
+        record = _read_record(handle, pos)
         if record is None:
             raise _Damage("torn batch", pos, torn=True)
         kind, u, v, event_batch = record
         if kind not in _KIND_TO_OP or event_batch != batch:
             raise _Damage("%s does not belong to batch %d"
-                          % (_record_at(pos, header_size), batch), pos)
+                          % (_record_at(pos), batch), pos)
         events.append((batch, _KIND_TO_OP[kind], u, v))
         pos += RECORD_SIZE
     return events
@@ -300,17 +275,15 @@ class _Segment:
     """Metadata of one live segment file."""
 
     __slots__ = ("path", "name", "seq", "base_events", "num_events",
-                 "append_pos", "header_size", "legacy")
+                 "append_pos")
 
-    def __init__(self, path, seq, base_events, *, legacy=False):
+    def __init__(self, path, seq, base_events):
         self.path = path
         self.name = os.path.basename(path)
         self.seq = seq
         self.base_events = base_events
         self.num_events = 0
-        self.header_size = _HEADERS[legacy][0].size
-        self.append_pos = self.header_size
-        self.legacy = legacy
+        self.append_pos = _HEADER_SIZE
 
     @property
     def end_events(self):
@@ -350,8 +323,8 @@ class EventJournal:
         self.fsyncs = 0
         self._segments = []
         listed = self._discover()
-        for index, (seq, path, legacy) in enumerate(listed):
-            scan = scan_segment(path, seq, legacy)
+        for index, (seq, path) in enumerate(listed):
+            scan = scan_segment(path, seq)
             self._segments.append(
                 self._adopt(scan, active=index == len(listed) - 1))
         if not self._segments:
@@ -609,12 +582,11 @@ class EventJournal:
         self.fsyncs += 1
 
     def _discover(self):
-        """List live segments (and a legacy v1 file) under the dir."""
+        """List live segments under the dir."""
         if os.path.isfile(self.directory):
             raise CorruptStorageError(
                 "EventJournal takes the journal *directory*, but %s is "
-                "a file (the v1 API took the journal.log path)"
-                % self.directory,
+                "a file" % self.directory,
                 path=self.directory)
         os.makedirs(self.directory, exist_ok=True)
         for name in os.listdir(self.directory):
@@ -644,14 +616,12 @@ class EventJournal:
         which appends never touch, is corruption, as is any other
         damage and any gap in the base-offset chain.
         """
-        segment = _Segment(scan["path"], scan["seq"], scan["base"],
-                           legacy=scan["legacy"])
+        segment = _Segment(scan["path"], scan["seq"], scan["base"])
         damage = scan["damage"]
         if damage is not None and scan["good_pos"] == 0:
             # A damaged header is never a crash window, even when torn.
             raise CorruptStorageError(
-                "journal%s %s: %s" % ("" if segment.legacy else " segment",
-                                      segment.path, damage["problem"]),
+                "journal segment %s: %s" % (segment.path, damage["problem"]),
                 path=segment.path, segment=segment.seq, offset=0)
         previous = self._segments[-1] if self._segments else None
         if scan["size"] == 0:
@@ -664,8 +634,7 @@ class EventJournal:
                                    if previous is not None else 0)
             with open(segment.path, "r+b") as handle:
                 write_segment_header(handle, segment.seq,
-                                     segment.base_events,
-                                     legacy=segment.legacy)
+                                     segment.base_events)
             self.fsyncs += 1
             return segment
         if previous is not None \
@@ -706,20 +675,17 @@ class EventJournal:
         """
         handle = open(segment.path, "rb")
         try:
-            pos = handle.seek(segment.header_size)
+            pos = handle.seek(_HEADER_SIZE)
             offset = segment.base_events
             while offset < min(stop, segment.end_events):
-                kind, count, batch = _read_batch_header(
-                    handle, pos, segment.header_size)
+                kind, count, batch = _read_batch_header(handle, pos)
                 pos += RECORD_SIZE
                 if kind == _KIND_QUARANTINE:
                     continue
                 if offset + count <= start:
                     handle.seek(RECORD_SIZE * count, os.SEEK_CUR)
                 else:
-                    events = _read_batch_body(handle, pos,
-                                              segment.header_size,
-                                              batch, count)
+                    events = _read_batch_body(handle, pos, batch, count)
                     yield from events[max(0, start - offset):
                                       stop - offset]
                 offset += count

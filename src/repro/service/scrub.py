@@ -52,10 +52,8 @@ import shutil
 from repro.storage.state import load_checkpoint
 from repro.errors import CorruptStorageError
 from repro.service.core_service import (
-    CHECKPOINT_NAME,
     MANIFEST_COPY_RE,
     MANIFEST_NAME,
-    MANIFEST_VERSION,
     check_watermark,
     load_manifest,
     read_delta_file,
@@ -89,37 +87,31 @@ def _check_artifacts(data_dir, manifest, issues):
     """Verify the checkpoint artifacts a manifest points at.
 
     Appends location-bearing issues; returns True when the state file
-    (and, for v2 manifests, the delta file) pass their checksums.
+    and the delta file pass their checksums.
     """
     ok = True
-    state_name = manifest.get("checkpoint", CHECKPOINT_NAME)
-    state_path = os.path.join(data_dir, state_name)
     try:
-        load_checkpoint(state_path)
+        load_checkpoint(os.path.join(data_dir, manifest["checkpoint"]))
     except FileNotFoundError:
-        issues.append({"file": state_name,
+        issues.append({"file": manifest["checkpoint"],
                        "problem": "checkpoint file is missing"})
         ok = False
     except CorruptStorageError as exc:
-        issues.append(_issue_from(exc, state_name))
+        issues.append(_issue_from(exc))
         ok = False
-    if manifest.get("version") == MANIFEST_VERSION and "delta" in manifest:
-        delta_name = manifest["delta"]
-        try:
-            read_delta_file(os.path.join(data_dir, delta_name))
-        except CorruptStorageError as exc:
-            issues.append(_issue_from(exc, delta_name))
-            ok = False
+    try:
+        read_delta_file(os.path.join(data_dir, manifest["delta"]))
+    except CorruptStorageError as exc:
+        issues.append(_issue_from(exc))
+        ok = False
     return ok
 
 
-def _issue_from(exc, fallback_file):
-    issue = {"file": os.path.basename(getattr(exc, "path", None)
-                                      or fallback_file),
-             "problem": str(exc)}
-    if getattr(exc, "segment", None) is not None:
+def _issue_from(exc):
+    issue = {"file": os.path.basename(exc.path), "problem": str(exc)}
+    if exc.segment is not None:
         issue["segment"] = exc.segment
-    if getattr(exc, "offset", None) is not None:
+    if exc.offset is not None:
         issue["offset"] = exc.offset
     return issue
 
@@ -138,7 +130,7 @@ def _diagnose(data_dir):
                        "problem": "manifest is missing"})
     except CorruptStorageError as exc:
         manifest = None
-        issues.append(_issue_from(exc, MANIFEST_NAME))
+        issues.append(_issue_from(exc))
     artifacts_ok = False
     if manifest is not None:
         state["manifest"] = manifest
@@ -148,8 +140,8 @@ def _diagnose(data_dir):
         if name.endswith(".tmp"):
             state["tmp_strays"].append(name)
 
-    segments = [scan_segment(path, seq, legacy)
-                for seq, path, legacy in list_segments(data_dir)]
+    segments = [scan_segment(path, seq)
+                for seq, path in list_segments(data_dir)]
     state["segments"] = segments
     journal_ok = True
     previous_end = None
@@ -193,7 +185,7 @@ def _diagnose(data_dir):
         try:
             check_watermark(manifest_path, manifest, total, first)
         except CorruptStorageError as exc:
-            issues.append(_issue_from(exc, MANIFEST_NAME))
+            issues.append(_issue_from(exc))
         else:
             state["openable"] = True
     return state
@@ -206,12 +198,10 @@ def _diagnose(data_dir):
 def _active_base(segments, index, manifest, watermark):
     """Best-evidence base offset for an active segment whose own header
     is unreadable: the predecessor's end, the manifest's journal
-    clause, or the checkpoint watermark (post-v2 every checkpoint
-    rotates, so a tail-less active segment starts at the watermark).
-    Returns None when no source is available."""
+    clause, or the checkpoint watermark (every checkpoint rotates, so a
+    tail-less active segment starts at the watermark).  Returns None
+    when no source is available."""
     info = segments[index]
-    if info["legacy"]:
-        return 0
     if index > 0:
         prev = segments[index - 1]
         if prev["damage"] is None and prev["base"] is not None:
@@ -233,9 +223,8 @@ def _repair(data_dir, diagnosis, actions, *, force):
     manifest = diagnosis["manifest"]
     manifest_ok = (manifest is not None
                    and not any(issue["file"] == MANIFEST_NAME
-                               or issue["file"] == manifest.get(
-                                   "checkpoint", CHECKPOINT_NAME)
-                               or issue["file"] == manifest.get("delta")
+                               or issue["file"] == manifest["checkpoint"]
+                               or issue["file"] == manifest["delta"]
                                for issue in diagnosis["issues"]))
     if not manifest_ok:
         for epoch, copy_path in _manifest_copies(data_dir):
@@ -284,8 +273,7 @@ def _repair(data_dir, diagnosis, actions, *, force):
                         % info["name"])
                     continue
                 with open(info["path"], "r+b") as handle:
-                    write_segment_header(handle, info["seq"], base,
-                                         legacy=info["legacy"])
+                    write_segment_header(handle, info["seq"], base)
                 fsync_path(data_dir)
                 actions.append(
                     "rebuilt %s header (empty active segment at "
@@ -319,7 +307,7 @@ def _repair(data_dir, diagnosis, actions, *, force):
             fsync_path(data_dir)
         elif (force and watermark is not None
               and info["base"] is not None
-              and info["base"] >= watermark and not info["legacy"]):
+              and info["base"] >= watermark):
             # Lossy: everything from this segment's first event on is
             # dropped.  The checkpoint still covers the history up to
             # ``base`` (base >= watermark), so the directory reopens at
@@ -386,14 +374,9 @@ def scrub_directory(data_dir, *, repair=True, force=False):
         "remaining_issues": final["issues"] if actions else
                             diagnosis["issues"],
         "manifest": None if manifest is None else {
-            "epoch": manifest.get("epoch"),
-            "events_applied": manifest.get("events_applied"),
-            "version": manifest.get("version"),
-            "checkpoint": manifest.get("checkpoint"),
-            "delta": manifest.get("delta"),
-            "quarantined_batches": manifest.get("quarantined_batches",
-                                                []),
-        },
+            key: manifest[key]
+            for key in ("epoch", "events_applied", "version",
+                        "checkpoint", "delta", "quarantined_batches")},
         "segments": [{"name": info["name"], "seq": info["seq"],
                       "base": info["base"], "events": info["events"],
                       "size": info["size"],

@@ -15,10 +15,9 @@ service bookkeeping, deliberately *outside* the model, so the codec
 sits with the rest of the uncharged persistence code.
 
 Format: a 32-byte header (magic, version, n, arc count) followed by the
-two ``int32`` arrays back to back, then (format v2) a trailing CRC32 of
-the payload -- a flipped bit anywhere in the arrays is detected instead
-of silently resuming from wrong coreness.  v1 files (no trailing CRC)
-are still readable.
+two ``int32`` arrays back to back, then a trailing CRC32 of the payload
+-- a flipped bit anywhere in the arrays is detected instead of silently
+resuming from wrong coreness.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from repro.errors import CorruptStorageError
 _MAGIC = b"RPRSTAT1"
 _HEADER = struct.Struct("<8sIQQ4x")
 _CRC = struct.Struct("<I")
-#: v1: header + arrays.  v2: header + arrays + CRC32(arrays).
+#: Header + arrays + CRC32(arrays).
 _VERSION = 2
-_MIN_VERSION = 1
 
 
 def save_checkpoint(path, graph, cores, cnt):
@@ -58,7 +56,7 @@ def load_checkpoint(path, graph=None):
     """Load ``(cores, cnt)``; verifies the fingerprint when given a graph.
 
     Raises :class:`CorruptStorageError` on format problems, a payload
-    checksum mismatch (v2 files), or when the graph's node/arc counts
+    checksum mismatch, or when the graph's node/arc counts
     disagree with the checkpoint.  Errors carry the checkpoint ``path``
     (and the damage ``offset`` where known) as structured attributes.
     """
@@ -73,32 +71,24 @@ def load_checkpoint(path, graph=None):
             raise CorruptStorageError(
                 "checkpoint %s: bad checkpoint magic %r" % (path, magic),
                 path=path, offset=0)
-        if not _MIN_VERSION <= version <= _VERSION:
+        if version != _VERSION:
             raise CorruptStorageError(
                 "checkpoint %s: unsupported checkpoint version %d"
                 % (path, version),
                 path=path, offset=0)
         rest = handle.read()
     expected = 2 * 4 * n
-    if version >= 2:
-        if len(rest) != expected + _CRC.size:
-            raise CorruptStorageError(
-                "checkpoint %s: payload is %d bytes, expected %d"
-                % (path, len(rest), expected + _CRC.size),
-                path=path, offset=_HEADER.size + len(rest))
-        payload, crc_bytes = rest[:expected], rest[expected:]
-        if _CRC.unpack(crc_bytes)[0] != zlib.crc32(payload) & 0xFFFFFFFF:
-            raise CorruptStorageError(
-                "checkpoint %s: payload fails its checksum "
-                "(corrupted state arrays)" % path,
-                path=path, offset=_HEADER.size)
-    else:
-        payload = rest
-        if len(payload) != expected:
-            raise CorruptStorageError(
-                "checkpoint %s: payload is %d bytes, expected %d"
-                % (path, len(payload), expected),
-                path=path, offset=_HEADER.size + len(payload))
+    if len(rest) != expected + _CRC.size:
+        raise CorruptStorageError(
+            "checkpoint %s: payload is %d bytes, expected %d"
+            % (path, len(rest), expected + _CRC.size),
+            path=path, offset=_HEADER.size + len(rest))
+    payload, crc_bytes = rest[:expected], rest[expected:]
+    if _CRC.unpack(crc_bytes)[0] != zlib.crc32(payload) & 0xFFFFFFFF:
+        raise CorruptStorageError(
+            "checkpoint %s: payload fails its checksum "
+            "(corrupted state arrays)" % path,
+            path=path, offset=_HEADER.size)
     if graph is not None:
         if graph.num_nodes != n:
             raise CorruptStorageError(

@@ -99,6 +99,17 @@ class TestCorruption:
         with pytest.raises(CorruptStorageError, match="payload"):
             load_checkpoint(path)
 
+    def test_version_1_header_refused(self, tmp_path):
+        """The version-1 layout (no trailing CRC) is no longer read."""
+        maintainer = fresh_maintainer()
+        path = tmp_path / "state.ckpt"
+        maintainer.save_state(path)
+        data = bytearray(path.read_bytes())
+        data[8] = 1
+        path.write_bytes(bytes(data[:-4]))
+        with pytest.raises(CorruptStorageError, match="version 1"):
+            load_checkpoint(path)
+
     def test_array_length_mismatch_on_save(self, tmp_path):
         graph = DynamicGraph(GraphStorage.from_edges(EDGES, 5))
         with pytest.raises(ValueError):

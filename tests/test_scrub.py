@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import shutil
+import zlib
 
 import pytest
 
@@ -20,12 +21,11 @@ from repro.cli import main
 from repro.errors import CorruptStorageError
 from repro.faults import flip_bit, tear_file
 from repro.service import CoreService, scrub_directory
+from repro.service.core_service import _manifest_body, load_manifest
 from repro.service.journal import segment_name
 from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import make_random_edges
-
-import test_service_recovery
 
 pytestmark = pytest.mark.faults
 
@@ -99,46 +99,117 @@ class TestDiagnose:
                    for issue in report["issues"])
 
 
+def _reseal_manifest(data_dir, mutate):
+    """Apply ``mutate`` to ``manifest.json`` and recompute its
+    ``crc32``, so the field checks, not the checksum, must reject it."""
+    path = os.path.join(data_dir, "manifest.json")
+    with open(path, encoding="ascii") as handle:
+        manifest = json.load(handle)
+    mutate(manifest)
+    manifest["crc32"] = zlib.crc32(
+        _manifest_body(manifest).encode("ascii")) & 0xFFFFFFFF
+    with open(path, "w", encoding="ascii") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+
+
+#: Every manifest field ``open()`` reads, with a value it may not take.
+_MISTYPED = {"version": "2", "epoch": "3", "events_applied": -1,
+             "checkpoint": 7, "delta": None, "graph_path": 7,
+             "seed_algorithm": 7, "quarantined_batches": "[]"}
+
+
 class TestManifestFields:
-    """A v1 manifest has no ``crc32``: a bit flip inside a key still
-    parses, so the missing field must surface as corruption, not as a
-    bare ``KeyError`` from ``open()`` or the scrub."""
+    """A manifest that verifies but lacks or mistypes a field ``open()``
+    reads is corruption, not a ``KeyError`` or a guessed default."""
 
-    def _damaged_v1_dir(self, tmp_path, mutate):
-        migration = test_service_recovery.TestV1Migration()
-        edges, n, _, data_dir = migration.build_v1_dir(tmp_path)
-        path = os.path.join(str(data_dir), "manifest.json")
-        with open(path, encoding="ascii") as handle:
-            manifest = json.load(handle)
-        mutate(manifest)
-        with open(path, "w", encoding="ascii") as handle:
-            json.dump(manifest, handle)
-        return GraphStorage.from_edges(edges, n), str(data_dir)
-
-    @pytest.mark.parametrize("key,renamed", [
-        ("events_applied", "events_appliee"),
-        ("epoch", "epocx"),
-    ])
-    def test_renamed_key_is_corruption(self, tmp_path, key, renamed):
-        storage, data_dir = self._damaged_v1_dir(
-            tmp_path, lambda m: m.update({renamed: m.pop(key)}))
+    @pytest.mark.parametrize("damage", ["renamed", "mistyped"])
+    @pytest.mark.parametrize("field", sorted(_MISTYPED))
+    def test_damaged_field_is_corruption(self, seeded, field, damage):
+        data_dir = seeded["data_dir"]
+        if damage == "renamed":
+            _reseal_manifest(data_dir, lambda m: m.update(
+                {field + "_": m.pop(field)}))
+        else:
+            _reseal_manifest(data_dir, lambda m: m.update(
+                {field: _MISTYPED[field]}))
         with pytest.raises(CorruptStorageError) as info:
-            CoreService.open(data_dir, storage)
+            _reopen(seeded)
         assert info.value.path.endswith("manifest.json")
         report = scrub_directory(data_dir, repair=False)
         assert not report["openable"]
-        assert any(issue["file"] == "manifest.json"
-                   for issue in report["issues"])
-        # The repairing scrub has no epoch copy to restore a v1
-        # manifest from; it must still report, not crash.
-        assert not scrub_directory(data_dir)["openable"]
+        assert [issue["file"] for issue in report["issues"]] \
+            == ["manifest.json"]
+        # The epoch-stamped copy is intact: the repairing scrub
+        # restores it and the directory resumes where it was.
+        assert scrub_directory(data_dir)["openable"]
+        service = _reopen(seeded)
+        assert list(service.maintainer.cores) == seeded["cores"]
+        service.close()
 
-    def test_mistyped_field_is_corruption(self, tmp_path):
-        storage, data_dir = self._damaged_v1_dir(
-            tmp_path, lambda m: m.update(
-                events_applied=str(m["events_applied"])))
-        with pytest.raises(CorruptStorageError):
+
+@pytest.fixture
+def epoch_one(tmp_path, rng):
+    """A service directory checkpointed after one single-event batch."""
+    n = 30
+    edges = make_random_edges(rng, n, 0.15)
+    storage = GraphStorage.from_edges(edges, n)
+    data_dir = str(tmp_path / "svc")
+    service = CoreService.from_storage(storage, data_dir=data_dir)
+    absent = next((u, v) for u in range(n) for v in range(u + 1, n)
+                  if not service.graph.has_edge(u, v))
+    service.apply([("+",) + absent])
+    service.checkpoint()
+    service.close()
+    return data_dir, storage
+
+
+class TestManifestChecksum:
+    """The ``crc32`` field is mandatory: no damage to the manifest,
+    including to the checksum's own key, loads unverified."""
+
+    def test_every_single_bit_flip_is_refused(self, epoch_one, tmp_path):
+        data_dir, _ = epoch_one
+        with open(os.path.join(data_dir, "manifest.json"), "rb") as handle:
+            pristine = handle.read()
+        target = str(tmp_path / "manifest.json")
+        accepted = []
+        for offset in range(len(pristine)):
+            for bit in range(8):
+                damaged = bytearray(pristine)
+                damaged[offset] ^= 1 << bit
+                with open(target, "wb") as handle:
+                    handle.write(damaged)
+                try:
+                    load_manifest(target)
+                except CorruptStorageError:
+                    continue
+                accepted.append((offset, bit))
+        assert accepted == []
+
+    def test_renamed_checksum_key_cannot_move_the_epoch(self, epoch_one):
+        data_dir, storage = epoch_one
+        path = os.path.join(data_dir, "manifest.json")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        # Two single-bit flips: the checksum key is renamed, and the
+        # epoch it no longer guards moves from 1 to 3.
+        for old, new in ((b'"crc32"', b'"crc33"'),
+                         (b'"epoch": 1,', b'"epoch": 3,')):
+            assert blob.count(old) == 1
+            blob = blob.replace(old, new)
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with pytest.raises(CorruptStorageError) as info:
             CoreService.open(data_dir, storage)
+        assert info.value.path == path
+        assert not scrub_directory(data_dir, repair=False)["openable"]
+        report = scrub_directory(data_dir)
+        assert report["openable"], report
+        assert "restored manifest.json from manifest.1.json (epoch 1)" \
+            in report["actions"]
+        service = CoreService.open(data_dir, storage)
+        assert service.epoch == 1
+        service.close()
 
 
 class TestRepairs:
@@ -392,11 +463,4 @@ class TestVerdictAgreement:
                     if f.startswith("journal.")]) == 3
         trials = _assert_verdicts_agree(
             tmp_path, pristine, GraphStorage.from_edges(edges, n))
-        assert trials > 100
-
-    def test_legacy_directory(self, tmp_path):
-        migration = test_service_recovery.TestV1Migration()
-        edges, n, _, pristine = migration.build_v1_dir(tmp_path)
-        trials = _assert_verdicts_agree(
-            tmp_path, str(pristine), GraphStorage.from_edges(edges, n))
         assert trials > 100

@@ -8,13 +8,11 @@ import pytest
 
 from repro.errors import CorruptStorageError
 from repro.service.journal import (
-    LEGACY_NAME,
     RECORD_SIZE,
     EventJournal,
     segment_name,
 )
 
-_LEGACY_HEADER = struct.Struct("<8sI4x")
 _SEGMENT_HEADER = struct.Struct("<8sI4xQQ")
 _PAYLOAD = struct.Struct("<BIIQ")
 _CRC = struct.Struct("<I")
@@ -30,17 +28,6 @@ def batch_blob(events, batch):
     blob = record(2, len(events), 0, batch)
     return blob + b"".join(record(_OPS[op], u, v, batch)
                            for op, u, v in events)
-
-
-def write_legacy_journal(directory, batches):
-    """Author a v1 single-file journal exactly as the PR-3 code did."""
-    blob = _LEGACY_HEADER.pack(b"RPRJRNL1", 1)
-    for batch, events in batches:
-        blob += batch_blob(events, batch)
-    path = os.path.join(os.fspath(directory), LEGACY_NAME)
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    return path
 
 
 def active_path(journal):
@@ -406,61 +393,3 @@ class TestCrashTolerance:
             journal.append([("+", 1, 2)], batch=1)
         with pytest.raises(CorruptStorageError, match="closed"):
             journal.rotate()
-
-
-class TestLegacyAdoption:
-    """A v1 single-file journal keeps working as segment 0."""
-
-    def test_legacy_file_opens_and_reads(self, tmp_path):
-        write_legacy_journal(tmp_path, [
-            (1, [("+", 1, 2), ("-", 3, 4)]),
-            (2, [("+", 5, 6)]),
-        ])
-        with EventJournal(tmp_path) as journal:
-            assert journal.num_events == 3
-            assert journal.active_segment == LEGACY_NAME
-            assert journal.events() == [(1, "+", 1, 2), (1, "-", 3, 4),
-                                        (2, "+", 5, 6)]
-
-    def test_appends_continue_into_legacy_file(self, tmp_path):
-        write_legacy_journal(tmp_path, [(1, [("+", 1, 2)])])
-        with EventJournal(tmp_path) as journal:
-            journal.append([("-", 1, 2)], batch=2)
-        with EventJournal(tmp_path) as journal:
-            assert journal.events() == [(1, "+", 1, 2), (2, "-", 1, 2)]
-            assert journal.num_segments == 1
-
-    def test_rotation_seals_then_compaction_retires_legacy(self, tmp_path):
-        write_legacy_journal(tmp_path, [(1, [("+", 1, 2), ("-", 3, 4)])])
-        with EventJournal(tmp_path) as journal:
-            journal.rotate()
-            assert journal.active_segment == segment_name(1)
-            journal.append([("+", 5, 6)], batch=2)
-            assert journal.compact(2) == [LEGACY_NAME]
-        assert not (tmp_path / LEGACY_NAME).exists()
-        with EventJournal(tmp_path) as journal:
-            assert journal.first_retained_event == 2
-            assert journal.events(2) == [(2, "+", 5, 6)]
-
-    def test_legacy_torn_tail_truncated(self, tmp_path):
-        path = write_legacy_journal(tmp_path, [
-            (1, [("+", 9, 10)]),
-            (2, [("+", 1, 2), ("-", 3, 4)]),
-        ])
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-(RECORD_SIZE // 2)])
-        with EventJournal(tmp_path) as journal:
-            assert journal.events() == [(1, "+", 9, 10)]
-
-    def test_legacy_bad_magic_rejected(self, tmp_path):
-        (tmp_path / LEGACY_NAME).write_bytes(b"NOTAJRNL" + b"\x00" * 8)
-        with pytest.raises(CorruptStorageError, match="magic"):
-            EventJournal(tmp_path)
-
-    def test_legacy_empty_file_reinitialized(self, tmp_path):
-        (tmp_path / LEGACY_NAME).write_bytes(b"")
-        with EventJournal(tmp_path) as journal:
-            assert journal.num_events == 0
-            journal.append([("+", 1, 2)], batch=1)
-        with EventJournal(tmp_path) as journal:
-            assert journal.events() == [(1, "+", 1, 2)]

@@ -8,28 +8,27 @@ the *straight-through* run's maintained state exactly -- ``core``,
 ``cnt`` and the epoch -- under both execution engines.  A batch counts
 as applied the moment its journal append returns; the crash windows
 between append, index update, rotation, manifest and compaction are
-exactly what replay covers.  A data directory written by the PR-3
-single-file-journal code must still open and be migrated to the
-segmented layout by its first checkpoint.
+exactly what replay covers.  A data directory in the retired v1
+single-file-journal layout is refused, and left untouched.
 """
 
 import glob
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import pytest
 
 from repro.core.engines import engine_names
-from repro.storage.state import save_checkpoint
 from repro.errors import CorruptStorageError, ReproError
-from repro.service import CoreService
-from repro.service.journal import LEGACY_NAME, RECORD_SIZE, EventJournal
+from repro.service import CoreService, scrub_directory
+from repro.service.journal import RECORD_SIZE, EventJournal
 from repro.service.workload import generate_updates, in_batches
 from repro.storage.graphstore import GraphStorage
 
-from test_service_journal import write_legacy_journal
+from test_service_journal import batch_blob
 
 ENGINES = engine_names()
 
@@ -288,6 +287,36 @@ class TestRejection:
         with pytest.raises(CorruptStorageError, match="compacted"):
             CoreService.open(data_dir, GraphStorage.from_edges(edges, n))
 
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "magic",
+                                        "version", "checksum"])
+    def test_damaged_delta_names_its_file(self, tmp_path, damage):
+        edges, n = graph_edges()
+        data_dir = tmp_path / "svc"
+        service = CoreService.from_storage(
+            GraphStorage.from_edges(edges, n), data_dir=data_dir,
+            checkpoint_interval=None)
+        service.apply(update_batches(edges, n)[0])
+        service.checkpoint()
+        service.close()
+        path = os.path.join(str(data_dir), "graph.1.delta")
+        assert read_manifest(data_dir)["delta"] == "graph.1.delta"
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        os.unlink(path)
+        if damage != "missing":
+            if damage == "truncated":
+                del blob[10:]
+            else:
+                # A bit in the magic, the version, or the last record.
+                offset = {"magic": 0, "version": 8,
+                          "checksum": len(blob) - 5}[damage]
+                blob[offset] ^= 0x02
+            with open(path, "wb") as handle:
+                handle.write(blob)
+        with pytest.raises(CorruptStorageError) as info:
+            CoreService.open(data_dir, GraphStorage.from_edges(edges, n))
+        assert info.value.path == path
+
     def test_open_without_manifest_rejected(self, tmp_path):
         with pytest.raises(ReproError, match="manifest"):
             CoreService.open(tmp_path)
@@ -541,73 +570,56 @@ class TestBoundedJournal:
         resumed.close()
 
 
-class TestV1Migration:
-    """A PR-3 data directory (single-file journal, unversioned
-    checkpoint, manifest v1) opens and is migrated on first checkpoint.
-    """
+class TestV1LayoutRefused:
+    """The retired v1 layout -- one ``journal.log``, a checkpoint with
+    no CRC and an unchecksummed version-1 manifest -- is refused by
+    ``open()`` and by scrub, and neither touches a file of it."""
 
-    def build_v1_dir(self, tmp_path, applied_batches=2):
+    def build(self, tmp_path):
         edges, n = graph_edges()
-        batches = update_batches(edges, n)
-        data_dir = tmp_path / "v1svc"
+        data_dir = str(tmp_path / "v1svc")
         os.makedirs(data_dir)
-        # The journal holds every batch; the checkpoint covers only the
-        # first ``applied_batches`` of them.
-        write_legacy_journal(
-            data_dir,
-            [(i + 1, events) for i, events in enumerate(batches)])
-        covered = straight_through(edges, n, batches[:applied_batches])
-        save_checkpoint(os.path.join(str(data_dir), "state.ckpt"),
-                        covered.graph, covered.maintainer.cores,
-                        covered.maintainer.cnt)
-        manifest = {
-            "version": 1,
-            "epoch": covered.epoch,
-            "events_applied": covered.events_applied,
-            "checkpoint": "state.ckpt",
-            "journal": "journal.log",
-            "graph_path": None,
-            "seed_algorithm": "semicore*",
-            "num_nodes": n,
-        }
-        with open(os.path.join(str(data_dir), "manifest.json"), "w",
-                  encoding="ascii") as handle:
-            json.dump(manifest, handle)
-        return edges, n, batches, data_dir
+        journal = struct.pack("<8sI4x", b"RPRJRNL1", 1) + batch_blob(
+            update_batches(edges, n)[0], 1)
+        seed = straight_through(edges, n, [])
+        state = struct.pack("<8sIQQ4x", b"RPRSTAT1", 1, n,
+                            seed.graph.num_arcs) \
+            + seed.maintainer.cores.tobytes() \
+            + seed.maintainer.cnt.tobytes()
+        manifest = json.dumps({
+            "version": 1, "epoch": 0, "events_applied": 0,
+            "checkpoint": "state.ckpt", "journal": "journal.log",
+            "graph_path": None, "seed_algorithm": "semicore*",
+            "num_nodes": n}).encode("ascii")
+        for name, blob in (("journal.log", journal), ("state.ckpt", state),
+                           ("manifest.json", manifest)):
+            with open(os.path.join(data_dir, name), "wb") as handle:
+                handle.write(blob)
+        return edges, n, data_dir
 
-    def test_v1_dir_opens_to_straight_through_state(self, tmp_path):
-        edges, n, batches, data_dir = self.build_v1_dir(tmp_path)
-        resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n))
-        reference = straight_through(edges, n, batches)
-        assert state_of(resumed) == state_of(reference)
-        assert resumed.verify()
-        resumed.close()
+    @staticmethod
+    def files(data_dir):
+        contents = {}
+        for name in sorted(os.listdir(data_dir)):
+            with open(os.path.join(data_dir, name), "rb") as handle:
+                contents[name] = handle.read()
+        return contents
 
-    def test_first_checkpoint_migrates_to_segments(self, tmp_path):
-        edges, n, batches, data_dir = self.build_v1_dir(tmp_path)
-        resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n))
-        resumed.checkpoint()
-        resumed.close()
-        # The single-file journal and the unversioned checkpoint are
-        # retired; the manifest speaks v2 and points at segments.
-        assert not os.path.exists(
-            os.path.join(str(data_dir), LEGACY_NAME))
-        assert not os.path.exists(
-            os.path.join(str(data_dir), "state.ckpt"))
-        manifest = read_manifest(data_dir)
-        assert manifest["version"] == 2
-        assert manifest["journal"]["format"] == 2
-        assert manifest["journal"]["segments"]
-
-        # And the migrated directory still resumes exactly.
-        reopened = CoreService.open(data_dir,
-                                    GraphStorage.from_edges(edges, n))
-        reference = straight_through(edges, n, batches)
-        assert state_of(reopened) == state_of(reference)
-        assert reopened.verify()
-        reopened.close()
+    def test_open_and_scrub_refuse_without_touching_a_file(self,
+                                                            tmp_path):
+        edges, n, data_dir = self.build(tmp_path)
+        before = self.files(data_dir)
+        with pytest.raises(CorruptStorageError, match="version 1") as info:
+            CoreService.open(data_dir, GraphStorage.from_edges(edges, n))
+        assert info.value.path == os.path.join(data_dir, "manifest.json")
+        assert self.files(data_dir) == before
+        report = scrub_directory(data_dir)
+        assert not report["openable"]
+        assert report["actions"] == []
+        assert [issue["file"] for issue in report["issues"]] \
+            == ["manifest.json"]
+        assert "version 1" in report["issues"][0]["problem"]
+        assert self.files(data_dir) == before
 
 
 class TestKillProcess:
