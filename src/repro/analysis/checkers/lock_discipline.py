@@ -1,4 +1,4 @@
-"""LCK001/LCK002: guarded-by attributes and publication ordering.
+"""LCK001: writes to guarded-by attributes happen under their lock.
 
 LCK001 enforces the guarded-by registry (``config.guarded_attributes``):
 an attribute declared guarded by a lock may only be *written* inside a
@@ -9,11 +9,6 @@ unguarded write sound (e.g. ``EpochSnapshot._drop`` runs strictly after
 the last reference is released).  Reads are deliberately not checked:
 the codebase's published-snapshot pattern makes racy reads of a
 monotonic counter acceptable while racy writes never are.
-
-LCK002 enforces statement *order* between two ``with`` blocks inside
-one method (``config.lock_orderings``), for publication sequences where
-the first block makes state visible and the second depends on it
-having happened (e.g. swap a pointer, then evict what it superseded).
 """
 
 from __future__ import annotations
@@ -69,17 +64,9 @@ class LockDisciplineChecker(Checker):
     rules = {
         "LCK001": "writes to a guarded-by attribute must happen inside "
                   "'with <lock>:'",
-        "LCK002": "publication methods must keep their declared "
-                  "with-block order (swap before invalidate)",
     }
 
     def check(self, project, config):
-        yield from self._check_guards(project, config)
-        yield from self._check_orderings(project, config)
-
-    # -- LCK001 ---------------------------------------------------------
-
-    def _check_guards(self, project, config):
         for relpath, classes in sorted(config.guarded_attributes.items()):
             source = self._find(project, relpath)
             if source is None:
@@ -134,57 +121,6 @@ class LockDisciplineChecker(Checker):
                     yield from self._walk(source, config, classdef,
                                           method, child_body, guards,
                                           held)
-
-    # -- LCK002 ---------------------------------------------------------
-
-    def _check_orderings(self, project, config):
-        for entry in config.lock_orderings:
-            relpath, cls, method_name, first, then, contract = entry
-            source = self._find(project, relpath)
-            if source is None:
-                continue
-            method = self._find_method(source, cls, method_name)
-            if method is None:
-                yield self._emit(
-                    config, "LCK002", source, source.tree,
-                    "ordering contract names %s.%s() but the method "
-                    "does not exist" % (cls, method_name))
-                continue
-            first_line = self._first_with(method, first)
-            then_line = self._first_with(method, then)
-            if first_line is None or then_line is None:
-                missing = first if first_line is None else then
-                yield self._emit(
-                    config, "LCK002", source, method,
-                    "%s.%s() must contain 'with %s:' (%s)"
-                    % (cls, method_name, missing, contract))
-            elif first_line >= then_line:
-                yield self._emit(
-                    config, "LCK002", source, method,
-                    "%s.%s(): 'with %s:' (line %d) must precede "
-                    "'with %s:' (line %d) -- %s"
-                    % (cls, method_name, first, first_line,
-                       then, then_line, contract))
-
-    def _find_method(self, source, cls, method_name):
-        for node in source.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == cls:
-                for item in node.body:
-                    if (isinstance(item, ast.FunctionDef)
-                            and item.name == method_name):
-                        return item
-        return None
-
-    def _first_with(self, method, ctx_text):
-        best = None
-        for node in ast.walk(method):
-            if not isinstance(node, ast.With):
-                continue
-            for item in node.items:
-                if _expr_text(item.context_expr) == ctx_text:
-                    if best is None or node.lineno < best:
-                        best = node.lineno
-        return best
 
 
 def _nested_bodies(stmt):

@@ -35,7 +35,7 @@ IO_SCOPE = (
 )
 
 # ---------------------------------------------------------------------------
-# Lock discipline (LCK001/LCK002).  GuardSpec.lock is the with-context
+# Lock discipline (LCK001).  GuardSpec.lock is the with-context
 # expression, as source text, that must be held around writes to the
 # attribute.  __init__ is always exempt (the object is not yet shared).
 # ---------------------------------------------------------------------------
@@ -87,12 +87,6 @@ GUARDED_ATTRIBUTES = {
         },
     },
 }
-
-#: Publication ordering (LCK002): within the named method, the block
-#: ``with <first>:`` must lexically precede the block ``with <then>:``.
-#: ``CoreService._publish`` holds one lock only (the pointer swap), so
-#: no ordering is declared.
-LOCK_ORDERINGS = ()
 
 # ---------------------------------------------------------------------------
 # Engine parity (ENG001-ENG003).  Every public algorithm entry point
@@ -191,7 +185,6 @@ def default_config():
         io_scope=IO_SCOPE,
         determinism_scope=DETERMINISM_SCOPE,
         guarded_attributes=GUARDED_ATTRIBUTES,
-        lock_orderings=LOCK_ORDERINGS,
         engine_entry_points=ENGINE_ENTRY_POINTS,
         engine_registry_module=ENGINE_REGISTRY_MODULE,
         metric_names=METRIC_NAMES,

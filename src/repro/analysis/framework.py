@@ -147,8 +147,6 @@ class LintConfig:
     determinism_scope: tuple = ()
     #: {relpath: {class: {attr: GuardSpec}}}
     guarded_attributes: dict = field(default_factory=dict)
-    #: [(relpath, class, method, first_ctx, then_ctx, contract), ...]
-    lock_orderings: tuple = ()
     #: [(module, function, algorithm-or-None), ...]
     engine_entry_points: tuple = ()
     #: Module whose ``_load_*`` loaders define the kernel registry.

@@ -20,7 +20,7 @@ values, the post-pass values ``new`` solve the *triangular* system
 because ``v`` depends only on smaller ids.  :func:`_sweep` solves that
 system by fixpoint iteration of batched h-index evaluations: start from
 ``old``, recompute the violating nodes, then keep recomputing any node
-with a smaller-id neighbour that just changed, until nothing moves.
+that a smaller-id neighbour's drop left violating, until nothing moves.
 Values are monotone non-increasing, each sub-round only re-reads the
 in-memory snapshot, and the fixpoint of the batched operator is the
 unique triangular solution -- so each outer pass lands on exactly the
@@ -39,7 +39,25 @@ Every pass-based algorithm runs that one sweep kernel:
   pass runs (``window``): a dropper recruits its larger-id neighbours
   into the same pass.
 
-Eq. 2 support is counted by one kernel, :func:`_support`, and
+Counts are state
+----------------
+Like the paper's SemiCore* with its ``cnt`` array, every pass-based
+run counts Eq. 2 support once (:func:`_support`) and from then on moves
+the counts only by deltas; no pass recounts them.
+
+* Inside a sweep (:func:`_sweep`) ``support[v]`` is the mixed-value
+  support of ``v`` at its current value.  A dropper falling from ``a``
+  to ``b`` costs each larger-id neighbour ``v`` with ``b < x[v] <= a``
+  one unit, and the dropper's own count is read off its h-index
+  histogram at the new value.
+* Between passes (:func:`_refresh_supporting`) the changed rows are
+  recounted and every other node loses one unit per changed neighbour
+  ``u`` with ``new[u] < old[v] <= old[u]``.
+
+So a sweep gathers only its droppers' rows, once per drop, and a
+refresh only the changed rows.  LocalCore is a counting h-index
+(:func:`_h_index`): weights clipped to the row length, one
+``bincount`` histogram, a segmented suffix sum -- no sort.
 :func:`_peel_values` is the one peel (IMCore here, the EMCore
 partitions in :mod:`repro.core.engines.numpy_emcore`).
 
@@ -51,9 +69,11 @@ scan -- so the shared :class:`~repro.storage.blockio.IOStats` advances
 exactly as under the reference engine.  SemiCore* builds its snapshot
 with the same per-node ``neighbors()`` reads the reference issues in
 pass 1 and then replays the (identical, ascending) reads of each later
-pass's processed set.  Model memory is reported honestly: the numpy
-engine *does* hold the snapshot resident, so its figure includes the CSR
-arrays where the reference engine charges only ``O(n)``.
+pass's processed set, both through
+:func:`~repro.storage.csr.read_rows`.  Model memory is reported
+honestly: the numpy engine *does* hold the snapshot resident, so its
+figure includes the CSR arrays where the reference engine charges only
+``O(n)``.
 """
 
 from __future__ import annotations
@@ -65,7 +85,7 @@ import numpy as np
 
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
 from repro.errors import GraphError
-from repro.storage.csr import CSRGraph
+from repro.storage.csr import CSRGraph, read_rows
 
 __all__ = ["semi_core_numpy", "semi_core_plus_numpy",
            "semi_core_star_numpy", "im_core_numpy",
@@ -98,9 +118,9 @@ def _weigh(csr, rows, x, old):
     it precedes ``v`` in scan order and its pass-start value ``old[u]``
     otherwise (plainly ``old[u]`` when ``x is old``).  ``rows=None``
     stands for every row and reads ``csr.indices`` in place, without a
-    gather.  Returns ``(w, owner, local, counts)``: the weights row after
-    row, the owning node and its position in ``rows`` per entry, and the
-    per-row lengths.
+    gather.  Returns ``(nbr, w, owner, local, counts)``: the neighbour
+    ids and their weights row after row, the owning node and its
+    position in ``rows`` per entry, and the per-row lengths.
     """
     if rows is None:
         nbr, counts = csr.indices, csr.degrees()
@@ -108,13 +128,46 @@ def _weigh(csr, rows, x, old):
                                   counts)
     else:
         nbr, counts = _gather_rows(csr.indptr, csr.indices, rows)
-        owner = np.repeat(rows, counts)
         local = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-    if x is old:
-        w = old[nbr]
-    else:
-        w = np.where(nbr < owner, x[nbr], old[nbr])
-    return w, owner, local, counts
+        owner = rows[local]
+    w = old[nbr]
+    if x is not old:
+        earlier = nbr < owner
+        w[earlier] = x[nbr[earlier]]
+    return nbr, w, owner, local, counts
+
+
+def _h_index(w, local, counts, cap):
+    """Per-row h-index of the weights ``w`` (row ``local`` per entry)
+    clamped by ``cap``: the largest ``k <= cap`` with at least ``k``
+    weights ``>= k`` in the row.  Consumes ``w``.
+
+    Counting, not sorting.  No row's answer exceeds its length, so each
+    weight is clipped into ``[0, min(length, cap)]`` and one ``bincount``
+    histograms every row into ``length + 1`` bins laid end to end.  The
+    within-row suffix sum ``S[k]`` counts the weights ``>= k``; it never
+    grows with ``k``, so the bins with ``S[k] >= k`` form the prefix
+    ``0..h`` of their row and ``h`` is their count minus one.  Returns
+    ``(h, S[h])``: the answer and the row's support at it.
+    """
+    if counts.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    size = counts + 1
+    end = np.cumsum(size)
+    base = end - size
+    bound = np.minimum(counts, cap)
+    np.clip(w, 0, np.maximum(bound, 0, out=bound)[local], out=w)
+    w += base[local]
+    excess = np.bincount(w, minlength=int(end[-1]))
+    np.cumsum(excess[::-1], out=excess[::-1])
+    # A row's S is the flat suffix sum minus the part past the row's
+    # end, which is the next row's first flat suffix sum (0 after the
+    # last row); flat position base + k ends up holding S[k] - k.
+    past = np.append(excess[end[:-1]], 0)
+    excess -= np.arange(excess.size, dtype=np.int64)
+    excess -= np.repeat(past - base, size)
+    h = np.add.reduceat(excess >= 0, base, dtype=np.int64) - 1
+    return h, excess[base + h] + h
 
 
 def _local_core_batch(csr, rows, current, old):
@@ -125,57 +178,76 @@ def _local_core_batch(csr, rows, current, old):
     (see :func:`_weigh`); the result is clamped by the owner's
     pass-start value.
     """
-    w, owner, local, counts = _weigh(csr, rows, current, old)
-    np.minimum(w, old[owner], out=w)
-    # Descending sort within each row; rows are already grouped, so the
-    # stable lexsort only permutes inside row blocks.
-    order = np.lexsort((-w, local))
-    ranked = w[order]
-    position = np.arange(ranked.size, dtype=np.int64) - \
-        np.repeat(np.cumsum(counts) - counts, counts)
-    # h-index: within a descending row the positions satisfying
-    # ranked >= position + 1 form a prefix, so counting them is the
-    # largest k with at least k neighbours of value >= k.
-    satisfied = ranked >= position + 1
-    h = np.bincount(local, weights=satisfied, minlength=len(counts))
-    return h.astype(np.int64)
+    _, w, _, local, counts = _weigh(csr, rows, current, old)
+    return _h_index(w, local, counts, old if rows is None else old[rows])[0]
 
 
-def _support(csr, rows, x, old):
-    """Eq. 2 support of ``rows`` (every node when None) under sweep
-    semantics: ``|{u in nbr(v): w(u) >= x[v]}|`` with ``w`` from
-    :func:`_weigh`.  With ``x is old`` this is the plain counter
-    ``|{u in nbr(v): old[u] >= old[v]}|``."""
-    w, owner, local, counts = _weigh(csr, rows, x, old)
-    return np.bincount(local[w >= x[owner]], minlength=len(counts))
+def _support(csr, core):
+    """Eq. 2 count of every node, ``|{u in nbr(v): core[u] >= core[v]}|``,
+    straight from ``csr.indices`` with no gather."""
+    _, w, owner, _, counts = _weigh(csr, None, core, core)
+    return np.bincount(owner[w >= core[owner]], minlength=len(counts))
 
 
-def _refresh_supporting(csr, core, cnt, changed):
-    """Update ``cnt`` in place after ``changed`` nodes dropped.
+def _refresh_supporting(csr, old, new, cnt, changed):
+    """Carry the Eq. 2 counts ``cnt`` from ``old`` to ``new`` in place.
 
-    A node's supporting count (Eq. 2) moves only when its own value or a
-    neighbour's value moves, so refreshing ``changed`` plus its
-    neighbourhood keeps ``cnt`` equal to a full recount at a cost
-    proportional to the frontier instead of the whole graph.
+    ``changed`` lists the nodes whose value dropped; they are the only
+    rows read.  Their counts are recounted, because their threshold
+    moved.  Every other node ``v`` keeps its threshold and loses one
+    unit per changed neighbour ``u`` that fell through it:
+    ``new[u] < old[v] <= old[u]``.
     """
     if changed.size == 0:
         return
-    nbr, _ = _gather_rows(csr.indptr, csr.indices, changed)
-    mark = np.zeros(csr.num_nodes, dtype=bool)
-    mark[changed] = True
-    mark[nbr] = True
-    affected = np.flatnonzero(mark)
-    cnt[affected] = _support(csr, affected, core, core)
+    nbr, w, owner, local, counts = _weigh(csr, changed, new, new)
+    below, above = new[owner], old[owner]
+    cnt[changed] = np.bincount(local[w >= below], minlength=len(counts))
+    value = old[nbr]
+    crossed = (w == value) & (below < value) & (value <= above)
+    cnt -= np.bincount(nbr[crossed], minlength=cnt.size)
 
 
-def _sweep(csr, old, active, *, limit=None, window=None):
+def _drop(csr, active, x, old, support, limit):
+    """Drop every ``active`` node to its LocalCore value in ``x``.
+
+    The rows of ``active`` are gathered once, for the h-index and for
+    what the drops do to the nodes ahead of them.  A dropper's
+    ``support`` becomes its row's count at the new value, under the
+    weights it was just evaluated against.  Returns ``(larger,
+    crossed)``: the larger-id neighbours below ``limit``, one per arc,
+    and, again one per arc, those whose current value the dropper fell
+    through: ``b < x[v] <= a`` for a drop from ``a`` to ``b``.
+    """
+    nbr, w, owner, local, counts = _weigh(csr, active, x, old)
+    above = x[active]
+    below, support[active] = _h_index(w, local, counts, old[active])
+    x[active] = below
+    ahead = nbr > owner
+    if limit is not None:
+        ahead &= nbr < limit
+    larger = nbr[ahead]
+    local = local[ahead]
+    value = x[larger]
+    return larger, larger[(below[local] < value) & (value <= above[local])]
+
+
+def _sweep(csr, old, supporting, active, *, limit=None, window=None):
     """Exact result of one ascending Gauss-Seidel sweep, vectorized.
 
-    ``old`` holds the pass-start values and ``active`` the nodes that
-    violate Theorem 4.1 against them: the only ones the sweep can move
-    first.  Everything else joins the active set when a smaller-id
-    neighbour drops.  Violators drop by definition, so every active node
-    gets the full h-index treatment.
+    ``old`` holds the pass-start values, ``supporting`` their Eq. 2
+    counts and ``active`` the nodes that violate Eq. 2 against them: the
+    only ones the sweep can move first.  Everything else joins the
+    active set when a smaller-id neighbour drops.  An active node drops
+    by definition, so every active node gets the full h-index treatment.
+
+    The counts are state, never recounted.  ``support[v]`` is the
+    mixed-value support of ``v`` at its current value ``x[v]``: the
+    neighbours ``u < v`` weighed at ``x[u]``, the rest at ``old[u]``.  A
+    dropper takes its count from its own h-index histogram, and a
+    dropper falling from ``a`` to ``b`` costs each larger-id neighbour
+    ``v`` with ``b < x[v] <= a`` one unit.  Those are the only moves,
+    so a sweep reads nothing but its droppers' rows, once per drop.
 
     ``limit`` restricts the sweep to rows below it: rows at or past
     ``limit`` are read like any neighbour but never recomputed (the
@@ -186,36 +258,28 @@ def _sweep(csr, old, active, *, limit=None, window=None):
     recruits its larger neighbours" -- the reference's processed set.
     The fixpoint is monotone -- values only decrease as the active set
     grows -- so it lands on exactly the sequential pass's state.
-    Returns the post-pass values without mutating ``old``.
+    Returns the post-pass values without mutating ``old`` or
+    ``supporting``.
     """
     x = old.copy()
+    support = supporting.copy()
     mark = np.zeros(csr.num_nodes, dtype=bool)
     while active.size:
-        h = _local_core_batch(csr, active, x, old)
-        dropped = h < x[active]
-        changed = active[dropped]
-        if changed.size == 0:
-            break
-        x[changed] = h[dropped]
         # Larger-id neighbours of just-changed nodes are the only nodes
         # the sweep still has in front of it ...
-        nbr, counts = _gather_rows(csr.indptr, csr.indices, changed)
-        larger = nbr[nbr > np.repeat(changed, counts)]
-        if limit is not None:
-            larger = larger[larger < limit]
+        larger, crossed = _drop(csr, active, x, old, support, limit)
         if larger.size == 0:
             break
         if window is not None:
             window[larger] = True
+        support -= np.bincount(crossed, minlength=support.size)
         mark[larger] = True
         candidates = np.flatnonzero(mark)
         mark[candidates] = False
-        # ... and of those, exactly the ones whose mixed-value support
-        # falls short of their current value will drop (LocalCore(v) <
-        # x[v] iff fewer than x[v] neighbours weigh in at >= x[v]), so
-        # the expensive h-index runs only on true droppers.
-        support = _support(csr, candidates, x, old)
-        active = candidates[support < x[candidates]]
+        # ... and of those, exactly the ones whose support falls short
+        # of their current value will drop (LocalCore(v) < x[v] iff
+        # fewer than x[v] neighbours weigh in at >= x[v]).
+        active = candidates[support[candidates] < x[candidates]]
     return x
 
 
@@ -279,38 +343,13 @@ def _replay_neighbor_reads(graph, nodes):
 
     The snapshot already holds the adjacency, but the semi-external model
     charges every pass for reading it from the device; replaying the
-    identical ascending read sequence keeps the shared ``IOStats`` (and
-    its one-block cache behaviour) bit-identical to the reference run.
-    Graphs without I/O accounting skip the replay entirely.
-
-    Graphs that expose their block devices take a fast path issuing the
-    exact ``read_at`` calls of ``GraphStorage.neighbors`` (node entry,
-    then the adjacency span for non-empty rows) without materializing
-    the neighbour arrays the snapshot already holds.
+    identical ascending read sequence (:func:`~repro.storage.csr.
+    read_rows`) keeps the shared ``IOStats`` (and its one-block cache
+    behaviour) bit-identical to the reference run.  Graphs without I/O
+    accounting skip the replay entirely.
     """
-    if getattr(graph, "io_stats", None) is None:
-        return
-    nodes_dev = getattr(graph, "node_device", None)
-    edges_dev = getattr(graph, "edge_device", None)
-    if nodes_dev is None or edges_dev is None:
-        for v in nodes:
-            graph.neighbors(int(v))
-        return
-    from repro.storage import layout
-
-    read_node = nodes_dev.read_at
-    read_edge = edges_dev.read_at
-    unpack = layout.unpack_node_entry
-    entry_size = layout.NODE_ENTRY_SIZE
-    edge_size = layout.EDGE_ENTRY_SIZE
-    # tolist() keeps plain ints flowing into the device offsets (and
-    # from there into the shared IOStats counters).
-    for v in (nodes.tolist() if hasattr(nodes, "tolist") else nodes):
-        offset, degree = unpack(
-            read_node(layout.node_entry_position(v), entry_size))
-        if degree:
-            read_edge(layout.edge_entry_position(offset),
-                      degree * edge_size)
+    if getattr(graph, "io_stats", None) is not None:
+        read_rows(graph, nodes.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -339,11 +378,11 @@ def semi_core_numpy(graph, *, initial_cores=None, trace_changes=False,
         if csr.num_arcs > max_arcs:
             max_arcs = csr.num_arcs
         if cnt is None:
-            cnt = _support(csr, None, core, core)
-        new = _sweep(csr, core, np.flatnonzero(cnt < core))
+            cnt = _support(csr, core)
+        new = _sweep(csr, core, cnt, np.flatnonzero(cnt < core))
         changed_ids = np.flatnonzero(new != core)
+        _refresh_supporting(csr, core, new, cnt, changed_ids)
         core = new
-        _refresh_supporting(csr, core, cnt, changed_ids)
         changed = int(changed_ids.size)
         iterations += 1
         computations += n
@@ -401,18 +440,20 @@ def semi_core_plus_numpy(graph, *, initial_cores=None, trace_changes=False,
     while scheduled.size:
         iterations += 1
         if csr is None:
-            csr = CSRGraph.from_rows(scheduled, n, graph.neighbors)
+            csr = CSRGraph.from_rows(graph, scheduled)
             num_arcs = csr.num_arcs
+            cnt = _support(csr, core)
         # Every scheduled node is recomputed (SemiCore+ counts them
         # all), but a scheduled node drops iff it violates Theorem 4.1
         # against the pass-start values, so only those enter the sweep.
         window = np.zeros(n, dtype=bool)
         window[scheduled] = True
-        support = _support(csr, scheduled, core, core)
-        new = _sweep(csr, core, scheduled[support < core[scheduled]],
+        new = _sweep(csr, core, cnt,
+                     scheduled[cnt[scheduled] < core[scheduled]],
                      window=window)
         processed = np.flatnonzero(window)
         changed_ids = np.flatnonzero(new != core)
+        _refresh_supporting(csr, core, new, cnt, changed_ids)
         core = new
         computations += int(processed.size)
         if iterations > 1:
@@ -456,14 +497,14 @@ def _converge_star_passes(graph, csr, core, *, first=None, limit=None,
     ``changes`` / ``computed_log`` traces when given.  Returns ``(core,
     cnt, iterations, computations)``.
     """
-    supporting = _support(csr, None, core, core)
+    supporting = _support(csr, core)
     active = np.flatnonzero(supporting[:limit] < core[:limit])
     iterations = 0
     computations = 0
     while True:
         iterations += 1
         old = core
-        core = _sweep(csr, old, active, limit=limit)
+        core = _sweep(csr, old, supporting, active, limit=limit)
         changed_ids = np.flatnonzero(core != old)
         if iterations == 1 and first is not None:
             processed = first
@@ -476,7 +517,7 @@ def _converge_star_passes(graph, csr, core, *, first=None, limit=None,
             changes.append(int(changed_ids.size))
         if computed_log is not None:
             computed_log.append([int(v) for v in processed])
-        _refresh_supporting(csr, core, supporting, changed_ids)
+        _refresh_supporting(csr, old, core, supporting, changed_ids)
         active = np.flatnonzero(supporting[:limit] < core[:limit])
         if not active.size:
             return core, supporting, iterations, computations
@@ -506,7 +547,7 @@ def semi_core_star_numpy(graph, *, initial_cores=None, trace_changes=False,
         # Pass 1 reads exactly the rows the reference recomputes, with
         # its ascending per-node ``neighbors()`` reads (rows it never
         # reads stay empty).
-        csr = CSRGraph.from_rows(first, n, graph.neighbors)
+        csr = CSRGraph.from_rows(graph, first)
         num_arcs = csr.num_arcs
         core, cnt, iterations, computations = _converge_star_passes(
             graph, csr, core, first=first,

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.storage import layout
-from repro.storage.graphstore import SCAN_CHUNK_BYTES
+from repro.storage.graphstore import NODE_ENTRY_DTYPE, SCAN_CHUNK_BYTES
 
 
 class CSRGraph:
@@ -77,7 +77,6 @@ class CSRGraph:
         edges_dev = storage.edge_device
         n = storage.num_nodes
         stop = n if stop is None else stop
-        entry_dtype = np.dtype([("offset", "<u8"), ("degree", "<u4")])
         entries_per_chunk = max(1, chunk_bytes // layout.NODE_ENTRY_SIZE)
         degree_parts = []
         payload = []
@@ -88,7 +87,7 @@ class CSRGraph:
                 layout.node_entry_position(v),
                 batch * layout.NODE_ENTRY_SIZE,
             )
-            entries = np.frombuffer(node_data, dtype=entry_dtype)
+            entries = np.frombuffer(node_data, dtype=NODE_ENTRY_DTYPE)
             degrees = entries["degree"].astype(np.int64)
             degree_parts.append(degrees)
             sizes = degrees * layout.EDGE_ENTRY_SIZE
@@ -149,26 +148,20 @@ class CSRGraph:
         return cls(indptr, indices)
 
     @classmethod
-    def from_rows(cls, rows, num_nodes, adjacency):
-        """Build a snapshot holding adjacency for ``rows`` only.
+    def from_rows(cls, graph, rows):
+        """Build a snapshot of ``graph`` holding adjacency for ``rows`` only.
 
-        ``adjacency`` maps each listed row to its neighbour sequence;
-        every other row is empty.  Rows are visited in ascending id order
-        (the payload must be laid out in id order).  The NumPy SemiCore*
-        engine uses this to snapshot exactly the nodes the reference
-        algorithm reads, in exactly the order it reads them.
+        Every other row is empty.  Rows are read in ascending id order
+        with the reads of ``graph.neighbors`` (see :func:`read_rows`).
+        The NumPy SemiCore* and SemiCore+ engines use this to snapshot
+        exactly the nodes the reference algorithm reads, in exactly the
+        order it reads them.
         """
-        degrees = np.zeros(num_nodes, dtype=np.int64)
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        degrees = np.zeros(graph.num_nodes, dtype=np.int64)
         payload = []
-        for v in sorted(int(r) for r in rows):
-            nbrs = adjacency(v)
-            degrees[v] = len(nbrs)
-            if len(nbrs):
-                if not isinstance(nbrs, array) or \
-                        nbrs.typecode != layout.EDGE_TYPECODE:
-                    nbrs = array(layout.EDGE_TYPECODE, nbrs)
-                payload.append(nbrs.tobytes())
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        degrees[rows] = read_rows(graph, rows.tolist(), payload)
+        indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         indices = np.frombuffer(b"".join(payload), dtype=np.uint32)
         return cls(indptr, indices)
@@ -200,3 +193,43 @@ class CSRGraph:
 
     def __repr__(self):
         return "CSRGraph(n=%d, m=%d)" % (self.num_nodes, self.num_edges)
+
+
+def read_rows(graph, rows, payload=None):
+    """Issue the reads of ``graph.neighbors(v)`` for each ``v`` in ``rows``.
+
+    A graph that exposes its block devices gets the exact ``read_at``
+    calls of :meth:`~repro.storage.graphstore.GraphStorage.neighbors`
+    -- the node entry, then the adjacency span of a non-empty row --
+    straight on ``node_device`` / ``edge_device``, with no per-row array
+    built; any other graph is asked for ``neighbors(v)``.  Either way
+    the shared ``IOStats`` advance exactly as under per-node
+    ``neighbors()`` calls.  Returns the rows' degrees as a list and,
+    when ``payload`` is a list, appends each non-empty row's adjacency
+    bytes to it.  ``rows`` should hold plain ints.
+    """
+    degrees = []
+    if not (hasattr(graph, "node_device") and hasattr(graph, "edge_device")):
+        for v in rows:
+            nbrs = graph.neighbors(v)
+            degrees.append(len(nbrs))
+            if payload is not None and len(nbrs):
+                payload.append(array(layout.EDGE_TYPECODE, nbrs).tobytes())
+        return degrees
+    read_node = graph.node_device.read_at
+    read_edge = graph.edge_device.read_at
+    unpack = layout.unpack_node_entry
+    entry_size = layout.NODE_ENTRY_SIZE
+    edge_size = layout.EDGE_ENTRY_SIZE
+    node_base = layout.node_entry_position(0)
+    edge_base = layout.edge_entry_position(0)
+    for v in rows:
+        offset, degree = unpack(read_node(node_base + v * entry_size,
+                                          entry_size))
+        degrees.append(degree)
+        if degree:
+            data = read_edge(edge_base + offset * edge_size,
+                             degree * edge_size)
+            if payload is not None:
+                payload.append(data)
+    return degrees

@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 from array import array
 
+import numpy as np
+
 from repro.errors import GraphError, StorageError
 from repro.storage import layout
 from repro.storage.blockio import (
@@ -34,6 +36,9 @@ EDGE_SUFFIX = ".edges"
 SCAN_CHUNK_BYTES = 1 << 18
 
 _DEFAULT_CHUNK_BYTES = SCAN_CHUNK_BYTES
+
+#: A node-table entry (see :mod:`repro.storage.layout`) for bulk decoding.
+NODE_ENTRY_DTYPE = np.dtype([("offset", "<u8"), ("degree", "<u4")])
 
 
 class GraphStorage:
@@ -215,20 +220,19 @@ class GraphStorage:
 
     def read_degrees(self):
         """All degrees via one sequential scan of the node table."""
-        degrees = array("i", bytes(4 * self.num_nodes))
+        parts = []
         position = layout.HEADER_SIZE
         remaining = self.num_nodes
-        v = 0
         entries_per_chunk = max(1, _DEFAULT_CHUNK_BYTES // layout.NODE_ENTRY_SIZE)
         while remaining:
             batch = min(remaining, entries_per_chunk)
             data = self._nodes.read_at(position, batch * layout.NODE_ENTRY_SIZE)
-            for i in range(batch):
-                degrees[v] = layout.unpack_node_entry(
-                    data, i * layout.NODE_ENTRY_SIZE)[1]
-                v += 1
+            parts.append(np.frombuffer(data, dtype=NODE_ENTRY_DTYPE)["degree"])
             position += batch * layout.NODE_ENTRY_SIZE
             remaining -= batch
+        degrees = array("i")
+        if parts:
+            degrees.frombytes(np.concatenate(parts).astype(np.int32).tobytes())
         return degrees
 
     def iter_adjacency_chunks(self, start=0, stop=None,

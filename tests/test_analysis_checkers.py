@@ -81,7 +81,7 @@ def rule_ids_of(findings):
 
 
 # ---------------------------------------------------------------------------
-# LCK001 / LCK002
+# LCK001
 # ---------------------------------------------------------------------------
 
 LCK_GUARDS = {
@@ -157,51 +157,6 @@ def test_lck001_suppressed(tmp_path):
     }, lck_config(), "lock-discipline")
     assert result.findings == []
     assert rule_ids_of(result.suppressed) == ["LCK001"]
-
-
-LCK_ORDERING = (
-    ("pkg/svc.py", "Service", "_publish", "self._swap", "self._cache",
-     "swap before invalidate"),
-)
-
-
-def test_lck002_correct_order_is_clean(tmp_path):
-    result = lint(tmp_path, {
-        "svc.py": (
-            "class Service:\n"
-            "    def _publish(self):\n"
-            "        with self._swap:\n"
-            "            self.snap = 1\n"
-            "        with self._cache:\n"
-            "            self.evict = 1\n"),
-    }, LintConfig(lock_orderings=LCK_ORDERING), "lock-discipline")
-    assert result.findings == []
-
-
-def test_lck002_swapped_order_is_flagged(tmp_path):
-    result = lint(tmp_path, {
-        "svc.py": (
-            "class Service:\n"
-            "    def _publish(self):\n"
-            "        with self._cache:\n"
-            "            self.evict = 1\n"
-            "        with self._swap:\n"
-            "            self.snap = 1\n"),
-    }, LintConfig(lock_orderings=LCK_ORDERING), "lock-discipline")
-    assert rule_ids(result) == ["LCK002"]
-    assert "must precede" in result.findings[0].message
-
-
-def test_lck002_missing_block_is_flagged(tmp_path):
-    result = lint(tmp_path, {
-        "svc.py": (
-            "class Service:\n"
-            "    def _publish(self):\n"
-            "        with self._swap:\n"
-            "            self.snap = 1\n"),
-    }, LintConfig(lock_orderings=LCK_ORDERING), "lock-discipline")
-    assert rule_ids(result) == ["LCK002"]
-    assert "self._cache" in result.findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_run_lint_refuses_unparsable_tree(tmp_path):
 def test_all_rules_covers_every_documented_rule():
     table = {rule_id for rule_id, _desc, _checker in all_rules()}
     assert table == {
-        "IO001", "LCK001", "LCK002", "ENG001", "ENG002", "ENG003",
+        "IO001", "LCK001", "ENG001", "ENG002", "ENG003",
         "EXC001", "EXC002", "OBS001", "OBS002", "OBS003",
         "DET001", "DET002", "SUP001", "SUP002",
     }

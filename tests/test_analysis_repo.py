@@ -37,7 +37,7 @@ def test_shipped_tree_has_zero_suppressions(repo_result):
 def test_shipped_tree_scans_the_whole_package(repo_result):
     assert repo_result.stats["files_scanned"] >= 70
     assert repo_result.stats["checkers_run"] == 6
-    assert repo_result.stats["rules_run"] == 15
+    assert repo_result.stats["rules_run"] == 14
 
 
 def test_engine_registry_resolves_real_kernel_pairs():

@@ -6,7 +6,7 @@ np = pytest.importorskip("numpy")
 
 from repro.datasets import generators
 from repro.errors import ReproError
-from repro.storage.csr import CSRGraph
+from repro.storage.csr import CSRGraph, read_rows
 from repro.storage.graphstore import GraphStorage
 from repro.storage.memgraph import MemoryGraph
 
@@ -68,8 +68,7 @@ class TestStructure:
             CSRGraph(np.array([0, 3]), np.array([1], dtype=np.uint32))
 
     def test_from_rows_partial_snapshot(self, paper_storage):
-        csr = CSRGraph.from_rows([0, 3, 8], paper_storage.num_nodes,
-                                 paper_storage.neighbors)
+        csr = CSRGraph.from_rows(paper_storage, [8, 0, 3])
         assert list(csr.neighbors(3)) == list(paper_storage.neighbors(3))
         assert list(csr.neighbors(1)) == []  # row not snapshotted
 
@@ -130,6 +129,44 @@ class TestIOAccounting:
         build.io_stats.reset()
         CSRGraph.from_storage(build)
         assert build.io_stats == reference.io_stats
+
+    @pytest.mark.parametrize("block_size", [64, 512, 4096])
+    def test_row_reads_match_neighbors(self, rng, block_size):
+        """``from_rows`` and ``read_rows`` replay ``neighbors()`` read for
+        read: same I/O figures, same one-block cache state after."""
+        for _ in range(3):
+            n = rng.randint(1, 60)
+            edges = make_random_edges(rng, n, 0.2)
+            rows = sorted(rng.sample(range(n), rng.randint(0, n)))
+            for build in (
+                    lambda g: CSRGraph.from_rows(g, rows),
+                    lambda g: read_rows(g, rows),
+                    lambda g: read_rows(g, rows, [])):
+                reference, graph = (
+                    GraphStorage.from_edges(edges, n, block_size=block_size)
+                    for _ in range(2))
+                reference.io_stats.reset()
+                expected = [list(reference.neighbors(v)) for v in rows]
+                graph.io_stats.reset()
+                built = build(graph)
+                assert graph.io_stats == reference.io_stats
+                for v in rows:  # the cached block is the same one too
+                    graph.neighbors(v)
+                    reference.neighbors(v)
+                    assert graph.io_stats == reference.io_stats
+            assert built == [len(nbrs) for nbrs in expected]
+            csr = CSRGraph.from_rows(graph, rows)
+            assert [list(csr.neighbors(v)) for v in rows] == expected
+
+    def test_row_reads_without_devices(self, paper_graph):
+        edges, n = paper_graph
+        graph = MemoryGraph.from_edges(edges, n)
+        payload = []
+        assert read_rows(graph, [1, 4], payload) == \
+            [len(graph.neighbors(1)), len(graph.neighbors(4))]
+        csr = CSRGraph.from_rows(graph, [4, 1])
+        assert list(csr.neighbors(4)) == list(graph.neighbors(4))
+        assert list(csr.neighbors(0)) == []
 
     def test_memory_graph_charges_nothing(self, paper_graph):
         edges, n = paper_graph
