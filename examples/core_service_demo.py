@@ -58,7 +58,7 @@ def main():
         del service
 
         # Restart: load the checkpoint, replay the journal tail.
-        resumed = CoreService.open(data_dir, engine=engine)
+        resumed = CoreService.open(data_dir)
         assert list(resumed.maintainer.cores) == crashed_state[0]
         assert resumed.epoch == crashed_state[1]
         assert resumed.verify()

@@ -11,10 +11,11 @@ must expose exactly the reference kernel's parameters minus ``engine``
 (same names, same order, same keyword-onlyness, same default-ness).
 Signature drift is how an engine silently stops being interchangeable.
 
-ENG003 -- the registry's declared surface (the ``ENGINE_AWARE_*`` /
-``ENGINE_KERNELS`` constants), the reference loader's keys, and the
-entry-point table all name the same algorithm set; any drift means the
-docs, the dispatch table, or this lint config went stale.
+ENG003 -- the registry's declared surface (the
+``ENGINE_AWARE_ALGORITHMS`` / ``ENGINE_KERNELS`` constants), the
+reference loader's keys, and the entry-point table all name the same
+algorithm set; any drift means the docs, the dispatch table, or this
+lint config went stale.
 
 Everything is resolved purely from the AST -- the checker never imports
 the checked code, so it runs identically with or without numpy.
@@ -217,8 +218,7 @@ class EngineParityChecker(Checker):
     def _check_surface(self, project, config, registry):
         declared = []
         anchor = registry.tree
-        for constant in ("ENGINE_AWARE_ALGORITHMS", "ENGINE_KERNELS",
-                         "ENGINE_AWARE_MAINTENANCE"):
+        for constant in ("ENGINE_AWARE_ALGORITHMS", "ENGINE_KERNELS"):
             values, node = _tuple_constant(registry.tree, constant)
             if values is not None:
                 declared.extend(values)

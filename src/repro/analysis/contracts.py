@@ -103,9 +103,6 @@ ENGINE_ENTRY_POINTS = (
     ("repro.core.imcore", "im_core", "imcore"),
     ("repro.core.distributed", "distributed_core", "distributed"),
     ("repro.core.sharded", "sharded_semi_core_star", "shard-pass"),
-    ("repro.core.maintenance.insert", "semi_insert", "insert"),
-    ("repro.core.maintenance.insert_star", "semi_insert_star", "insert*"),
-    ("repro.core.maintenance.delete_star", "semi_delete_star", "delete*"),
 )
 
 ENGINE_REGISTRY_MODULE = "repro.core.engines"

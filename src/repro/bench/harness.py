@@ -92,7 +92,7 @@ def summarize_maintenance(results):
 
 
 def maintenance_trial(storage, *, num_edges=100, seed=0,
-                      include_inmemory=True, engine=None):
+                      include_inmemory=True):
     """The Fig. 10 protocol on one graph.
 
     Deletes ``num_edges`` sampled edges one by one (SemiDelete*), then
@@ -101,16 +101,11 @@ def maintenance_trial(storage, *, num_edges=100, seed=0,
     re-running the deletions).  With ``include_inmemory`` the protocol is
     repeated on a resident copy with IMDelete / IMInsert.
 
-    ``engine`` routes every semi-external maintenance operation (and the
-    seeding SemiCore* run) through the named execution engine; all
-    engines apply identical state transitions, so the summaries differ
-    only in wall-clock time.
-
     Returns ``{algorithm: summary dict}``.
     """
     edges = sample_existing_edges(storage, num_edges, seed)
     graph = DynamicGraph(storage, buffer_capacity=None)
-    maintainer = CoreMaintainer.from_graph(graph, engine=engine)
+    maintainer = CoreMaintainer.from_graph(graph)
 
     summaries = {}
 

@@ -187,7 +187,6 @@ def _cmd_serve(args):
     if args.data_dir and os.path.exists(
             os.path.join(args.data_dir, "manifest.json")):
         service = CoreService.open(args.data_dir, storage,
-                                   engine=args.engine,
                                    segment_events=args.segment_events)
         print("resumed service from %s at epoch %d"
               % (args.data_dir, service.epoch))
@@ -568,7 +567,7 @@ def build_parser():
     p.add_argument("--algorithm", default="star",
                    choices=["star", "two-phase"])
     p.add_argument("--engine", default=None, choices=engine_names(),
-                   help="execution engine for the maintenance kernels "
+                   help="engine for the seeding decomposition "
                         "(default: the reference python engine)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_maintain)
@@ -587,7 +586,7 @@ def build_parser():
                             "emcore", "imcore"],
                    help="decomposition algorithm seeding the index")
     p.add_argument("--engine", default=None, choices=engine_names(),
-                   help="execution engine for seeding and maintenance")
+                   help="engine for the seeding decomposition")
     p.add_argument("--data-dir",
                    help="journal + checkpoint directory (resumed when it "
                         "already holds a manifest)")

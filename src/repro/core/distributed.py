@@ -18,9 +18,8 @@ from __future__ import annotations
 import time
 from array import array
 
-from repro.core.locality import local_core
+from repro.core.locality import initial_bounds, local_core
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
-from repro.errors import GraphError
 
 
 def distributed_core(graph, *, initial_cores=None, trace_changes=False,
@@ -46,15 +45,7 @@ def distributed_core(graph, *, initial_cores=None, trace_changes=False,
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     n = graph.num_nodes
-    if initial_cores is None:
-        core = graph.read_degrees()
-    else:
-        if len(initial_cores) != n:
-            raise GraphError(
-                "initial_cores has %d entries, expected %d"
-                % (len(initial_cores), n)
-            )
-        core = array("i", initial_cores)
+    core = initial_bounds(graph, initial_cores)
 
     changes = [] if trace_changes else None
     rounds = 0

@@ -3,14 +3,15 @@
 An *engine* is a set of interchangeable kernel implementations keyed by
 algorithm name: the decomposition family (``"semicore"``,
 ``"semicore+"``, ``"semicore*"``, ``"emcore"``, ``"imcore"``,
-``"distributed"``), the maintenance operations (``"insert"``,
-``"insert*"``, ``"delete*"``), and orchestrated kernels such as
-``"shard-pass"`` (the per-shard sweep driven by
+``"distributed"``) and orchestrated kernels such as ``"shard-pass"``
+(the per-shard sweep driven by
 :func:`repro.core.sharded.sharded_semi_core_star`).
 The registry decouples the algorithm API (``semi_core(graph,
-engine=...)``, ``CoreMaintainer(..., engine=...)``) from how the
-per-node work is executed, so future backends (GPU, distributed) plug
-in without touching the algorithm modules again.
+engine=...)``) from how the per-node work is executed, so future
+backends (GPU, distributed) plug in without touching the algorithm
+modules again.  The maintenance algorithms (Algorithms 6-8) have one
+implementation only: they touch small candidate sets discovered one
+node at a time, which leaves nothing for a batch kernel to vectorize.
 
 Two engines ship today:
 
@@ -50,11 +51,6 @@ ENGINE_AWARE_ALGORITHMS = ("semicore", "semicore+", "semicore*", "emcore",
 #: (``"shard-pass"`` runs under :func:`repro.core.sharded.
 #: sharded_semi_core_star`).
 ENGINE_KERNELS = ("shard-pass",)
-
-#: Maintenance operation names resolvable through the registry
-#: (routed via the maintenance functions' ``engine=`` argument and
-#: :class:`~repro.core.maintenance.maintainer.CoreMaintainer`).
-ENGINE_AWARE_MAINTENANCE = ("insert", "insert*", "delete*")
 
 
 class EngineSpec:
@@ -131,9 +127,6 @@ def _load_python() -> dict[str, Kernel]:
     from repro.core.distributed import distributed_core
     from repro.core.emcore import em_core
     from repro.core.imcore import im_core
-    from repro.core.maintenance.delete_star import semi_delete_star
-    from repro.core.maintenance.insert import semi_insert
-    from repro.core.maintenance.insert_star import semi_insert_star
     from repro.core.semicore import semi_core
     from repro.core.semicore_plus import semi_core_plus
     from repro.core.semicore_star import semi_core_star
@@ -147,18 +140,11 @@ def _load_python() -> dict[str, Kernel]:
         "imcore": im_core,
         "distributed": distributed_core,
         "shard-pass": shard_pass_python,
-        "insert": semi_insert,
-        "insert*": semi_insert_star,
-        "delete*": semi_delete_star,
     }
 
 
 def _load_numpy() -> dict[str, Kernel]:
-    from repro.core.engines import (
-        numpy_emcore,
-        numpy_engine,
-        numpy_maintenance,
-    )
+    from repro.core.engines import numpy_emcore, numpy_engine
 
     return {
         "semicore": numpy_engine.semi_core_numpy,
@@ -168,9 +154,6 @@ def _load_numpy() -> dict[str, Kernel]:
         "imcore": numpy_engine.im_core_numpy,
         "distributed": numpy_engine.distributed_core_numpy,
         "shard-pass": numpy_engine.shard_pass_numpy,
-        "insert": numpy_maintenance.semi_insert_numpy,
-        "insert*": numpy_maintenance.semi_insert_star_numpy,
-        "delete*": numpy_maintenance.semi_delete_star_numpy,
     }
 
 

@@ -83,6 +83,7 @@ from array import array
 
 import numpy as np
 
+from repro.core.locality import initial_bounds
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
 from repro.errors import GraphError
 from repro.storage.csr import CSRGraph, read_rows
@@ -320,15 +321,7 @@ def _peel_values(indptr, indices, eff):
 
 def _initial_cores(graph, initial_cores):
     """The pass-0 upper bound as an int64 array (degrees by default)."""
-    n = graph.num_nodes
-    if initial_cores is None:
-        return np.asarray(graph.read_degrees(), dtype=np.int64)
-    if len(initial_cores) != n:
-        raise GraphError(
-            "initial_cores has %d entries, expected %d"
-            % (len(initial_cores), n)
-        )
-    return np.asarray(initial_cores, dtype=np.int64)
+    return np.asarray(initial_bounds(graph, initial_cores), dtype=np.int64)
 
 
 def _as_core_array(values):

@@ -12,6 +12,37 @@ increase during the fixpoint iteration).
 
 from __future__ import annotations
 
+from array import array
+
+from repro.errors import GraphError
+
+
+def initial_bounds(graph, initial_cores):
+    """The pass-0 upper bound on every core number, as ``array('i')``.
+
+    The degrees when ``initial_cores`` is ``None``; otherwise a copy of
+    ``initial_cores``, which must hold one non-negative entry per node
+    (Section IV-A: any pointwise upper bound converges).  Every engine
+    takes its bound from here, so all of them reject the same inputs
+    with :class:`~repro.errors.GraphError`.
+    """
+    if initial_cores is None:
+        return graph.read_degrees()
+    n = graph.num_nodes
+    if len(initial_cores) != n:
+        raise GraphError(
+            "initial_cores has %d entries, expected %d"
+            % (len(initial_cores), n)
+        )
+    core = array("i", initial_cores)
+    low = min(core, default=0)
+    if low < 0:
+        raise GraphError(
+            "initial_cores[%d] is %d; core bounds must be non-negative"
+            % (core.index(low), low)
+        )
+    return core
+
 
 def local_core(core, neighbors, cold):
     """One application of Eq. 1 for a node with current value ``cold``.

@@ -15,7 +15,7 @@ from repro.core.result import MaintenanceResult, io_delta, io_snapshot
 from repro.core.semicore_star import converge_star
 
 
-def semi_delete_star(graph, core, cnt, u, v, *, validate=True, engine=None):
+def semi_delete_star(graph, core, cnt, u, v, *, validate=True):
     """Delete edge (u, v) and incrementally repair ``core``/``cnt``.
 
     ``graph`` must support ``delete_edge`` and the storage read protocol
@@ -23,15 +23,8 @@ def semi_delete_star(graph, core, cnt, u, v, *, validate=True, engine=None):
     :class:`~repro.storage.MemoryGraph`).  ``core`` and ``cnt`` are the
     in-memory arrays produced by
     :func:`~repro.core.semicore_star.semi_core_star`; both are updated in
-    place.  ``engine`` selects an execution engine from
-    :mod:`repro.core.engines`; every engine applies the identical state
-    transition and reports identical counters and I/O.
+    place.
     """
-    if engine is not None and engine != "python":
-        from repro.core.engines import engine_implementation
-
-        return engine_implementation(engine, "delete*")(
-            graph, core, cnt, u, v, validate=validate)
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     if hasattr(graph, "delete_edge"):
@@ -53,7 +46,7 @@ def semi_delete_star(graph, core, cnt, u, v, *, validate=True, engine=None):
         cnt[v] -= 1
         seeds = (u, v)
 
-    stats = converge_star(graph, core, cnt, seeds)
+    stats = converge_star(graph, core, cnt, seeds, trace_passes=False)
 
     return MaintenanceResult(
         algorithm="SemiDelete*",

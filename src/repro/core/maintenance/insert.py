@@ -24,19 +24,8 @@ from repro.core.result import MaintenanceResult, io_delta, io_snapshot
 from repro.core.semicore_star import converge_star
 
 
-def semi_insert(graph, core, cnt, u, v, *, validate=True, engine=None):
-    """Insert edge (u, v) and incrementally repair ``core``/``cnt``.
-
-    ``engine`` selects an execution engine from
-    :mod:`repro.core.engines` (default ``"python"``, the reference
-    implementation below); every engine applies the identical state
-    transition and reports identical counters and I/O.
-    """
-    if engine is not None and engine != "python":
-        from repro.core.engines import engine_implementation
-
-        return engine_implementation(engine, "insert")(
-            graph, core, cnt, u, v, validate=validate)
+def semi_insert(graph, core, cnt, u, v, *, validate=True):
+    """Insert edge (u, v) and incrementally repair ``core``/``cnt``."""
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     try:
@@ -87,7 +76,7 @@ def semi_insert(graph, core, cnt, u, v, *, validate=True, engine=None):
     # ------------------------------------------------------------------
     # Phase 2: SemiCore* sweep demotes the over-promoted nodes.
     # ------------------------------------------------------------------
-    stats = converge_star(graph, core, cnt, promoted)
+    stats = converge_star(graph, core, cnt, promoted, trace_passes=False)
 
     changed = [w for w in promoted if core[w] == cold + 1]
     return MaintenanceResult(

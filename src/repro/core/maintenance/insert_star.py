@@ -61,22 +61,13 @@ class _InsertState:
 
 
 def semi_insert_star(graph, core, cnt, u, v, *, validate=True,
-                     cache_limit=65536, engine=None):
+                     cache_limit=65536):
     """Insert edge (u, v) and incrementally repair ``core``/``cnt``.
 
     ``cache_limit`` bounds how many candidate adjacency lists are kept in
     memory during the operation; beyond it lists are re-read from disk
     (Algorithm 8 line 19: "load nbr(v') from disk if not loaded").
-    ``engine`` selects an execution engine from
-    :mod:`repro.core.engines`; every engine applies the identical state
-    transition and reports identical counters and I/O.
     """
-    if engine is not None and engine != "python":
-        from repro.core.engines import engine_implementation
-
-        return engine_implementation(engine, "insert*")(
-            graph, core, cnt, u, v, validate=validate,
-            cache_limit=cache_limit)
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     try:

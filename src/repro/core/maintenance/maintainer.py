@@ -29,13 +29,11 @@ INSERT_ALGORITHMS = ("star", "two-phase")
 class CoreMaintainer:
     """Incrementally maintained core decomposition of a dynamic graph."""
 
-    def __init__(self, graph, cores, cnt, *, engine=None):
+    def __init__(self, graph, cores, cnt):
         """Wrap ``graph`` with existing ``core``/``cnt`` arrays.
 
         Most callers should use :meth:`from_storage` or :meth:`from_graph`
-        which compute the arrays with SemiCore*.  ``engine`` selects the
-        execution engine (:mod:`repro.core.engines`) every update is
-        routed through; all engines apply identical state transitions.
+        which compute the arrays with SemiCore*.
         """
         if len(cores) != graph.num_nodes or len(cnt) != graph.num_nodes:
             raise GraphError(
@@ -43,10 +41,8 @@ class CoreMaintainer:
                 % (len(cores), len(cnt), graph.num_nodes)
             )
         self.graph = graph
-        self.engine = engine
         self._core = array("i", cores)
         self._cnt = array("i", cnt)
-        self.history = []
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -61,11 +57,12 @@ class CoreMaintainer:
     def from_graph(cls, graph, *, engine=None):
         """Seed the maintainer from any graph with the read protocol.
 
-        The seeding SemiCore* run uses the same engine as the updates
-        (bit-identical arrays either way).
+        ``engine`` runs the seeding SemiCore* (bit-identical arrays under
+        every engine); updates always run the maintenance algorithms of
+        :mod:`repro.core.maintenance`.
         """
         result = semi_core_star(graph, engine=engine)
-        return cls(graph, result.cores, result.cnt, engine=engine)
+        return cls(graph, result.cores, result.cnt)
 
     # -- queries --------------------------------------------------------------
     @property
@@ -103,28 +100,20 @@ class CoreMaintainer:
         ``"two-phase"`` (SemiInsert, Algorithm 7).
         """
         if algorithm == "star":
-            result = semi_insert_star(self.graph, self._core, self._cnt,
-                                      u, v, validate=validate,
-                                      engine=self.engine)
-        elif algorithm == "two-phase":
-            result = semi_insert(self.graph, self._core, self._cnt,
-                                 u, v, validate=validate,
-                                 engine=self.engine)
-        else:
-            raise ValueError(
-                "unknown insert algorithm %r (choose from %r)"
-                % (algorithm, INSERT_ALGORITHMS)
-            )
-        self.history.append(result)
-        return result
+            return semi_insert_star(self.graph, self._core, self._cnt,
+                                    u, v, validate=validate)
+        if algorithm == "two-phase":
+            return semi_insert(self.graph, self._core, self._cnt,
+                               u, v, validate=validate)
+        raise ValueError(
+            "unknown insert algorithm %r (choose from %r)"
+            % (algorithm, INSERT_ALGORITHMS)
+        )
 
     def delete_edge(self, u, v, *, validate=True):
         """Delete an edge and repair the decomposition incrementally."""
-        result = semi_delete_star(self.graph, self._core, self._cnt,
-                                  u, v, validate=validate,
-                                  engine=self.engine)
-        self.history.append(result)
-        return result
+        return semi_delete_star(self.graph, self._core, self._cnt,
+                                u, v, validate=validate)
 
     def apply_batch(self, operations, *, algorithm="star", validate=True):
         """Apply a sequence of ``("+"|"-", u, v)`` operations.
@@ -198,6 +187,5 @@ class CoreMaintainer:
                 and list(fresh.cnt) == list(self._cnt))
 
     def __repr__(self):
-        return "CoreMaintainer(n=%d, kmax=%d, updates=%d)" % (
-            self.graph.num_nodes, self.kmax, len(self.history)
-        )
+        return "CoreMaintainer(n=%d, kmax=%d)" % (
+            self.graph.num_nodes, self.kmax)

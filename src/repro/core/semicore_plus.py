@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import heapq
 import time
-from array import array
 
-from repro.core.locality import local_core
+from repro.core.locality import initial_bounds, local_core
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
-from repro.errors import GraphError
 from repro.obs.trace import span
 
 
@@ -42,15 +40,7 @@ def semi_core_plus(graph, *, initial_cores=None, trace_changes=False,
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     n = graph.num_nodes
-    if initial_cores is None:
-        core = graph.read_degrees()
-    else:
-        if len(initial_cores) != n:
-            raise GraphError(
-                "initial_cores has %d entries, expected %d"
-                % (len(initial_cores), n)
-            )
-        core = array("i", initial_cores)
+    core = initial_bounds(graph, initial_cores)
 
     active = bytearray(b"\x01") * n if n else bytearray()
     current = list(range(n))

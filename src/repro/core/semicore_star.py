@@ -18,11 +18,11 @@ from __future__ import annotations
 import heapq
 import time
 from array import array
+from contextlib import nullcontext
 from typing import List, NamedTuple, Optional, Set
 
-from repro.core.locality import local_core
+from repro.core.locality import initial_bounds, local_core
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
-from repro.errors import GraphError
 from repro.obs.trace import span
 
 
@@ -38,7 +38,7 @@ class ConvergeStats(NamedTuple):
 
 
 def converge_star(graph, core, cnt, candidates, *, trace_changes=False,
-                  trace_computed=False):
+                  trace_computed=False, trace_passes=True):
     """Drive ``core``/``cnt`` to the fixpoint from a candidate seed set.
 
     This is lines 4-14 of Algorithm 5.  The paper sweeps an index window
@@ -46,7 +46,9 @@ def converge_star(graph, core, cnt, candidates, *, trace_changes=False,
     ``cnt`` was just decremented can newly satisfy the test, scheduling
     exactly those nodes in a min-heap visits the same nodes in the same
     order.  Candidates are re-checked when popped, so stale or duplicate
-    entries are harmless.
+    entries are harmless.  ``trace_passes`` opens one
+    ``semicore_star.pass`` span per pass; the maintenance algorithms turn
+    it off, so their sweeps stay in the time of the batch that runs them.
     """
     current = [v for v in candidates if cnt[v] < core[v]]
     iterations = 0
@@ -62,9 +64,10 @@ def converge_star(graph, core, cnt, candidates, *, trace_changes=False,
         changed_this_pass = 0
         computed = [] if trace_computed else None
         iterations += 1
-        with span("semicore_star.pass",
-                  io=getattr(graph, "io_stats", None),
-                  iteration=iterations) as pass_span:
+        with (span("semicore_star.pass",
+                   io=getattr(graph, "io_stats", None),
+                   iteration=iterations)
+              if trace_passes else nullcontext()) as pass_span:
             while current:
                 v = heapq.heappop(current)
                 if cnt[v] >= core[v]:
@@ -97,7 +100,8 @@ def converge_star(graph, core, cnt, candidates, *, trace_changes=False,
                             heapq.heappush(current, u)
                         elif u < v:
                             upcoming.append(u)
-            pass_span.annotate(changed=changed_this_pass)
+            if pass_span is not None:
+                pass_span.annotate(changed=changed_this_pass)
         current = upcoming
         if trace_changes:
             changes.append(changed_this_pass)
@@ -128,15 +132,7 @@ def semi_core_star(graph, *, initial_cores=None, trace_changes=False,
     started = time.perf_counter()
     snapshot = io_snapshot(graph)
     n = graph.num_nodes
-    if initial_cores is None:
-        core = graph.read_degrees()
-    else:
-        if len(initial_cores) != n:
-            raise GraphError(
-                "initial_cores has %d entries, expected %d"
-                % (len(initial_cores), n)
-            )
-        core = array("i", initial_cores)
+    core = initial_bounds(graph, initial_cores)
     cnt = array("i", bytes(4 * n))
 
     stats = converge_star(graph, core, cnt, range(n),

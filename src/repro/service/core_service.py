@@ -15,11 +15,11 @@ absorbing an edge-update stream.  The three moving parts:
   execution engines.
 * **write path** -- :meth:`apply` journals a batch of ``("+"|"-", u, v)``
   events (write-ahead), routes it through the maintenance algorithms of
-  Section V (``engine=`` respected end-to-end) against the *private*
-  next-epoch state, builds the next snapshot (sharing every untouched
-  adjacency row), and publishes it with a single atomic epoch-pointer
-  swap -- only then is the epoch visible.  The superseded snapshot
-  retires once its last in-flight reader releases it.
+  Section V against the *private* next-epoch state, builds the next
+  snapshot (sharing every untouched adjacency row), and publishes it
+  with a single atomic epoch-pointer swap -- only then is the epoch
+  visible.  The superseded snapshot retires once its last in-flight
+  reader releases it.
 * **durability** -- every ``checkpoint_interval`` batches the service
   checkpoints the ``core``/``cnt`` arrays
   (:mod:`repro.storage.state`) *plus* the net edge delta
@@ -303,7 +303,7 @@ class CoreService:
         """Seed a service over on-disk (or in-memory) graph tables.
 
         ``algorithm`` picks any decomposition algorithm for the seeding
-        run and ``engine`` any execution engine -- both maintained
+        run and ``engine`` any execution engine for it -- both maintained
         arrays are bit-identical across those choices.  With
         ``data_dir`` the service journals updates and checkpoints there,
         making :meth:`open` restarts possible.
@@ -333,7 +333,7 @@ class CoreService:
             cnt = array("i", result.cnt)
         else:
             cnt = _compute_cnt_scan(graph, cores)
-        maintainer = CoreMaintainer(graph, cores, cnt, engine=engine)
+        maintainer = CoreMaintainer(graph, cores, cnt)
         journal = None
         if data_dir is not None:
             data_dir = os.fspath(data_dir)
@@ -374,7 +374,9 @@ class CoreService:
         events the service ever absorbed.  A damaged manifest or
         corrupted journal raises
         :class:`~repro.errors.CorruptStorageError` before any state is
-        touched.
+        touched.  ``engine`` is accepted for symmetry with
+        :meth:`from_storage` and selects nothing: a restart loads the
+        checkpointed arrays instead of running a decomposition.
         """
         data_dir = os.fspath(data_dir)
         manifest_path = os.path.join(data_dir, MANIFEST_NAME)
@@ -414,7 +416,7 @@ class CoreService:
                     graph.delete_edge(u, v, validate=False)
             cores, cnt = load_checkpoint(
                 os.path.join(data_dir, manifest["checkpoint"]), graph)
-            maintainer = CoreMaintainer(graph, cores, cnt, engine=engine)
+            maintainer = CoreMaintainer(graph, cores, cnt)
             service = cls(maintainer, journal=journal, data_dir=data_dir,
                           checkpoint_interval=checkpoint_interval,
                           epoch=int(manifest["epoch"]),
@@ -1037,19 +1039,11 @@ class CoreService:
         ``core`` and ``cnt`` are functions of the final graph, so the
         choice never shows in the served state or in a replay.
         """
-        history = self._maintainer.history
-        pre_history = len(history)
         # validate=False: the batch was already checked (with overlay
         # semantics) by _validate_ops, so re-validating inside the
         # maintenance kernels would only double the charged reads.
-        try:
-            with span("service.maintain", io=self.io_stats, batch=batch):
-                summary = self._maintainer.apply_batch(ops, validate=False)
-        finally:
-            # The batch summary is what the service reports; the
-            # per-event results would otherwise pile up for as long as
-            # the service runs (and survive a rolled-back attempt).
-            del history[pre_history:]
+        with span("service.maintain", io=self.io_stats, batch=batch):
+            summary = self._maintainer.apply_batch(ops, validate=False)
         endpoints = set()
         for _, u, v in ops:
             endpoints.add(u)

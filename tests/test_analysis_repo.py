@@ -52,10 +52,9 @@ def test_engine_registry_resolves_real_kernel_pairs():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_load_python")
     python_kernels = _LoaderTable(loader).kernels
-    assert len(python_kernels) >= 8
-    # every declared engine-aware algorithm has a python reference kernel
-    for _module, _function, algo in config.engine_entry_points:
-        assert algo in python_kernels, algo
+    # the python reference registers exactly the declared entry points
+    assert set(python_kernels) == {
+        algo for _module, _function, algo in config.engine_entry_points}
 
 
 def test_cli_lint_gate_passes_on_shipped_tree():

@@ -68,11 +68,19 @@ class TestApplyBatch:
         assert summary["inserts"] + summary["deletes"] == len(operations)
         assert list(maintainer.cores) == nx_core_numbers(sorted(present), n)
 
-    def test_two_phase_algorithm_selectable(self):
-        maintainer = CoreMaintainer.from_storage(
-            GraphStorage.from_edges(EDGES, 5))
-        maintainer.apply_batch([("+", 2, 4)], algorithm="two-phase")
-        assert maintainer.history[-1].algorithm == "SemiInsert"
+    def test_two_phase_algorithm_selectable(self, paper_graph):
+        # Examples 5.2/5.3: after SemiDelete* of (0, 1) (4 node
+        # computations), inserting (4, 6) costs SemiInsert 12 node
+        # computations and SemiInsert* 5.
+        edges, n = paper_graph
+        computations = {}
+        for algorithm in ("two-phase", "star"):
+            maintainer = CoreMaintainer.from_storage(
+                GraphStorage.from_edges(edges, n))
+            summary = maintainer.apply_batch([("-", 0, 1), ("+", 4, 6)],
+                                             algorithm=algorithm)
+            computations[algorithm] = summary["node_computations"]
+        assert computations == {"two-phase": 4 + 12, "star": 4 + 5}
 
 
 class TestBarChart:

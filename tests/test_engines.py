@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from repro.core.engines import (
     DEFAULT_ENGINE,
     ENGINE_AWARE_ALGORITHMS,
-    ENGINE_AWARE_MAINTENANCE,
     engine_implementation,
     engine_names,
     get_engine,
@@ -50,18 +49,14 @@ class TestRegistry:
         assert "numpy" in engine_names()
 
     def test_engine_aware_algorithms(self):
-        # The engine registry covers the full decomposition surface ...
         assert set(ENGINE_AWARE_ALGORITHMS) == \
             set(DECOMPOSITION_ALGORITHMS)
-        # ... plus the semi-external maintenance operations.
-        assert set(ENGINE_AWARE_MAINTENANCE) == \
-            {"insert", "insert*", "delete*"}
 
-    def test_both_engines_implement_the_full_surface(self):
-        for engine in engine_names():
+    def test_both_engines_implement_exactly_the_surface(self):
+        for engine in ("python", "numpy"):
             impls = get_engine(engine).implementations()
-            assert set(ENGINE_AWARE_ALGORITHMS) <= set(impls)
-            assert set(ENGINE_AWARE_MAINTENANCE) <= set(impls)
+            assert set(impls) == \
+                set(ENGINE_AWARE_ALGORITHMS) | {"shard-pass"}, engine
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ReproError, match="unknown engine"):
@@ -225,6 +220,23 @@ class TestEngineParity:
         with pytest.raises(GraphError):
             semi_core(paper_storage, engine="numpy",
                       initial_cores=[1, 2, 3])
+
+    @pytest.mark.parametrize("algorithm", ["semicore", "semicore+",
+                                           "semicore*", "distributed"])
+    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    def test_negative_initial_bound_rejected(self, engine, algorithm):
+        """Every engine rejects a negative bound before reading the
+        graph."""
+        from repro.errors import GraphError
+        edges, n = generators.web_graph(60, 3, 6, 5, seed=1)
+        storage = GraphStorage.from_edges(edges, n)
+        bound = list(storage.read_degrees())
+        bound[7] = bound[31] = -2
+        storage.io_stats.reset()
+        with pytest.raises(GraphError, match="non-negative"):
+            run_decomposition(algorithm, storage, engine=engine,
+                              initial_cores=bound)
+        assert storage.io_stats.read_ios == 0
 
 
 class TestEMCoreParity:

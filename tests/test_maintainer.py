@@ -1,7 +1,15 @@
 """Integration tests for CoreMaintainer, the high-level dynamic API."""
 
+import inspect
+
 import pytest
 
+from repro.bench.harness import maintenance_trial
+from repro.core.maintenance import (
+    semi_delete_star,
+    semi_insert,
+    semi_insert_star,
+)
 from repro.core.maintenance.maintainer import CoreMaintainer
 from repro.errors import GraphError
 from repro.storage.dynamic import DynamicGraph
@@ -30,6 +38,27 @@ class TestConstruction:
         graph = DynamicGraph(GraphStorage.from_edges(EDGES, 5))
         with pytest.raises(GraphError):
             CoreMaintainer(graph, [0, 0], [0, 0])
+
+    def test_engine_picks_only_the_seeding_run(self, rng):
+        n = 40
+        edges = make_random_edges(rng, n, 0.2)
+        reference, vectorized = (
+            CoreMaintainer.from_graph(
+                DynamicGraph(GraphStorage.from_edges(edges, n)),
+                engine=engine)
+            for engine in ("python", "numpy"))
+        assert list(vectorized.cores) == list(reference.cores) == \
+            nx_core_numbers(edges, n)
+        assert list(vectorized.cnt) == list(reference.cnt)
+
+    @pytest.mark.parametrize(
+        "entry", [semi_insert, semi_insert_star, semi_delete_star,
+                  CoreMaintainer, maintenance_trial],
+        ids=lambda entry: entry.__name__)
+    def test_maintenance_has_no_engine_option(self, entry):
+        """Algorithms 6-8 have one implementation; only the seeding
+        decomposition (``from_graph``/``from_storage``) takes engine=."""
+        assert "engine" not in inspect.signature(entry).parameters
 
 
 class TestQueries:
@@ -77,15 +106,6 @@ class TestUpdates:
         result = maintainer.delete_edge(0, 1)
         assert result.algorithm == "SemiDelete*"
         assert maintainer.kmax == 1
-
-    def test_history_accumulates(self):
-        maintainer = CoreMaintainer.from_storage(
-            GraphStorage.from_edges(EDGES, 5))
-        maintainer.insert_edge(2, 4)
-        maintainer.delete_edge(2, 4)
-        assert len(maintainer.history) == 2
-        assert [r.operation for r in maintainer.history] == [
-            "insert", "delete"]
 
     def test_verify_after_updates(self):
         maintainer = CoreMaintainer.from_storage(

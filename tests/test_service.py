@@ -295,27 +295,6 @@ class TestApply:
         assert service.graph.has_edge(2, 3)
         assert service.verify()
 
-    def test_no_per_event_history_is_kept(self, tmp_path):
-        """Per-event maintenance results are dropped once the batch is
-        summarised -- after apply() and after open() replays a tail --
-        so a long-running service does not accumulate them."""
-        edges, n = social_graph(300, attach=3, clique=9, seed=5)
-        data_dir = tmp_path / "svc"
-        service = CoreService.from_storage(
-            GraphStorage.from_edges(edges, n), data_dir=data_dir,
-            checkpoint_interval=None)
-        before = len(service.maintainer.history)
-        for batch in in_batches(generate_updates(edges, n, 40, seed=3), 8):
-            service.apply(batch)
-        assert len(service.maintainer.history) == before
-        service.close()
-
-        resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n))
-        assert resumed.epoch == 5
-        assert len(resumed.maintainer.history) == 0
-        assert resumed.verify()
-
     def test_batch_internal_overlay(self):
         # An insert followed by its own deletion is a valid batch.
         service = paper_service()
