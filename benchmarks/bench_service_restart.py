@@ -93,8 +93,7 @@ def _run_phase(engine, num_batches):
 
         restart_storage = load_bench_dataset(DATASET)
         started = time.perf_counter()
-        resumed = CoreService.open(data_dir, restart_storage,
-                                   engine=engine)
+        resumed = CoreService.open(data_dir, restart_storage)
         restart_seconds = time.perf_counter() - started
         assert resumed.epoch == num_batches
         events_replayed = resumed.events_applied - watermark

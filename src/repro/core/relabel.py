@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as np
+
 from repro.core.ordering import bfs_ordering, degeneracy_ordering
 from repro.errors import GraphError
 from repro.storage import layout
@@ -110,11 +112,9 @@ class PermutedGraphView:
 
     def read_degrees(self):
         """Degrees in relabeled order (one sequential scan, permuted)."""
-        base = self._graph.read_degrees()
-        degrees = array("i", bytes(4 * len(base)))
-        for i, v in enumerate(self._order):
-            degrees[i] = base[v]
-        return degrees
+        base = np.asarray(self._graph.read_degrees(), dtype=np.int32)
+        order = np.asarray(self._order, dtype=np.int64)
+        return array("i", np.take(base, order).tobytes())
 
     def iter_adjacency(self, start=0, stop=None):
         """Yield ``(i, neighbours)`` for relabeled ids in [start, stop).

@@ -354,7 +354,7 @@ class CoreService:
         return service
 
     @classmethod
-    def open(cls, data_dir, storage=None, *, engine=None,
+    def open(cls, data_dir, storage=None, *,
              buffer_capacity=DEFAULT_BUFFER_CAPACITY, path_factory=None,
              checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
              segment_events=DEFAULT_SEGMENT_EVENTS,
@@ -374,9 +374,8 @@ class CoreService:
         events the service ever absorbed.  A damaged manifest or
         corrupted journal raises
         :class:`~repro.errors.CorruptStorageError` before any state is
-        touched.  ``engine`` is accepted for symmetry with
-        :meth:`from_storage` and selects nothing: a restart loads the
-        checkpointed arrays instead of running a decomposition.
+        touched.  A restart loads the checkpointed arrays and runs no
+        decomposition, so it takes no ``engine``.
         """
         data_dir = os.fspath(data_dir)
         manifest_path = os.path.join(data_dir, MANIFEST_NAME)
@@ -1085,12 +1084,14 @@ class CoreService:
             if attempt:
                 time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
                 self._m_apply_retry_count += 1
+            mark = self.graph.mutations
             try:
                 summary = self._apply_ops(ops, batch=batch)
             except (OSError, StorageError) as exc:
                 error = exc
                 try:
-                    self._rollback(ops, pre_cores, pre_cnt)
+                    self._rollback(ops, self.graph.mutations - mark,
+                                   pre_cores, pre_cnt)
                 except (OSError, StorageError) as failure:
                     self._poisoned = True
                     self._degraded = ("rollback of batch %d failed: %s"
@@ -1105,51 +1106,63 @@ class CoreService:
                 return summary
         self._quarantine(ops, batch, error)
 
-    def _rollback(self, ops, pre_cores, pre_cnt):
+    def _rollback(self, ops, applied, pre_cores, pre_cnt):
         """Restore the pre-batch live plane after a failed attempt.
 
-        Idempotent, and retried internally with the same backoff
-        because the repair's reads can hit the same faulty device that
-        failed the batch.  Raises the last error when every attempt
-        fails.
+        ``applied`` is how many of the batch's events reached the graph
+        (the maintenance kernels apply them in order, each updating the
+        graph before any read).  Membership needs no device read:
+        validation proved each edge key's *first* event matched the
+        pre-batch graph, so a first ``"+"`` means the edge was absent
+        and a first ``"-"`` that it was present, and the applied prefix
+        says where each key stands now.  Nothing else can have moved --
+        ``apply`` is serialized and the maintenance kernels only touch
+        the batch's edges.  Retried internally with the same backoff,
+        because a repair update can trigger a compaction that hits a
+        faulty device; raises the last error when every attempt fails.
         """
+        before = {}
+        for op, u, v in ops:
+            before.setdefault((u, v) if u < v else (v, u), op == "-")
+        current = dict(before)
+        for op, u, v in ops[:applied]:
+            current[(u, v) if u < v else (v, u)] = op == "+"
         error = None
         for attempt in range(self._apply_retries + 1):
             if attempt:
                 time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
             try:
-                self._restore_pre_batch(ops, pre_cores, pre_cnt)
+                self._restore_pre_batch(before, current, pre_cores,
+                                        pre_cnt)
                 return
             except (OSError, StorageError) as exc:
                 error = exc
         raise error
 
-    def _restore_pre_batch(self, ops, pre_cores, pre_cnt):
+    def _restore_pre_batch(self, before, current, pre_cores, pre_cnt):
         """One rollback attempt: arrays in place, graph by repair.
 
-        Graph membership is recovered from the batch itself: validation
-        proved each edge key's *first* event matched the pre-batch
-        graph, so a first ``"+"`` means the edge was absent and a first
-        ``"-"`` that it was present.  Nothing else can have moved --
-        ``apply`` is serialized and the maintenance kernels only touch
-        the batch's edges.
+        ``before`` and ``current`` map each of the batch's edge keys to
+        its pre-batch and present membership; ``current`` follows every
+        repair update that reaches the graph, so a retried attempt
+        redoes only what is still missing.
         """
         maintainer = self._maintainer
         maintainer.cores[:] = pre_cores
         maintainer.cnt[:] = pre_cnt
         graph = self.graph
-        first = {}
-        for op, u, v in ops:
-            key = (u, v) if u < v else (v, u)
-            first.setdefault(key, op)
-        for (u, v), op in first.items():
-            present_before = op == "-"
-            if graph.has_edge(u, v) == present_before:
+        for key, present in before.items():
+            if current[key] == present:
                 continue
-            if present_before:
-                graph.insert_edge(u, v, validate=False)
-            else:
-                graph.delete_edge(u, v, validate=False)
+            mark = graph.mutations
+            try:
+                if present:
+                    graph.insert_edge(*key, validate=False)
+                else:
+                    graph.delete_edge(*key, validate=False)
+            finally:
+                if graph.mutations != mark:
+                    current[key] = present
 
     def _quarantine(self, ops, batch, error):
         """Mark ``batch`` permanently failed and consume its epoch.

@@ -6,21 +6,19 @@ neighbour ids, the on-disk edge-entry type).  It is the batch substrate
 the NumPy engine computes on -- one contiguous buffer instead of per-node
 Python objects.
 
-Snapshots are buildable from any object with the storage read protocol:
-
-* :meth:`CSRGraph.from_storage` replays the block-wise read plan of
-  :meth:`~repro.storage.graphstore.GraphStorage.iter_adjacency` against
-  the raw node/edge devices, concatenating the edge payloads.  Because
-  it issues exactly the reads that ``iter_adjacency`` issues,
-  materializing a snapshot charges the shared
-  :class:`~repro.storage.blockio.IOStats` precisely one sequential scan
-  -- the same figure a reference-engine pass pays.  This is what lets
-  the vectorized engines report I/O counts identical to the pure-Python
-  paths.
-* :meth:`CSRGraph.from_graph` falls back to ``iter_adjacency`` for
-  graphs without exposed block devices
-  (:class:`~repro.storage.MemoryGraph`, dynamic overlays); the per-node
-  reads still go through whatever I/O accounting the source graph has.
+Snapshots are buildable from any object with the storage read protocol.
+:func:`read_range` is the one scan primitive under them: it replays the
+block-wise read plan of
+:meth:`~repro.storage.graphstore.GraphStorage.iter_adjacency` against
+the raw node/edge devices, concatenating the edge payloads.  Because it
+issues exactly the reads that ``iter_adjacency`` issues, materializing a
+snapshot charges the shared :class:`~repro.storage.blockio.IOStats`
+precisely one sequential scan -- the same figure a reference-engine pass
+pays.  This is what lets the vectorized engines report I/O counts
+identical to the pure-Python paths.  Graphs without exposed block
+devices (:class:`~repro.storage.MemoryGraph`, dynamic overlays,
+relabeled views) are read with ``iter_adjacency`` itself; the per-node
+reads still go through whatever I/O accounting the source graph has.
 """
 
 from __future__ import annotations
@@ -57,95 +55,28 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_storage(cls, storage, *, chunk_bytes=None, stop=None):
-        """Materialize block-wise from a GraphStorage-shaped graph.
+        """Materialize from one sequential scan (see :func:`read_range`).
 
-        Replays the read plan of ``iter_adjacency(0, stop)`` -- node-table
-        batches of ``chunk_bytes``, edge-table spans grouped greedily up to
-        ``chunk_bytes`` (a group's first non-empty adjacency is accepted
-        regardless of size) -- directly against ``node_device`` /
-        ``edge_device``, computing the plan with numpy so a snapshot
-        build does no per-node Python work at all.  Issuing exactly the
-        reads of one sequential scan makes the snapshot's I/O accounting
+        On a graph with block devices this issues exactly the reads of
+        ``iter_adjacency``, so the snapshot's I/O accounting is
         identical to one reference-engine pass; the test suite asserts
         read-for-read I/O equality with ``iter_adjacency``.  ``stop``
         limits the scan to the rows below it (a shard's owned prefix);
         later rows stay empty in the snapshot.
         """
-        if chunk_bytes is None:
-            chunk_bytes = SCAN_CHUNK_BYTES
-        nodes_dev = storage.node_device
-        edges_dev = storage.edge_device
         n = storage.num_nodes
-        stop = n if stop is None else stop
-        entries_per_chunk = max(1, chunk_bytes // layout.NODE_ENTRY_SIZE)
-        degree_parts = []
-        payload = []
-        v = 0
-        while v < stop:
-            batch = min(stop - v, entries_per_chunk)
-            node_data = nodes_dev.read_at(
-                layout.node_entry_position(v),
-                batch * layout.NODE_ENTRY_SIZE,
-            )
-            entries = np.frombuffer(node_data, dtype=NODE_ENTRY_DTYPE)
-            degrees = entries["degree"].astype(np.int64)
-            degree_parts.append(degrees)
-            sizes = degrees * layout.EDGE_ENTRY_SIZE
-            bounds = np.zeros(batch + 1, dtype=np.int64)
-            np.cumsum(sizes, out=bounds[1:])
-            nonzero = np.flatnonzero(sizes)
-            i = 0
-            while i < batch:
-                j = int(np.searchsorted(bounds, bounds[i] + chunk_bytes,
-                                        side="right")) - 1
-                # The group's first non-empty adjacency is always taken,
-                # even when it alone exceeds the chunk budget.
-                first_nonzero = int(np.searchsorted(nonzero, i))
-                if first_nonzero < len(nonzero):
-                    j = max(j, int(nonzero[first_nonzero]) + 1)
-                j = min(j, batch)
-                span = int(bounds[j] - bounds[i])
-                if span:
-                    payload.append(edges_dev.read_at(
-                        layout.edge_entry_position(int(entries["offset"][i])),
-                        span,
-                    ))
-                i = j
-            v += batch
-        all_degrees = np.zeros(n, dtype=np.int64)
-        if degree_parts:
-            all_degrees[:stop] = np.concatenate(degree_parts)
+        degrees, indices = read_range(storage, 0, stop,
+                                      chunk_bytes=chunk_bytes)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(all_degrees, out=indptr[1:])
-        indices = np.frombuffer(b"".join(payload), dtype=np.uint32)
+        np.cumsum(degrees, out=indptr[1:len(degrees) + 1])
+        indptr[len(degrees) + 1:] = indptr[len(degrees)]
         return cls(indptr, indices)
 
     @classmethod
     def from_graph(cls, graph, *, chunk_bytes=None):
-        """Build a snapshot from any graph with the read protocol.
-
-        Prefers the block-wise fast path when the graph exposes its
-        block devices and otherwise falls back to one ``iter_adjacency``
-        pass (which still charges whatever I/O accounting the source
-        graph has).
-        """
-        if hasattr(graph, "node_device") and hasattr(graph, "edge_device"):
-            return cls.from_storage(graph, chunk_bytes=chunk_bytes)
-        degrees = array("q")
-        payload = []
-        for _, nbrs in graph.iter_adjacency():
-            degrees.append(len(nbrs))
-            if len(nbrs):
-                if not isinstance(nbrs, array) or \
-                        nbrs.typecode != layout.EDGE_TYPECODE:
-                    nbrs = array(layout.EDGE_TYPECODE, nbrs)
-                payload.append(nbrs.tobytes())
-        indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
-        if len(degrees):
-            np.cumsum(np.frombuffer(degrees, dtype=np.int64),
-                      out=indptr[1:])
-        indices = np.frombuffer(b"".join(payload), dtype=np.uint32)
-        return cls(indptr, indices)
+        """Build a snapshot of every row of any graph with the read
+        protocol (:meth:`from_storage` without a ``stop``)."""
+        return cls.from_storage(graph, chunk_bytes=chunk_bytes)
 
     @classmethod
     def from_rows(cls, graph, rows):
@@ -193,6 +124,81 @@ class CSRGraph:
 
     def __repr__(self):
         return "CSRGraph(n=%d, m=%d)" % (self.num_nodes, self.num_edges)
+
+
+def read_range(graph, start=0, stop=None, *, chunk_bytes=None):
+    """Adjacency of rows ``[start, stop)`` as ``(degrees, indices)``.
+
+    ``degrees`` is an int64 array of ``stop - start`` entries and
+    ``indices`` the rows' concatenated uint32 adjacency.  A graph that
+    exposes its block devices gets the read plan of
+    ``iter_adjacency(start, stop)`` replayed on ``node_device`` /
+    ``edge_device`` -- node-table batches of ``chunk_bytes``, edge-table
+    spans grouped greedily up to ``chunk_bytes`` (a group's first
+    non-empty adjacency is accepted regardless of size) -- with the plan
+    computed in numpy, so the read does no per-row Python work and
+    charges exactly the I/O of the scan.  Any other graph is read with
+    one ``iter_adjacency(start, stop)`` pass.
+    """
+    if chunk_bytes is None:
+        chunk_bytes = SCAN_CHUNK_BYTES
+    n = graph.num_nodes
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ReproError(
+            "bad node range [%d, %d) for n=%d" % (start, stop, n))
+    degree_parts = []
+    payload = []
+    if not (hasattr(graph, "node_device") and hasattr(graph, "edge_device")):
+        degrees = array("q")
+        for _, nbrs in graph.iter_adjacency(start, stop):
+            degrees.append(len(nbrs))
+            if len(nbrs):
+                if not isinstance(nbrs, array) or \
+                        nbrs.typecode != layout.EDGE_TYPECODE:
+                    nbrs = array(layout.EDGE_TYPECODE, nbrs)
+                payload.append(nbrs.tobytes())
+        degree_parts.append(np.frombuffer(degrees, dtype=np.int64))
+    else:
+        nodes_dev = graph.node_device
+        edges_dev = graph.edge_device
+        entries_per_chunk = max(1, chunk_bytes // layout.NODE_ENTRY_SIZE)
+        v = start
+        while v < stop:
+            batch = min(stop - v, entries_per_chunk)
+            node_data = nodes_dev.read_at(
+                layout.node_entry_position(v),
+                batch * layout.NODE_ENTRY_SIZE,
+            )
+            entries = np.frombuffer(node_data, dtype=NODE_ENTRY_DTYPE)
+            degrees = entries["degree"].astype(np.int64)
+            degree_parts.append(degrees)
+            sizes = degrees * layout.EDGE_ENTRY_SIZE
+            bounds = np.zeros(batch + 1, dtype=np.int64)
+            np.cumsum(sizes, out=bounds[1:])
+            nonzero = np.flatnonzero(sizes)
+            i = 0
+            while i < batch:
+                j = int(np.searchsorted(bounds, bounds[i] + chunk_bytes,
+                                        side="right")) - 1
+                # The group's first non-empty adjacency is always taken,
+                # even when it alone exceeds the chunk budget.
+                first_nonzero = int(np.searchsorted(nonzero, i))
+                if first_nonzero < len(nonzero):
+                    j = max(j, int(nonzero[first_nonzero]) + 1)
+                j = min(j, batch)
+                span = int(bounds[j] - bounds[i])
+                if span:
+                    payload.append(edges_dev.read_at(
+                        layout.edge_entry_position(int(entries["offset"][i])),
+                        span,
+                    ))
+                i = j
+            v += batch
+    degrees = (np.concatenate(degree_parts) if degree_parts
+               else np.zeros(0, dtype=np.int64))
+    indices = np.frombuffer(b"".join(payload), dtype=np.uint32)
+    return degrees, indices
 
 
 def read_rows(graph, rows, payload=None):

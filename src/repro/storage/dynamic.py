@@ -46,6 +46,11 @@ class DynamicGraph:
         self._auto_compact = auto_compact
         self._generation = itertools.count(1)
         self._arc_delta = 0
+        #: Edge updates recorded so far.  An update is recorded before
+        #: any compaction it triggers, so a caller that notes this count
+        #: before a sequence of updates knows how many reached the graph
+        #: even when one of them failed.
+        self.mutations = 0
 
     # -- read protocol -------------------------------------------------------
     @property
@@ -135,6 +140,7 @@ class DynamicGraph:
             raise EdgeExistsError("edge (%d, %d) already present" % (u, v))
         self._buffer.record_insert(u, v)
         self._arc_delta += 2
+        self.mutations += 1
         self._maybe_compact()
 
     def delete_edge(self, u, v, *, validate=True):
@@ -144,6 +150,7 @@ class DynamicGraph:
             raise EdgeNotFoundError("edge (%d, %d) not present" % (u, v))
         self._buffer.record_delete(u, v)
         self._arc_delta -= 2
+        self.mutations += 1
         self._maybe_compact()
 
     def compact(self):

@@ -13,6 +13,7 @@ Both tables share one :class:`~repro.storage.blockio.IOStats` instance;
 
 from __future__ import annotations
 
+import itertools
 import os
 from array import array
 
@@ -26,7 +27,6 @@ from repro.storage.blockio import (
     IOStats,
     MemoryBlockDevice,
 )
-from repro.storage.memgraph import normalize_edges
 
 NODE_SUFFIX = ".nodes"
 EDGE_SUFFIX = ".edges"
@@ -101,24 +101,92 @@ class GraphStorage:
         return cls(node_dev, edge_dev, num_nodes, num_arcs)
 
     @classmethod
+    def from_csr(cls, degrees, indices, *, path=None,
+                 block_size=DEFAULT_BLOCK_SIZE, stats=None):
+        """Build storage from whole per-node degree and adjacency arrays.
+
+        ``degrees`` holds one entry per node in id order and ``indices``
+        the concatenated neighbour lists (``sum(degrees)`` entries).  The
+        node table's offsets are the degrees' exclusive prefix sums, so a
+        trailing run of degree-0 rows all point at ``num_arcs``.  Each
+        table's body goes out in one bulk ``write_at``, then its header;
+        the bytes are those :meth:`from_adjacency` writes for the same
+        rows.
+        """
+        degrees = np.asarray(degrees, dtype=np.int64)
+        indices = np.asarray(indices)
+        num_nodes = len(degrees)
+        entries = np.empty(num_nodes, dtype=NODE_ENTRY_DTYPE)
+        entries["degree"] = degrees
+        entries["offset"] = np.cumsum(degrees) - degrees
+        num_arcs = int(degrees.sum())
+        if len(indices) != num_arcs:
+            raise GraphError(
+                "degrees sum to %d but indices has %d entries"
+                % (num_arcs, len(indices))
+            )
+        stats = stats if stats is not None else IOStats()
+        node_dev, edge_dev = _create_devices(path, block_size, stats)
+        node_dev.write_at(layout.HEADER_SIZE, entries.tobytes())
+        edge_dev.write_at(layout.HEADER_SIZE,
+                          indices.astype("<u4", copy=False).tobytes())
+        node_dev.write_at(0, layout.pack_header(layout.TABLE_NODE,
+                                                num_nodes, num_arcs))
+        edge_dev.write_at(0, layout.pack_header(layout.TABLE_EDGE,
+                                                num_arcs, num_nodes))
+        return cls(node_dev, edge_dev, num_nodes, num_arcs)
+
+    @classmethod
     def from_edges(cls, edges, num_nodes=None, *, path=None,
                    block_size=DEFAULT_BLOCK_SIZE, stats=None):
-        """Build storage from an iterable of undirected edges.
+        """Build storage from an iterable of undirected ``(u, v)`` pairs.
 
-        Edges are normalized (self loops dropped, duplicates removed) and
-        each edge is stored in both endpoints' adjacency lists, as in the
-        paper's datasets.  Convenient for graphs that fit in memory during
-        construction; use :mod:`repro.storage.builder` for streaming builds.
+        Edges are normalized (self loops dropped, duplicates in either
+        orientation removed, ``num_nodes`` inferred as ``1 + max id``,
+        the rules of :func:`~repro.storage.memgraph.normalize_edges`)
+        and each edge is stored in both endpoints' sorted adjacency
+        lists, as in the paper's datasets.  The normalization is
+        whole-array numpy work and the tables go out through
+        :meth:`from_csr`.  Convenient for graphs that fit in memory
+        during construction; use :mod:`repro.storage.builder` for
+        streaming builds.
         """
-        edge_list, n = normalize_edges(edges, num_nodes)
-        adjacency = [[] for _ in range(n)]
-        for u, v in edge_list:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        for nbrs in adjacency:
-            nbrs.sort()
-        return cls.from_adjacency(adjacency, n, path=path,
-                                  block_size=block_size, stats=stats)
+        edges = edges if isinstance(edges, list) else list(edges)
+        flat = array("q", itertools.chain.from_iterable(edges))
+        if len(flat) != 2 * len(edges):
+            raise GraphError("every edge must be a (u, v) pair")
+        pairs = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        if len(lo) and lo.min() < 0:
+            u, v = pairs[np.argmax(lo < 0)].tolist()
+            raise GraphError("negative node id in edge (%r, %r)" % (u, v))
+        keep = lo != hi
+        lo, hi = lo[keep], hi[keep]
+        max_node = int(hi.max()) if len(hi) else -1
+        if num_nodes is None:
+            num_nodes = max_node + 1
+        elif num_nodes <= max_node:
+            raise GraphError(
+                "num_nodes=%d but edges reference node %d"
+                % (num_nodes, max_node)
+            )
+        if max_node > layout.MAX_NODE_ID:
+            raise GraphError(
+                "node %d exceeds the largest storable id %d"
+                % (max_node, layout.MAX_NODE_ID)
+            )
+        # Ids fit in 32 bits, so ``lo * base + hi`` is exact in uint64.
+        base = np.uint64(max_node + 1)
+        keys = sorted_unique(lo.astype(np.uint64) * base
+                             + hi.astype(np.uint64))
+        lo, hi = keys // base, keys % base
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        dst = dst[np.argsort(src * base + dst)]
+        degrees = np.bincount(src.astype(np.int64), minlength=num_nodes)
+        return cls.from_csr(degrees, dst, path=path, block_size=block_size,
+                            stats=stats)
 
     @classmethod
     def from_memgraph(cls, graph, *, path=None,
@@ -346,6 +414,19 @@ class GraphStorage:
     def _check_node(self, v):
         if not 0 <= v < self.num_nodes:
             raise GraphError("node %d out of range [0, %d)" % (v, self.num_nodes))
+
+
+def sorted_unique(values):
+    """The distinct entries of a 1-D array, ascending.
+
+    ``np.unique`` gives the same result, but numpy 2 routes it through a
+    hash table that runs about 50x slower than this sort on the uint64
+    keys of :meth:`GraphStorage.from_edges`.
+    """
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _create_devices(path, block_size, stats):

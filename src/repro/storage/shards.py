@@ -53,6 +53,8 @@ import os
 from array import array
 from bisect import bisect_right
 
+import numpy as np
+
 from repro.errors import GraphError
 from repro.storage import layout
 from repro.storage.blockio import (
@@ -61,7 +63,8 @@ from repro.storage.blockio import (
     IOStats,
     MemoryBlockDevice,
 )
-from repro.storage.graphstore import GraphStorage
+from repro.storage.csr import read_range
+from repro.storage.graphstore import GraphStorage, sorted_unique
 
 BOUNDARY_SUFFIX = ".boundary"
 
@@ -76,43 +79,35 @@ def shard_bounds(num_nodes, num_shards):
 def arc_balanced_bounds(degrees, num_shards):
     """Contiguous node-range fenceposts balancing *owned arcs* per shard.
 
-    Walks the cumulative degree sequence once and places fencepost ``i``
-    at the node where the running arc total is nearest to
-    ``i * total / num_shards`` (ties resolve to the earlier cut).  Hub
-    shards therefore own ~``m/p`` adjacency entries instead of ~``n/p``
-    nodes, which is what bounds the slowest shard pass on skewed
-    degree distributions.  The split stays a partition of the id range:
-    bounds are nondecreasing, start at 0 and end at ``len(degrees)``.
+    Places fencepost ``i`` at the node where the cumulative arc total is
+    nearest to ``i * total / num_shards`` (ties resolve to the earlier
+    cut), all in exact integer arithmetic: one ``cumsum`` of the degrees
+    and one ``searchsorted`` of the scaled targets.  Hub shards
+    therefore own ~``m/p`` adjacency entries instead of ~``n/p`` nodes,
+    which is what bounds the slowest shard pass on skewed degree
+    distributions.  The split stays a partition of the id range: bounds
+    are nondecreasing, start at 0 and end at ``len(degrees)``.
     """
     if num_shards < 1:
         raise GraphError("num_shards must be >= 1, got %d" % num_shards)
     n = len(degrees)
-    total = 0
-    for d in degrees:
-        total += int(d)
+    prefix = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.asarray(degrees, dtype=np.int64), out=prefix[1:])
+    total = int(prefix[-1])
     if total == 0:
         return shard_bounds(n, num_shards)
-    bounds = [0] * (num_shards + 1)
-    bounds[num_shards] = n
-    cum = 0
-    cut = 0
-    for i in range(1, num_shards):
-        # Exact rational target: cum * p >= i * total, no floats.
-        target = i * total
-        while cut < n and cum * num_shards < target:
-            cum += int(degrees[cut])
-            cut += 1
-        if cut > bounds[i - 1]:
-            # Prefer the cut before the last node when it lands nearer
-            # the target (overshoot vs undershoot, scaled by p).
-            prev_cum = cum - int(degrees[cut - 1])
-            overshoot = cum * num_shards - target
-            undershoot = target - prev_cum * num_shards
-            if undershoot <= overshoot and cut - 1 >= bounds[i - 1]:
-                cut -= 1
-                cum = prev_cum
-        bounds[i] = cut
-    return bounds
+    # Scaled by p, so ``prefix[c] * p >= i * total`` compares exactly.
+    scaled = prefix * num_shards
+    targets = np.arange(1, num_shards, dtype=np.int64) * total
+    # The first cut whose running total reaches the target (it exists
+    # and is >= 1: prefix[n] * p > every target > prefix[0] * p) ...
+    cuts = np.searchsorted(scaled, targets, side="left")
+    # ... moves back one node when that lands nearer the target
+    # (undershoot no larger than overshoot).
+    undershoot = targets - scaled[cuts - 1]
+    overshoot = scaled[cuts] - targets
+    cuts -= undershoot <= overshoot
+    return [0] + cuts.tolist() + [n]
 
 
 class Shard:
@@ -205,11 +200,12 @@ class ShardedGraphStorage:
                      block_size=None, stats=None, balance="node"):
         """Split ``storage`` into ``num_shards`` node-range shards.
 
-        The source graph is read with one sequential scan (charged to its
-        own accounting); each shard's tables are written through devices
-        sharing one ``stats`` instance (fresh by default -- the sharded
-        decomposition driver passes the source's so one figure covers the
-        whole pipeline).  ``path`` selects file-backed shards written to
+        The source graph is read with one sequential scan, one ranged
+        read per shard (charged to its own accounting); each shard's
+        tables are written through devices sharing one ``stats``
+        instance (fresh by default -- the sharded decomposition driver
+        passes the source's so one figure covers the whole pipeline).
+        ``path`` selects file-backed shards written to
         ``<path>.shard<i>.nodes/.edges/.boundary``; the default keeps
         them in counting memory devices.
 
@@ -219,7 +215,7 @@ class ShardedGraphStorage:
         (:func:`arc_balanced_bounds`) at the cost of one extra
         sequential node-table scan, charged like any other read.
 
-        Only one shard's staging state is resident at a time, so the
+        Only one shard's arrays are resident at a time, so the
         build itself respects the ``O(max shard)`` memory bound of the
         sharded decomposition.
         """
@@ -347,42 +343,34 @@ class ShardedGraphStorage:
 # ----------------------------------------------------------------------
 
 def _build_shard(storage, index, start, stop, path, block_size, stats):
-    """Stage and write one shard from a range scan of the source."""
-    rows = []
-    boundary_set = set()
-    for _, nbrs in storage.iter_adjacency(start, stop):
-        rows.append(nbrs)
-        for g in nbrs:
-            if not start <= g < stop:
-                boundary_set.add(int(g))
-    boundary = sorted(boundary_set)
+    """Build one shard from one ranged read of its owned rows.
+
+    The owned range is read as ``iter_adjacency(start, stop)`` reads it
+    (:func:`~repro.storage.csr.read_range`), remapped to local ids in
+    numpy -- owned ids to ``g - start``, cross-shard ids to
+    ``num_owned + rank`` in the sorted boundary table -- and each table
+    is written in bulk.  Only this shard's arrays are resident.
+    """
+    degrees, indices = read_range(storage, start, stop)
     owned = stop - start
-    halo_base = owned
-    halo_of = {g: halo_base + k for k, g in enumerate(boundary)}
-
-    def local_rows():
-        for nbrs in rows:
-            yield array(layout.EDGE_TYPECODE,
-                        (int(g) - start if start <= g < stop
-                         else halo_of[int(g)] for g in nbrs))
-        for _ in boundary:
-            yield ()
-
+    cross = (indices < start) | (indices >= stop)
+    outside = indices[cross]
+    boundary = sorted_unique(outside)
+    local = indices - np.uint32(start)
+    local[cross] = owned + np.searchsorted(boundary, outside)
     shard_path = None
     if path is not None:
         shard_path = "%s.shard%d" % (os.fspath(path), index)
-    graph = GraphStorage.from_adjacency(
-        local_rows(), owned + len(boundary), path=shard_path,
-        block_size=block_size, stats=stats,
-    )
+    # Halo rows: degree 0, so their offsets all land on num_arcs.
+    local_degrees = np.concatenate(
+        [degrees, np.zeros(len(boundary), dtype=np.int64)])
+    graph = GraphStorage.from_csr(local_degrees, local, path=shard_path,
+                                  block_size=block_size, stats=stats)
     boundary_device = _boundary_device(shard_path, block_size, stats)
     boundary_device.write_at(0, layout.pack_header(
         layout.TABLE_BOUNDARY, len(boundary), owned))
-    if boundary:
-        boundary_device.write_at(
-            layout.HEADER_SIZE,
-            array(layout.EDGE_TYPECODE, boundary).tobytes(),
-        )
+    boundary_device.write_at(layout.HEADER_SIZE,
+                             boundary.astype("<u4").tobytes())
     return Shard(index, start, stop, graph, boundary_device,
                  path=shard_path)
 

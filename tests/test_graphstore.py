@@ -6,7 +6,7 @@ from repro.errors import GraphError, StorageError
 from repro.storage import layout
 from repro.storage.blockio import IOStats
 from repro.storage.graphstore import GraphStorage
-from repro.storage.memgraph import MemoryGraph
+from repro.storage.memgraph import MemoryGraph, normalize_edges
 
 EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4),
          (3, 4), (3, 5), (3, 6), (4, 5), (5, 6), (5, 7), (5, 8), (6, 7)]
@@ -69,6 +69,82 @@ class TestConstruction:
             s.neighbors(9)
         with pytest.raises(GraphError):
             s.neighbors(-1)
+
+
+def per_row_tables(edges, num_nodes=None):
+    """Oracle: the tables of the per-row build ``from_edges`` replaced
+    (``normalize_edges``, sorted adjacency lists, ``from_adjacency``)."""
+    edge_list, n = normalize_edges(edges, num_nodes)
+    adjacency = [[] for _ in range(n)]
+    for u, v in edge_list:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    storage = GraphStorage.from_adjacency(
+        [sorted(nbrs) for nbrs in adjacency], n)
+    return storage.node_device.getvalue(), storage.edge_device.getvalue()
+
+
+class TestFromEdgesParity:
+    """The numpy ``from_edges`` writes the per-row build's bytes."""
+
+    CASES = {
+        "empty": ([], None),
+        "empty-with-nodes": ([], 5),
+        "self-loops-only": ([(3, 3), (0, 0)], None),
+        "both-orientations": ([(1, 0), (0, 1), (2, 2), (0, 2), (2, 0)],
+                              None),
+        "isolated-tail": ([(0, 4), (4, 2)], 9),
+        "paper": (EDGES, 9),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tables_byte_identical(self, case):
+        edges, n = self.CASES[case]
+        storage = GraphStorage.from_edges(edges, n)
+        assert (storage.node_device.getvalue(),
+                storage.edge_device.getvalue()) == per_row_tables(edges, n)
+
+    def test_random_multigraphs_byte_identical(self, rng):
+        for _ in range(25):
+            n = rng.randint(1, 70)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 4 * n))]
+            num_nodes = rng.choice([None, n, n + rng.randint(1, 5)])
+            storage = GraphStorage.from_edges(iter(edges), num_nodes)
+            assert (storage.node_device.getvalue(),
+                    storage.edge_device.getvalue()) == \
+                per_row_tables(edges, num_nodes)
+
+    def test_file_tables_match(self, tmp_path):
+        prefix = str(tmp_path / "g")
+        GraphStorage.from_edges(EDGES, 9, path=prefix).close()
+        tables = []
+        for suffix in (".nodes", ".edges"):
+            with open(prefix + suffix, "rb") as handle:
+                tables.append(handle.read())
+        assert tuple(tables) == per_row_tables(EDGES, 9)
+
+    @pytest.mark.parametrize("edges, num_nodes", [
+        ([(0, 1), (3, -1), (-2, 0)], None),   # negative id
+        ([(0, 1), (2, 5), (4, 4)], 3),        # num_nodes below an id
+        ([(0, 1), (7, 7)], -1),               # below even a loop-free id
+    ])
+    def test_errors_match_the_per_row_build(self, edges, num_nodes):
+        with pytest.raises(GraphError) as expected:
+            normalize_edges(edges, num_nodes)
+        with pytest.raises(GraphError) as raised:
+            GraphStorage.from_edges(edges, num_nodes)
+        assert str(raised.value) == str(expected.value)
+
+    def test_id_above_the_storable_range_raises(self):
+        with pytest.raises(GraphError, match="largest storable id"):
+            GraphStorage.from_edges([(0, layout.MAX_NODE_ID + 1)])
+
+    def test_malformed_pair_raises(self):
+        with pytest.raises(GraphError, match="pair"):
+            GraphStorage.from_edges([(0, 1, 2), (3, 4, 5)])
+        with pytest.raises(TypeError):
+            GraphStorage.from_edges([(0, 1.5)])
 
 
 class TestIterAdjacency:

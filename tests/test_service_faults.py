@@ -222,26 +222,29 @@ class TestTransactionalApply:
         service = _service(edges, n, data_dir=str(tmp_path),
                            apply_retries=0, retry_backoff=0.0)
         pre_kmax = service.degeneracy()
-        # The failing batch breaks has_edge as it dies, so validation
-        # passes but the rollback's graph repair cannot even diagnose
-        # edge membership -- the worst case the poison path guards.
+        # The failing batch reaches the graph and breaks its updates as
+        # it dies, so validation passes but the rollback's graph repair
+        # cannot take the edge back out -- the worst case the poison
+        # path guards.
         state = {"broken": False}
         real_apply = service.maintainer.apply_batch
-        real_has_edge = service.graph.has_edge
+        real_delete_edge = service.graph.delete_edge
 
         def dying_apply(ops, **kwargs):
             if ops:
+                _, u, v = ops[0]
+                service.graph.insert_edge(u, v, validate=False)
                 state["broken"] = True
                 raise InjectedReadError("injected maintenance failure")
             return real_apply(ops, **kwargs)
 
-        def broken_has_edge(u, v):
+        def broken_delete_edge(u, v, **kwargs):
             if state["broken"]:
                 raise InjectedReadError("injected rollback failure")
-            return real_has_edge(u, v)
+            return real_delete_edge(u, v, **kwargs)
 
         service.maintainer.apply_batch = dying_apply
-        service.graph.has_edge = broken_has_edge
+        service.graph.delete_edge = broken_delete_edge
         e1, e2 = _absent_edges(edges, n, 2)
         with pytest.raises(ServiceDegradedError, match="rollback"):
             service.apply([("+",) + e1])
@@ -254,6 +257,35 @@ class TestTransactionalApply:
         # ...while reads keep answering from the published epoch.
         assert service.degeneracy() == pre_kmax
         assert "rollback" in service.stats()["degraded"]
+
+    def test_rollback_of_a_partial_batch_reads_no_device(self,
+                                                         small_graph):
+        """The rollback restores membership from the batch itself, so a
+        transient read fault cannot fail it."""
+        edges, n = small_graph
+        service = _service(edges, n, apply_retries=0, retry_backoff=0.0)
+        pre_cores = list(service.maintainer.cores)
+        pre_edges = sorted(service.graph.edges())
+        x, z = tuple(edges[0]), tuple(edges[1])
+        y = _absent_edges(edges, n, 1)[0]
+        # x goes and comes back, y arrives, z never gets its turn: only
+        # y needs repair, and neither x nor z is in the edge buffer.
+        batch = [("-",) + x, ("+",) + y, ("+",) + x, ("-",) + z]
+        real_apply = service.maintainer.apply_batch
+        state = {}
+
+        def dying_apply(ops, **kwargs):
+            real_apply(ops[:3], **kwargs)
+            service.graph.storage.drop_caches()  # any read now costs
+            state["io"] = service.io_stats.snapshot()
+            raise InjectedReadError("injected maintenance failure")
+
+        service.maintainer.apply_batch = dying_apply
+        with pytest.raises(BatchQuarantinedError):
+            service.apply(batch)
+        assert service.io_stats.delta_since(state["io"]).read_ios == 0
+        assert list(service.maintainer.cores) == pre_cores
+        assert sorted(service.graph.edges()) == pre_edges
 
     def test_logic_errors_still_propagate_untouched(self, small_graph):
         edges, n = small_graph

@@ -97,8 +97,7 @@ class TestKillAndResume:
         service.close()
 
         resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n),
-                                   engine=engine)
+                                   GraphStorage.from_edges(edges, n))
         reference = straight_through(edges, n, batches, engine=engine)
         assert state_of(resumed) == state_of(reference)
         assert resumed.verify()
@@ -116,8 +115,7 @@ class TestKillAndResume:
         service.close()  # crash before batches[2] is even submitted
 
         resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n),
-                                   engine=engine)
+                                   GraphStorage.from_edges(edges, n))
         reference = straight_through(edges, n, batches[:2], engine=engine)
         assert state_of(resumed) == state_of(reference)
 
@@ -135,7 +133,7 @@ class TestKillAndResume:
 
         resumed = CoreService.open(data_dir,
                                    GraphStorage.from_edges(edges, n),
-                                   engine=engine, checkpoint_interval=1)
+                                   checkpoint_interval=1)
         for events in batches[2:]:
             resumed.apply(events)
         reference = straight_through(edges, n, batches, engine=engine)
@@ -200,8 +198,7 @@ class TestPublishCrashWindow:
             self.crashed_before_publish(tmp_path, engine)
         service.close()
         resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n),
-                                   engine=engine)
+                                   GraphStorage.from_edges(edges, n))
         reference = straight_through(edges, n, batches, engine=engine)
         assert state_of(resumed) == state_of(reference)
         assert resumed.verify()
@@ -212,7 +209,8 @@ class TestPublishCrashWindow:
 
 
 class TestCrossEngineResume:
-    def test_journal_written_by_python_resumed_by_numpy(self, tmp_path):
+    def test_python_seeded_journal_resumes_to_numpy_seeded_state(
+            self, tmp_path):
         edges, n = graph_edges()
         batches = update_batches(edges, n)
         data_dir = tmp_path / "svc"
@@ -224,9 +222,8 @@ class TestCrossEngineResume:
         service.close()
 
         resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n),
-                                   engine="numpy")
-        reference = straight_through(edges, n, batches, engine="python")
+                                   GraphStorage.from_edges(edges, n))
+        reference = straight_through(edges, n, batches, engine="numpy")
         assert state_of(resumed) == state_of(reference)
 
 
@@ -449,8 +446,7 @@ class TestRotationCrashWindows:
             tmp_path, engine, "_crash_after_rotate")
         manifest = read_manifest(data_dir)
         resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n),
-                                   engine=engine)
+                                   GraphStorage.from_edges(edges, n))
         reference = straight_through(edges, n, batches, engine=engine)
         assert state_of(resumed) == state_of(reference)
         assert resumed.verify()
@@ -469,8 +465,7 @@ class TestRotationCrashWindows:
         stale = [s for s in glob.glob(
                      os.path.join(str(data_dir), "journal.*.log"))]
         resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n),
-                                   engine=engine)
+                                   GraphStorage.from_edges(edges, n))
         reference = straight_through(edges, n, batches, engine=engine)
         assert state_of(resumed) == state_of(reference)
         assert resumed.verify()
@@ -504,8 +499,7 @@ class TestRotationCrashWindows:
         with open(path, "wb") as handle:
             handle.write(data[:-(RECORD_SIZE // 2) - RECORD_SIZE])
         resumed = CoreService.open(data_dir,
-                                   GraphStorage.from_edges(edges, n),
-                                   engine=engine)
+                                   GraphStorage.from_edges(edges, n))
         reference = straight_through(edges, n, batches[:-1],
                                      engine=engine)
         assert state_of(resumed) == state_of(reference)

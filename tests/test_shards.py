@@ -2,12 +2,17 @@
 
 import os
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.relabel import PermutedGraphView, locality_permutation
 from repro.datasets.generators import paper_example_graph, social_graph
 from repro.datasets.registry import load_dataset
 from repro.errors import GraphError
+from repro.storage import layout
 from repro.storage.blockio import IOStats
 from repro.storage.graphstore import GraphStorage
 from repro.storage.shards import (
@@ -21,6 +26,59 @@ def build(edges, n, num_shards, **kwargs):
     storage = GraphStorage.from_edges(edges, n)
     return storage, ShardedGraphStorage.from_storage(storage, num_shards,
                                                      **kwargs)
+
+
+def arc_bounds_loop(degrees, num_shards):
+    """Oracle: the running-total walk the vectorized bounds replace."""
+    n = len(degrees)
+    total = sum(int(d) for d in degrees)
+    if total == 0:
+        return shard_bounds(n, num_shards)
+    bounds = [0] * (num_shards + 1)
+    bounds[num_shards] = n
+    cum = 0
+    cut = 0
+    for i in range(1, num_shards):
+        target = i * total
+        while cut < n and cum * num_shards < target:
+            cum += int(degrees[cut])
+            cut += 1
+        if cut > bounds[i - 1]:
+            prev_cum = cum - int(degrees[cut - 1])
+            overshoot = cum * num_shards - target
+            undershoot = target - prev_cum * num_shards
+            if undershoot <= overshoot and cut - 1 >= bounds[i - 1]:
+                cut -= 1
+                cum = prev_cum
+        bounds[i] = cut
+    return bounds
+
+
+def reference_shard_tables(source, start, stop):
+    """Oracle: one shard's table bytes from the per-row remap and
+    ``from_adjacency``, the build the vectorized one replaces."""
+    rows = [list(map(int, nbrs))
+            for _, nbrs in source.iter_adjacency(start, stop)]
+    boundary = sorted({g for row in rows for g in row
+                       if not start <= g < stop})
+    halo_of = {g: stop - start + k for k, g in enumerate(boundary)}
+    local = [[g - start if start <= g < stop else halo_of[g] for g in row]
+             for row in rows] + [[] for _ in boundary]
+    graph = GraphStorage.from_adjacency(local, len(local))
+    boundary_table = layout.pack_header(
+        layout.TABLE_BOUNDARY, len(boundary), stop - start) + \
+        array(layout.EDGE_TYPECODE, boundary).tobytes()
+    return (graph.node_device.getvalue(), graph.edge_device.getvalue(),
+            boundary_table)
+
+
+PARITY_GRAPHS = {
+    "empty": ([], 0),
+    "single-node": ([], 1),
+    "isolated-nodes": ([(0, 5), (5, 9), (2, 9)], 14),
+    "paper": paper_example_graph(),
+    "social": social_graph(80, 2, 5, seed=3),
+}
 
 
 class TestShardBounds:
@@ -120,6 +178,103 @@ class TestArcBalancedBounds:
         _, empty = build([], 0, 3)
         assert empty.arc_skew == 1.0
         assert empty.boundary_fraction == 0.0
+
+
+class TestVectorizedArcBounds:
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=60),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_running_total_walk(self, degrees, num_shards):
+        assert arc_balanced_bounds(degrees, num_shards) == \
+            arc_bounds_loop(degrees, num_shards)
+
+    @given(st.lists(st.sampled_from([0, 1, 2, 500]), max_size=40),
+           st.integers(min_value=1, max_value=50))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_on_hubs_and_zero_runs(self, degrees, num_shards):
+        # Hubs make several targets share one cut; zero runs make the
+        # running total flat.  Both stress the tie rule.
+        assert arc_balanced_bounds(degrees, num_shards) == \
+            arc_bounds_loop(degrees, num_shards)
+
+
+class TestBuildParity:
+    """The vectorized build writes the per-row build's exact bytes."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("balance", ["node", "arc"])
+    @pytest.mark.parametrize("graph", sorted(PARITY_GRAPHS))
+    def test_tables_byte_identical(self, graph, balance, relabel):
+        edges, n = PARITY_GRAPHS[graph]
+        storage = GraphStorage.from_edges(edges, n)
+        source = storage
+        if relabel:
+            source = PermutedGraphView(storage,
+                                       *locality_permutation(storage))
+        for num_shards in (1, 3, 7, n + 3):
+            sharded = ShardedGraphStorage.from_storage(
+                source, num_shards, balance=balance)
+            assert sharded.num_shards == num_shards
+            for shard in sharded.shards:
+                tables = (shard.graph.node_device.getvalue(),
+                          shard.graph.edge_device.getvalue(),
+                          shard.boundary_device.getvalue())
+                assert tables == reference_shard_tables(
+                    source, shard.start, shard.stop), \
+                    (graph, balance, relabel, num_shards, shard)
+
+    @pytest.mark.parametrize("balance", ["node", "arc"])
+    def test_source_reads_equal_a_ranged_scan(self, balance):
+        # Shards span several 256 KB scan chunks, and the hub's row
+        # alone outgrows one, so the grouped edge reads are exercised.
+        n = 80000
+        edges = [(0, v) for v in range(1, n)] + \
+            [(v, (v * 7 + k) % n) for v in range(1, n, 3)
+             for k in (1, 2)]
+        storage = GraphStorage.from_edges(edges, n, block_size=256)
+        stats = storage.io_stats
+        calls = []
+        for name, device in (("nodes", storage.node_device),
+                             ("edges", storage.edge_device)):
+            def record(offset, size, name=name, read=device.read_at):
+                calls.append((name, offset, size))
+                return read(offset, size)
+            device.read_at = record
+        storage.drop_caches()
+        before = stats.snapshot()
+        sharded = ShardedGraphStorage.from_storage(storage, 5,
+                                                   balance=balance)
+        build, build_calls = stats.delta_since(before), calls[:]
+        storage.drop_caches()
+        del calls[:]
+        before = stats.snapshot()
+        if balance == "arc":
+            storage.read_degrees()
+        for start, stop in zip(sharded.bounds, sharded.bounds[1:]):
+            for _ in storage.iter_adjacency(start, stop):
+                pass
+        assert build == stats.delta_since(before)
+        assert build_calls == calls
+        assert build.read_ios > 0 and build.write_ios == 0
+
+    def test_file_backed_tables_equal_memory_tables(self, tmp_path):
+        edges, n = social_graph(120, 2, 6, seed=2)
+        storage = GraphStorage.from_edges(edges, n)
+        memory = ShardedGraphStorage.from_storage(storage, 4,
+                                                  balance="arc")
+        prefix = str(tmp_path / "g")
+        files = ShardedGraphStorage.from_storage(storage, 4,
+                                                 balance="arc", path=prefix)
+        files.close()
+        for shard in memory.shards:
+            on_disk = []
+            for suffix in (".nodes", ".edges", ".boundary"):
+                with open("%s.shard%d%s" % (prefix, shard.index, suffix),
+                          "rb") as handle:
+                    on_disk.append(handle.read())
+            assert on_disk == [shard.graph.node_device.getvalue(),
+                               shard.graph.edge_device.getvalue(),
+                               shard.boundary_device.getvalue()]
 
 
 class TestBuildInvariants:
