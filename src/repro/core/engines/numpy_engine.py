@@ -34,7 +34,9 @@ Every pass-based algorithm runs that one sweep kernel:
   equals the full sweep, and its scheduling bookkeeping reduces to "the
   next pass runs while violators remain";
 * the sharded shard pass -- the same converge loop with the halo rows
-  frozen (``limit``);
+  frozen (``limit``); after a shard's first pass it starts from carried
+  counts and runs over the rows it loads wave by wave
+  (:class:`_LoadedRows`);
 * SemiCore+ -- the sweep restricted to a window that grows while the
   pass runs (``window``): a dropper recruits its larger-id neighbours
   into the same pass.
@@ -70,7 +72,7 @@ exactly as under the reference engine.  SemiCore* builds its snapshot
 with the same per-node ``neighbors()`` reads the reference issues in
 pass 1 and then replays the (identical, ascending) reads of each later
 pass's processed set, both through
-:func:`~repro.storage.csr.read_rows`.  Model memory is reported
+:func:`~repro.storage.csr.read_sorted_rows`.  Model memory is reported
 honestly: the numpy engine *does* hold the snapshot resident, so its
 figure includes the CSR arrays where the reference engine charges only
 ``O(n)``.
@@ -86,7 +88,9 @@ import numpy as np
 from repro.core.locality import initial_bounds
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
 from repro.errors import GraphError
-from repro.storage.csr import CSRGraph, read_rows
+from repro.storage import layout
+from repro.storage.blockio import charge_spans
+from repro.storage.csr import CSRGraph, read_sorted_rows
 
 __all__ = ["semi_core_numpy", "semi_core_plus_numpy",
            "semi_core_star_numpy", "im_core_numpy",
@@ -233,7 +237,8 @@ def _drop(csr, active, x, old, support, limit):
     return larger, larger[(below[local] < value) & (value <= above[local])]
 
 
-def _sweep(csr, old, supporting, active, *, limit=None, window=None):
+def _sweep(csr, old, supporting, active, *, limit=None, window=None,
+           load=None):
     """Exact result of one ascending Gauss-Seidel sweep, vectorized.
 
     ``old`` holds the pass-start values, ``supporting`` their Eq. 2
@@ -257,15 +262,21 @@ def _sweep(csr, old, supporting, active, *, limit=None, window=None):
     (they are processed in the same pass, whether or not they drop), so
     it ends as the least closure of the schedule under "a dropper
     recruits its larger neighbours" -- the reference's processed set.
-    The fixpoint is monotone -- values only decrease as the active set
-    grows -- so it lands on exactly the sequential pass's state.
-    Returns the post-pass values without mutating ``old`` or
-    ``supporting``.
+    ``load`` is called with every wave's droppers before their rows are
+    gathered, for a ``csr`` that holds only the rows loaded so far
+    (:class:`_LoadedRows`).  The fixpoint is monotone -- values only
+    decrease as the active set grows -- so it lands on exactly the
+    sequential pass's state.  Returns the post-pass values without
+    mutating ``old`` or ``supporting``.
     """
     x = old.copy()
     support = supporting.copy()
-    mark = np.zeros(csr.num_nodes, dtype=bool)
+    # Only rows below ``limit`` ever enter the active set.
+    movable = csr.num_nodes if limit is None else limit
+    mark = np.zeros(movable, dtype=bool)
     while active.size:
+        if load is not None:
+            load(active)
         # Larger-id neighbours of just-changed nodes are the only nodes
         # the sweep still has in front of it ...
         larger, crossed = _drop(csr, active, x, old, support, limit)
@@ -273,7 +284,7 @@ def _sweep(csr, old, supporting, active, *, limit=None, window=None):
             break
         if window is not None:
             window[larger] = True
-        support -= np.bincount(crossed, minlength=support.size)
+        support[:movable] -= np.bincount(crossed, minlength=movable)
         mark[larger] = True
         candidates = np.flatnonzero(mark)
         mark[candidates] = False
@@ -331,18 +342,30 @@ def _as_core_array(values):
     return out
 
 
-def _replay_neighbor_reads(graph, nodes):
+def _replay_neighbor_reads(graph, nodes, loaded=None):
     """Re-issue the reference engine's per-node adjacency reads.
 
     The snapshot already holds the adjacency, but the semi-external model
-    charges every pass for reading it from the device; replaying the
+    charges every pass for reading it from the device; charging the
     identical ascending read sequence (:func:`~repro.storage.csr.
-    read_rows`) keeps the shared ``IOStats`` (and its one-block cache
-    behaviour) bit-identical to the reference run.  Graphs without I/O
+    read_sorted_rows`) keeps the shared ``IOStats`` (and its one-block
+    cache behaviour) bit-identical to the reference run.  Rows a
+    :class:`_LoadedRows` (``loaded``) read ahead are charged from the
+    offsets it holds, with ``charge_spans``.  Graphs without I/O
     accounting skip the replay entirely.
     """
-    if getattr(graph, "io_stats", None) is not None:
-        read_rows(graph, nodes.tolist())
+    if getattr(graph, "io_stats", None) is None:
+        return
+    if loaded is None:
+        read_sorted_rows(graph, nodes)
+        return
+    charge_spans(graph.node_device, layout.node_entry_position(0)
+                 + nodes * layout.NODE_ENTRY_SIZE,
+                 np.full(nodes.size, layout.NODE_ENTRY_SIZE))
+    start = loaded.indptr[nodes]
+    charge_spans(graph.edge_device, layout.edge_entry_position(0)
+                 + start * layout.EDGE_ENTRY_SIZE,
+                 (loaded.indptr[nodes + 1] - start) * layout.EDGE_ENTRY_SIZE)
 
 
 # ----------------------------------------------------------------------
@@ -475,35 +498,44 @@ def semi_core_plus_numpy(graph, *, initial_cores=None, trace_changes=False,
     )
 
 
-def _converge_star_passes(graph, csr, core, *, first=None, limit=None,
-                          changes=None, computed_log=None):
+def _converge_star_passes(graph, csr, core, *, supporting=None,
+                          first=None, limit=None, changes=None,
+                          computed_log=None):
     """The SemiCore* converge loop over ``csr``, for the rows below ``limit``.
 
     ``limit`` is None for a whole graph and ``frozen_from`` for a shard,
     whose halo rows are read like any neighbour but never recomputed.
-    ``first`` is the row set pass 1 is charged for computing (the
-    whole-graph stale-count pass recomputes every row with a positive
-    bound); without it pass 1, like every later pass, computes exactly
-    the rows that change.  Pass 1 is served by the snapshot itself;
-    later passes replay the reads of the rows that changed.  Passes run
-    while any row below ``limit`` violates Eq. 2.  Appends to the
-    ``changes`` / ``computed_log`` traces when given.  Returns ``(core,
-    cnt, iterations, computations)``.
+    ``supporting`` holds exact Eq. 2 counts at ``core`` (counted from
+    the snapshot when omitted).  ``first`` is the row set pass 1 is
+    charged for computing (the whole-graph stale-count pass recomputes
+    every row with a positive bound); without it pass 1, like every
+    later pass, computes exactly the rows that change.  When ``csr`` is
+    a snapshot, pass 1 is served by it and later passes replay the
+    reads of the rows that changed; when it is a :class:`_LoadedRows`,
+    every pass loads its rows as the sweep meets them and replays their
+    reads.  Passes run while any row below ``limit`` violates Eq. 2.
+    Appends to the ``changes`` / ``computed_log`` traces when given.
+    Returns ``(core, cnt, iterations, computations)``.
     """
-    supporting = _support(csr, core)
+    loaded = isinstance(csr, _LoadedRows)
+    if supporting is None:
+        supporting = _support(csr, core)
     active = np.flatnonzero(supporting[:limit] < core[:limit])
     iterations = 0
     computations = 0
     while True:
         iterations += 1
         old = core
-        core = _sweep(csr, old, supporting, active, limit=limit)
-        changed_ids = np.flatnonzero(core != old)
+        core = _sweep(csr, old, supporting, active, limit=limit,
+                      load=csr.load if loaded else None)
+        changed_ids = np.flatnonzero(core[:limit] != old[:limit])
         if iterations == 1 and first is not None:
             processed = first
         else:
             processed = changed_ids
-        if iterations > 1:
+        if loaded:
+            _replay_neighbor_reads(graph, processed, csr)
+        elif iterations > 1:
             _replay_neighbor_reads(graph, processed)
         computations += int(processed.size)
         if changes is not None:
@@ -563,19 +595,62 @@ def semi_core_star_numpy(graph, *, initial_cores=None, trace_changes=False,
     )
 
 
-def shard_pass_numpy(graph, *, initial_cores, frozen_from):
-    """Vectorized per-shard SemiCore* sweep with frozen halo rows.
+class _LoadedRows:
+    """A CSR of a table's rows, holding only the rows loaded so far.
+
+    A shard pass after the first knows which rows it recomputes only
+    wave by wave, and the order the reference reads them in (ascending
+    per pass) only once the pass is over.  So each wave's rows are
+    loaded ahead with :func:`~repro.storage.csr.read_sorted_rows`
+    (``charge=False``), and :func:`_converge_star_passes` charges them at
+    the end of the pass by replaying the reference's reads.  The edge
+    table stores rows back to back in id order, so a loaded row sits at
+    its node-table offset and ends where the next row starts:
+    ``indptr`` and ``indices`` are the table's own, exact wherever a
+    loaded row reads them and never read anywhere else.
+    """
+
+    __slots__ = ("graph", "indptr", "indices", "num_nodes", "_loaded")
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.num_nodes = graph.num_nodes
+        self.indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        self.indices = np.empty(graph.num_arcs, dtype=np.uint32)
+        self._loaded = np.zeros(self.num_nodes, dtype=bool)
+
+    def load(self, rows):
+        """Make the adjacency of ``rows`` (ascending ids) resident."""
+        rows = rows[~self._loaded[rows]]
+        if not rows.size:
+            return
+        self._loaded[rows] = True
+        offsets, degrees, indices = read_sorted_rows(self.graph, rows,
+                                                     charge=False)
+        self.indptr[rows] = offsets
+        self.indptr[rows + 1] = offsets + degrees
+        self.indices[np.arange(indices.size, dtype=np.int64) + np.repeat(
+            offsets - (np.cumsum(degrees) - degrees), degrees)] = indices
+
+
+def shard_pass_numpy(graph, *, initial_cores, frozen_from, cnt=None):
+    """Vectorized per-shard SemiCore* pass with frozen halo rows.
 
     The numpy side of the ``"shard-pass"`` kernel contract (see
     :func:`repro.core.sharded.shard_pass_python`): ``graph`` is one
     shard's local table, ``initial_cores`` the current estimates for
     every local row, and rows at or past ``frozen_from`` are boundary
     estimates that contribute their value but are never recomputed.
-    Pass 1 is one sequential scan of the owned rows (the read plan of
-    ``iter_adjacency(0, frozen_from)``); it and every later pass compute
-    exactly the rows that change, and later passes replay their reads.
+    Without ``cnt``, pass 1 is one sequential scan of the owned rows
+    (the read plan of ``iter_adjacency(0, frozen_from)``) and its counts
+    are taken from that snapshot.  With ``cnt`` nothing is scanned: the
+    sweeps run over :class:`_LoadedRows` from the Eq. 2 violators under
+    ``cnt`` and charge the reads of the rows they recompute.  Every
+    pass computes exactly the rows that change, and later passes replay
+    their reads.
     Passes run until no owned row violates Eq. 2 -- the same greatest
-    fixpoint the reference kernel reaches, so the cores agree exactly.
+    fixpoint the reference kernel reaches, so the cores, counts and
+    charged reads agree exactly.
     """
     n = graph.num_nodes
     if len(initial_cores) != n:
@@ -587,12 +662,22 @@ def shard_pass_numpy(graph, *, initial_cores, frozen_from):
         raise GraphError(
             "frozen_from %d out of range [0, %d]" % (frozen_from, n)
         )
-    csr = CSRGraph.from_storage(graph, stop=frozen_from)
-    core, _, iterations, computations = _converge_star_passes(
-        graph, csr, np.asarray(initial_cores, dtype=np.int64),
-        limit=frozen_from)
-    model_memory = 8 * (n + 1) + 4 * csr.num_arcs + 16 * n
-    return _as_core_array(core), computations, iterations, model_memory
+    core = np.asarray(initial_cores, dtype=np.int64)
+    sweeps = []
+    if cnt is None:
+        csr = CSRGraph.from_storage(graph, stop=frozen_from)
+        supporting = None
+    else:
+        csr = _LoadedRows(graph)
+        supporting = np.array(cnt, dtype=np.int64)
+    core, counts, _, computations = _converge_star_passes(
+        graph, csr, core, supporting=supporting, limit=frozen_from,
+        changes=sweeps)
+    # Without carried counts the first sweep's rows came with the scan.
+    rows_read = computations - (sweeps[0] if cnt is None else 0)
+    model_memory = 8 * (n + 1) + 4 * graph.num_arcs + 16 * n
+    return (_as_core_array(core), computations, rows_read, model_memory,
+            counts[:frozen_from])
 
 
 def distributed_core_numpy(graph, *, initial_cores=None,

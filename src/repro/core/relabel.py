@@ -16,9 +16,10 @@ builds that permutation as a pre-pass for
 2. :class:`PermutedGraphView` presents the source graph *as if* it were
    stored in the relabeled id space, so the shard builder runs
    unchanged.  Every read goes through the underlying counting devices:
-   the view's ``iter_adjacency`` resolves one node-table entry and one
-   edge-table range per relabeled node (random access, charged per the
-   I/O model -- the honest price of building shards out of id order).
+   the view's ``read_range`` (the shard builder's ranged read) resolves
+   one node-table entry and one edge-table range per relabeled node
+   (random access, charged per the I/O model -- the honest price of
+   building shards out of id order) and remaps the rows in numpy.
 3. The driver decomposes in relabeled space and inverse-maps the cores
    on the way out (``cores[v] == relabeled_cores[rank[v]]``), so results
    stay bit-identical to the unrelabeled run: core numbers are invariant
@@ -39,6 +40,7 @@ import numpy as np
 from repro.core.ordering import bfs_ordering, degeneracy_ordering
 from repro.errors import GraphError
 from repro.storage import layout
+from repro.storage.csr import read_rows
 
 #: Permutation methods accepted by :func:`locality_permutation`.
 RELABEL_METHODS = ("bfs", "degeneracy")
@@ -65,10 +67,9 @@ def locality_permutation(graph, method="bfs"):
         raise GraphError(
             "ordering covered %d of %d nodes" % (len(order), n)
         )
-    rank = array("i", bytes(4 * n))
-    for i, v in enumerate(order):
-        rank[v] = i
-    return array("i", order), rank
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int32)
+    return array("i", order), array("i", rank.tobytes())
 
 
 class PermutedGraphView:
@@ -76,11 +77,11 @@ class PermutedGraphView:
 
     Exposes the subset of the :class:`~repro.storage.GraphStorage`
     surface the shard builder and driver consume -- ``num_nodes``,
-    ``num_arcs``, ``io_stats``, ``block_size``, ``read_degrees`` and
-    ``iter_adjacency`` -- with every id translated through the
-    permutation.  All data still comes from the underlying storage's
-    counting devices, so I/O keeps being charged to the source graph's
-    ``IOStats``.
+    ``num_arcs``, ``io_stats``, ``block_size``, ``read_degrees``,
+    ``read_range`` and ``iter_adjacency`` -- with every id translated
+    through the permutation.  All data still comes from the underlying
+    storage's counting devices, so I/O keeps being charged to the source
+    graph's ``IOStats``.
     """
 
     def __init__(self, graph, order, rank):
@@ -116,6 +117,33 @@ class PermutedGraphView:
         order = np.asarray(self._order, dtype=np.int64)
         return array("i", np.take(base, order).tobytes())
 
+    def read_range(self, start=0, stop=None):
+        """Relabeled rows ``[start, stop)`` as ``(degrees, indices)``, the
+        contract of :func:`~repro.storage.csr.read_range`.
+
+        The source rows are read with :func:`~repro.storage.csr.
+        read_rows` in relabeled order -- the reads of one
+        ``neighbors()`` call per row, out of id order by construction
+        -- then every entry is renamed with one ``np.take`` of the rank
+        and one sort of ``row * n + rank`` keys re-sorts the rows, so
+        shard tables keep the sorted-adjacency invariant.
+        """
+        if stop is None:
+            stop = self.num_nodes
+        self._check_range(start, stop)
+        payload = []
+        degrees = np.asarray(read_rows(self._graph, self._order[start:stop],
+                                       payload), dtype=np.int64)
+        renamed = np.take(np.asarray(self._rank, dtype=np.int64),
+                          np.frombuffer(b"".join(payload), dtype=np.uint32))
+        # Rows and ranks are below num_nodes <= 2**32: the keys fit in
+        # uint64.
+        base = np.repeat(np.arange(stop - start, dtype=np.uint64)
+                         * np.uint64(self.num_nodes), degrees)
+        indices = (np.sort(base + renamed.astype(np.uint64))
+                   - base).astype(np.uint32)
+        return degrees, indices
+
     def iter_adjacency(self, start=0, stop=None):
         """Yield ``(i, neighbours)`` for relabeled ids in [start, stop).
 
@@ -125,11 +153,7 @@ class PermutedGraphView:
         """
         if stop is None:
             stop = self.num_nodes
-        if not 0 <= start <= stop <= self.num_nodes:
-            raise GraphError(
-                "bad node range [%d, %d) for n=%d"
-                % (start, stop, self.num_nodes)
-            )
+        self._check_range(start, stop)
         rank = self._rank
         for i in range(start, stop):
             nbrs = self._graph.neighbors(self._order[i])
@@ -144,6 +168,13 @@ class PermutedGraphView:
 
     def drop_caches(self):
         self._graph.drop_caches()
+
+    def _check_range(self, start, stop):
+        if not 0 <= start <= stop <= self.num_nodes:
+            raise GraphError(
+                "bad node range [%d, %d) for n=%d"
+                % (start, stop, self.num_nodes)
+            )
 
     def __repr__(self):
         return "PermutedGraphView(n=%d, m=%d)" % (
@@ -162,8 +193,6 @@ def inverse_map_cores(cores, rank):
             "cores length %d does not match permutation length %d"
             % (len(cores), len(rank))
         )
-    out = array(cores.typecode if hasattr(cores, "typecode") else "i",
-                bytes(4 * len(rank)))
-    for v, i in enumerate(rank):
-        out[v] = cores[i]
-    return out
+    out = np.take(np.asarray(cores, dtype=np.int32),
+                  np.asarray(rank, dtype=np.int64))
+    return array("i", out.tobytes())

@@ -15,22 +15,29 @@ SemiCore* passes until the global fixpoint:
    the previous scatter, and a shard with no such entry is not run at
    all: its owned rows are already the fixpoint for its halo, so a
    pass could not move them.
-2. **Pass** -- run a SemiCore* sweep per dispatched shard with the halo
+2. **Pass** -- run a SemiCore* pass per dispatched shard with the halo
    estimates frozen, through a pluggable shard executor (``serial`` or
    ``persistent``) and any registered engine's ``"shard-pass"`` kernel
-   (``python`` and ``numpy`` ship).  Pass 1 is one sequential scan of
-   the owned rows that recomputes only the rows violating Eq. 2; later
-   passes recompute only the rows that changed.
-3. **Scatter** -- write each dispatched shard's new owned estimates back
-   to its estimate table and record the global ids that changed; stop
-   once no estimate moved anywhere.
+   (``python`` and ``numpy`` ship).  A shard's first pass is one
+   sequential scan of its owned rows that counts every row's Eq. 2
+   support and recomputes only the violators.  Every later pass starts
+   from the counts the shard's last pass left (:func:`_carry_counts`):
+   it reads them, reads the reverse boundary rows of the halo entries
+   the gather just patched, takes one unit off each owned neighbour the
+   halo drop crossed, and converges from the rows that now violate
+   Eq. 2, point-reading only the rows it recomputes.  No pass after the
+   first scans its shard or recounts it.
+3. **Scatter** -- write each dispatched shard's new owned estimates and
+   Eq. 2 counts back to its estimate and counts tables and record the
+   global ids that changed; stop once no estimate moved anywhere.
 
 Each pass lands on the greatest fixpoint at or below its round-start
 state, whichever rows it recomputes in whichever order, so skipping
 unchanged shards and unchanged halo entries leaves the rounds and the
 per-round change trace exactly as a full re-gather and re-run would.
 This is Montresor et al.'s rule that a node recomputes only after a
-neighbour's estimate dropped, applied to whole shards.
+neighbour's estimate dropped, applied to whole shards and, through the
+carried counts, to the rows inside one.
 
 Correctness follows the locality property (Theorem 4.1) exactly as in
 Montresor et al.'s message-passing formulation (``core/distributed.py``):
@@ -45,11 +52,13 @@ Super Large Graphs with Limited Resources", PAPERS.md).
 Memory model
 ------------
 A pass touches one shard: its ``core``/``cnt`` arrays, gathered halo
-estimates and adjacency buffer.  ``model_memory_bytes`` of the returned
-result is the *largest per-shard working set* -- ``O(max shard)``, not
-``O(n)`` -- because the full estimate vector only ever lives in the
-estimate tables (external storage in the I/O model) and the final cores
-array is assembled by streaming those tables into the result object.
+estimates, the reverse rows of the changed halo entries and its
+adjacency buffer.  ``model_memory_bytes`` of the returned result is the
+*largest per-shard working set* -- ``O(max shard)``, not ``O(n)`` --
+because the full estimate vector and every shard's Eq. 2 counts only
+ever live in the estimate and counts tables (external storage in the
+I/O model) and the final cores array is assembled by streaming the
+estimate tables into the result object.
 
 Executor contract
 -----------------
@@ -63,17 +72,21 @@ afterwards.  Those rules make cores *and* I/O figures identical between
 
 Round transport
 ---------------
-Every decomposition backs its estimate tables with one
+Every decomposition backs its estimate and counts tables with one
 ``multiprocessing.shared_memory`` segment, the *round plan*
-(:mod:`repro.storage.shm`), and ships only ``(shard, engine)`` task
-descriptors per round: the estimate, halo and result payloads travel
-through the segment, whether the pass runs in the driving process
-(``serial``) or in a worker the ``persistent`` executor forks once per
-decomposition.  Each shard's halo slot persists across rounds: round 1
-fills it and later rounds patch only the re-gathered entries.  Charged
-I/O is the same under every executor: the driver performs the
-gather/scatter reads and writes against the counting devices, and the
-raw segment traffic is transport, which the I/O model never counts.
+(:class:`_SharedRoundPlan`, :mod:`repro.storage.shm`), and ships only
+``(shard, engine)`` task descriptors per round: the estimate, halo,
+halo-delta and result payloads travel through the segment, whether the
+pass runs in the driving process (``serial``) or in a worker the
+``persistent`` executor forks once per decomposition.  Each shard's
+halo slot persists across rounds: round 1 fills it and later rounds
+patch only the re-gathered entries, recording their positions and
+pre-patch values in the shard's delta slot for the pass.  Charged I/O
+is the same under every executor: the driver performs the
+gather/scatter reads and writes against the counting devices, a pass
+charges its reads of the counts table, the reverse table and its rows
+to its scratch counter, and the raw segment traffic is transport,
+which the I/O model never counts.
 """
 
 from __future__ import annotations
@@ -97,7 +110,7 @@ from repro.core.result import DecompositionResult
 from repro.core.semicore_star import converge_star
 from repro.errors import ExecutorError, GraphError, ReproError
 from repro.obs.trace import span
-from repro.storage.blockio import DEFAULT_BLOCK_SIZE, IOStats
+from repro.storage.blockio import DEFAULT_BLOCK_SIZE, IOStats, read_spans
 from repro.storage.shards import ShardedGraphStorage
 from repro.storage.shm import SharedMemoryBlockDevice, SharedMemorySegment
 
@@ -114,21 +127,30 @@ _ESTIMATE_TYPECODE = "i"
 # shard-pass kernels (registered as "shard-pass" in the engine registry)
 # ----------------------------------------------------------------------
 
-def shard_pass_python(graph, *, initial_cores, frozen_from):
-    """Reference per-shard SemiCore* sweep with frozen halo rows.
+def shard_pass_python(graph, *, initial_cores, frozen_from, cnt=None):
+    """Reference per-shard SemiCore* pass with frozen halo rows.
 
     ``graph`` is one shard's local table (owned rows first, then halo
     rows), ``initial_cores`` the current estimates for every local row.
     Rows at local id >= ``frozen_from`` are boundary estimates: they are
-    read like any neighbour but never recomputed.  Pass 1 is one
-    sequential scan of the owned rows (``iter_adjacency(0,
-    frozen_from)``, so halo node entries are never read) that counts
-    every row's Eq. 2 support exactly as it goes and runs LocalCore only
-    on the rows that violate it; the rows it leaves violated seed the
-    later passes of :func:`~repro.core.semicore_star.converge_star`.
-    Every pass therefore computes exactly the rows that change.  Returns
-    ``(cores, node_computations, sweep_iterations, model_memory_bytes)``
-    with ``cores`` covering every local row (the halo suffix unchanged).
+    read like any neighbour but never recomputed.
+
+    Without ``cnt`` this is the shard's first pass: one sequential scan
+    of the owned rows (``iter_adjacency(0, frozen_from)``, so halo node
+    entries are never read) counts every row's Eq. 2 support exactly as
+    it goes and runs LocalCore only on the rows that violate it; the
+    rows it leaves violated seed
+    :func:`~repro.core.semicore_star.converge_star`.  With ``cnt`` --
+    the exact Eq. 2 counts of every local row against ``initial_cores``
+    (halo rows at a frozen sentinel), carried over from the shard's last
+    pass by :func:`_carry_counts` -- nothing is scanned: ``converge_star``
+    starts from the owned rows violating Eq. 2 under ``cnt`` and
+    point-reads only the rows it recomputes.  Every row computed
+    changes.  Returns ``(cores, node_computations, rows_read,
+    model_memory_bytes, counts)``: ``cores`` covers every local row (the
+    halo suffix unchanged), ``rows_read`` counts the point-read rows
+    (those recomputed after the scan) and ``counts`` holds the owned
+    rows' Eq. 2 counts at ``cores``, the next pass's ``cnt``.
     """
     n = graph.num_nodes
     if len(initial_cores) != n:
@@ -141,9 +163,17 @@ def shard_pass_python(graph, *, initial_cores, frozen_from):
             "frozen_from %d out of range [0, %d]" % (frozen_from, n)
         )
     core = array(_ESTIMATE_TYPECODE, initial_cores)
-    cnt = array("q", bytes(8 * n))
+    if cnt is not None:
+        cnt = np.asarray(cnt, dtype=np.int64)
+        seeds = np.flatnonzero(cnt[:frozen_from] < np.frombuffer(
+            core, dtype=np.int32)[:frozen_from])
+        counts = array("q", cnt.tobytes())
+        stats = converge_star(graph, core, counts, seeds.tolist())
+        return (core, stats.computations, stats.computations,
+                12 * n + 8 * stats.max_degree_seen, counts[:frozen_from])
+    counts = array("q", bytes(8 * n))
     for v in range(frozen_from, n):
-        cnt[v] = _FROZEN_SENTINEL
+        counts[v] = _FROZEN_SENTINEL
     computations = 0
     max_degree = 0
     upcoming = []
@@ -153,25 +183,59 @@ def shard_pass_python(graph, *, initial_cores, frozen_from):
         cold = core[v]
         support = compute_cnt(core, nbrs, cold)
         if support >= cold:
-            cnt[v] = support
+            counts[v] = support
             continue
         computations += 1
         cnew = local_core(core, nbrs, cold)
         core[v] = cnew
-        cnt[v] = compute_cnt(core, nbrs, cnew)
+        counts[v] = compute_cnt(core, nbrs, cnew)
         # Rows past v are counted afresh when the scan reaches them;
         # rows before it that fall short wait for the next pass.
         for u in nbrs:
             if u < v and cnew < core[u] <= cold:
-                cnt[u] -= 1
-                if cnt[u] < core[u]:
+                counts[u] -= 1
+                if counts[u] < core[u]:
                     upcoming.append(u)
-    stats = converge_star(graph, core, cnt, upcoming)
+    stats = converge_star(graph, core, counts, upcoming)
     # core ('i') + cnt ('q') arrays plus the adjacency buffer (the scan
     # saw every owned row, so its widest row bounds the later passes).
     model_memory = 12 * n + 8 * max_degree
-    return (core, computations + stats.computations, 1 + stats.iterations,
-            model_memory)
+    return (core, computations + stats.computations, stats.computations,
+            model_memory, counts[:frozen_from])
+
+
+def _carry_counts(shard, counts_device, initial, positions, old):
+    """Eq. 2 counts of a shard's round-2+ pass, for any kernel.
+
+    The counts table holds the owned rows' exact counts at the end of
+    the shard's last pass.  The owned values have not moved since; only
+    the halo entries at ``positions`` (halo indices, ascending) have,
+    from ``old`` to their values in ``initial``.  So the counts table
+    is read once and, through the reverse boundary table, every owned
+    row ``v`` adjacent to a changed halo row ``h`` loses one unit when
+    the drop crossed it: ``new[h] < core[v] <= old[h]``.  Only those
+    rows can now violate Eq. 2: the kernel seeds from them.  Returns
+    ``(cnt, seeded)``: int64 counts of every local row (halo rows at the
+    frozen sentinel) and how many owned rows violate Eq. 2 under them.
+    """
+    owned = shard.num_owned
+    core = np.frombuffer(initial, dtype=np.int32)
+    cnt = np.full(shard.num_local, _FROZEN_SENTINEL, dtype=np.int64)
+    cnt[:owned] = np.frombuffer(
+        counts_device.read_at(0, owned * ESTIMATE_ENTRY_SIZE),
+        dtype=np.int32)
+    # A drop ending at or above every owned value crosses no owned row,
+    # so its reverse row is not read.
+    crossing = core[owned + positions] < core[:owned].max(initial=0)
+    positions, old = positions[crossing], old[crossing]
+    ids, lengths = shard.reverse_rows(positions)
+    value = core[ids]
+    losses = np.bincount(
+        ids[(np.repeat(core[owned + positions], lengths) < value)
+            & (value <= np.repeat(old, lengths))], minlength=owned)
+    cnt[:owned] -= losses
+    touched = np.flatnonzero(losses)
+    return cnt, int(np.count_nonzero(cnt[touched] < core[touched]))
 
 
 # ----------------------------------------------------------------------
@@ -480,16 +544,29 @@ def get_executor(executor):
 class _SharedRoundPlan:
     """Shared-memory layout of one decomposition's exchange state.
 
-    One segment holds, per shard, three consecutive regions: the
-    *estimate table* (backing a counting :class:`~repro.storage.shm.
-    SharedMemoryBlockDevice`, so the driver's gather/scatter is charged
-    exactly as on a :class:`~repro.storage.blockio.MemoryBlockDevice`),
-    a *halo slot* the driver fills raw with the gathered boundary
-    estimates in round 1 and patches in place afterwards, and an
-    *output slot* the pass fills raw with its owned cores.  Raw slot
-    traffic is transport, not modelled I/O, and it is the same whichever
-    executor runs the pass -- that is what keeps the counters
-    bit-identical across executors.
+    One segment holds, per shard, five consecutive regions of int32
+    entries:
+
+    * the *estimate table* (``num_owned``) and the *halo slot*
+      (``num_boundary``), adjacent so a pass reads its round-start
+      values in one go;
+    * the *counts table* (``num_owned``): the owned rows' Eq. 2 counts
+      at the end of the shard's last pass;
+    * the *output slot* (``2 * num_owned``): a pass's owned cores, then
+      its counts;
+    * the *delta slot* (``1 + 2 * num_boundary``): how many halo entries
+      the last gather patched, their positions and their values before
+      the patch (a count of -1 marks the round-1 fill).
+
+    The estimate and counts tables back counting
+    :class:`~repro.storage.shm.SharedMemoryBlockDevice` instances, so
+    their traffic is charged exactly as on a
+    :class:`~repro.storage.blockio.MemoryBlockDevice`; the slots are
+    raw transport, not modelled I/O, and the same whichever executor
+    runs the pass -- that is what keeps the counters bit-identical
+    across executors.  A pass only reads the tables and writes its
+    output slot; the driver writes both tables after ``run`` returns,
+    so a retried pass sees the same inputs.
 
     The driver owns the plan: it is created before the first round,
     read in-process by serial passes and through fork inheritance by
@@ -499,44 +576,64 @@ class _SharedRoundPlan:
     """
 
     def __init__(self, sharded, block_size, stats):
-        offsets = []
+        self._regions = []
         cursor = 0
         for shard in sharded.shards:
-            owned_bytes = shard.num_owned * ESTIMATE_ENTRY_SIZE
-            halo_bytes = shard.num_boundary * ESTIMATE_ENTRY_SIZE
-            offsets.append((cursor, cursor + owned_bytes,
-                            cursor + owned_bytes + halo_bytes))
-            cursor += 2 * owned_bytes + halo_bytes
+            owned, halo = shard.num_owned, shard.num_boundary
+            region = [cursor]
+            for entries in (owned, halo, owned, 2 * owned, 1 + 2 * halo):
+                cursor += entries * ESTIMATE_ENTRY_SIZE
+                region.append(cursor)
+            self._regions.append(region)
         self.total_bytes = max(1, cursor)
         self.segment = SharedMemorySegment(self.total_bytes)
-        self._regions = offsets
-        self.devices = [
-            SharedMemoryBlockDevice(
-                self.segment, offsets[i][0],
-                shard.num_owned * ESTIMATE_ENTRY_SIZE,
+        self.devices = []
+        self.count_devices = []
+        for region in self._regions:
+            estimates, halo, counts, _, _, _ = region
+            self.devices.append(SharedMemoryBlockDevice(
+                self.segment, estimates, halo - estimates,
+                block_size=block_size, stats=stats))
+            # Written by the driver after the workers fork and read by
+            # them, so it starts at its full (zero-filled) size.
+            self.count_devices.append(SharedMemoryBlockDevice(
+                self.segment, counts, region[3] - counts,
                 block_size=block_size, stats=stats,
-            )
-            for i, shard in enumerate(sharded.shards)
-        ]
+                size=region[3] - counts))
+
+    def _slot(self, index, which):
+        region = self._regions[index]
+        return np.frombuffer(self.segment.buf[region[which]:
+                                              region[which + 1]],
+                             dtype=np.int32)
 
     # -- driver side ---------------------------------------------------
-    def write_halo_at(self, index, positions, values):
+    def fill_halo(self, index, values):
+        """Fill a shard's whole halo slot (round 1; raw transport)."""
+        self._slot(index, 1)[:] = values
+        self._slot(index, 4)[0] = -1
+
+    def patch_halo(self, index, positions, values):
         """Patch a shard's halo slot at ``positions`` (raw transport).
 
-        The slot persists across rounds, so the driver rewrites only
-        the entries whose estimates moved since the previous round.
+        The slot persists across rounds, so the driver rewrites only the
+        entries whose estimates moved since the previous round; the
+        delta slot keeps their positions and pre-patch values for the
+        pass's count prologue.
         """
-        start, stop = self._regions[index][1:]
-        halo = np.frombuffer(self.segment.buf[start:stop], dtype=np.int32)
-        halo[positions] = np.frombuffer(values, dtype=np.int32)
+        halo = self._slot(index, 1)
+        delta = self._slot(index, 4)
+        k = len(positions)
+        delta[0] = k
+        delta[1:1 + k] = positions
+        delta[1 + k:1 + 2 * k] = halo[positions]
+        halo[positions] = values
 
-    def read_cores(self, index, count):
-        """Collect a shard's pass result from its output slot."""
-        start = self._regions[index][2]
-        size = count * ESTIMATE_ENTRY_SIZE
-        cores = array(_ESTIMATE_TYPECODE)
-        cores.frombytes(bytes(self.segment.buf[start:start + size]))
-        return cores
+    def read_output(self, index):
+        """A shard's pass result: ``(cores, counts)`` as int32 bytes."""
+        output = self._slot(index, 3)
+        owned = output.size // 2
+        return output[:owned].tobytes(), output[owned:].tobytes()
 
     # -- pass side -----------------------------------------------------
     def read_initial(self, index, count):
@@ -549,14 +646,25 @@ class _SharedRoundPlan:
         size = count * ESTIMATE_ENTRY_SIZE
         return bytes(self.segment.buf[start:start + size])
 
-    def write_cores(self, index, cores):
-        """Store a pass's owned cores into the output slot."""
-        data = cores.tobytes()
-        start = self._regions[index][2]
-        self.segment.buf[start:start + len(data)] = data
+    def read_delta(self, index):
+        """``(positions, old)`` of the last halo patch, None after the
+        round-1 fill."""
+        delta = self._slot(index, 4)
+        k = int(delta[0])
+        if k < 0:
+            return None
+        return (delta[1:1 + k].astype(np.int64),
+                delta[1 + k:1 + 2 * k].copy())
+
+    def write_output(self, index, cores, counts):
+        """Store a pass's owned cores and counts into the output slot."""
+        output = self._slot(index, 3)
+        owned = output.size // 2
+        output[:owned] = np.frombuffer(cores, dtype=np.int32)
+        output[owned:] = np.asarray(counts, dtype=np.int32)
 
     def close(self):
-        for device in self.devices:
+        for device in self.devices + self.count_devices:
             device.close()
         self.segment.close()
 
@@ -578,39 +686,53 @@ def _run_shard_pass_shared(task):
     """Execute one shard pass; the unit of work executors schedule.
 
     ``task`` is just ``(shard_index, engine)``: the round-start
-    estimates come raw from the round plan and the owned cores go back
-    the same way, so only the counters travel in the result however
-    large the shard is.  The pass follows the executor contract's three
-    rules: it starts cold (device caches dropped), touches only the
-    shard's own devices, and charges its I/O to a scratch counter so the
-    driver can apply one combined delta whatever process ran it.
-    Returns ``(computations, sweep_iterations, model_memory_bytes,
+    estimates and the halo delta come raw from the round plan and the
+    owned cores and counts go back the same way, so only the counters
+    travel in the result however large the shard is.  A shard's first
+    pass runs the kernel's scan; every later one runs
+    :func:`_carry_counts` first and hands the kernel its counts.  The
+    pass follows the executor contract's three rules: it
+    starts cold (device caches dropped), touches only the shard's own
+    devices, and charges its I/O to a scratch counter so the driver can
+    apply one combined delta whatever process ran it.  Returns
+    ``(computations, rows_read, seeded, model_memory_bytes,
     io_counts)``.
     """
     index, engine = task
     shard = _ACTIVE_SHARDS[index]
+    plan = _ACTIVE_PLAN
+    owned = shard.num_owned
     initial = array(_ESTIMATE_TYPECODE)
-    initial.frombytes(_ACTIVE_PLAN.read_initial(index, shard.num_local))
+    initial.frombytes(plan.read_initial(index, shard.num_local))
     graph = shard.graph
     kernel = engine_implementation(engine, "shard-pass")
     scratch = IOStats()
-    devices = (graph.node_device, graph.edge_device)
+    devices = (graph.node_device, graph.edge_device, shard.reverse_device,
+               plan.count_devices[index])
     saved = [dev.stats for dev in devices]
     for dev in devices:
         dev.stats = scratch
-    graph.drop_caches()
+        dev.drop_cache()
+    seeded = 0
     try:
-        cores, computations, sweeps, memory = kernel(
-            graph, initial_cores=initial, frozen_from=shard.num_owned
-        )
+        delta = plan.read_delta(index)
+        if delta is None:
+            outcome = kernel(graph, initial_cores=initial,
+                             frozen_from=owned)
+        else:
+            cnt, seeded = _carry_counts(shard, plan.count_devices[index],
+                                        initial, *delta)
+            outcome = kernel(graph, initial_cores=initial,
+                             frozen_from=owned, cnt=cnt)
     finally:
         for dev, stats in zip(devices, saved):
             dev.stats = stats
-    _ACTIVE_PLAN.write_cores(
-        index, array(_ESTIMATE_TYPECODE, cores[:shard.num_owned]))
+    cores, computations, rows_read, memory, counts = outcome
+    plan.write_output(index, array(_ESTIMATE_TYPECODE, cores[:owned]),
+                      counts[:owned])
     io_counts = (scratch.read_ios, scratch.write_ios,
                  scratch.bytes_read, scratch.bytes_written)
-    return computations, sweeps, memory, io_counts
+    return computations, rows_read, seeded, memory, io_counts
 
 
 # ----------------------------------------------------------------------
@@ -702,51 +824,64 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
                     for shard, device, boundary in zip(
                             sharded.shards, estimates, boundary_cache):
                         if moved is None:
-                            positions = np.arange(len(boundary))
+                            positions = None
+                            halo_changed += len(boundary)
                         else:
-                            positions = np.flatnonzero(np.isin(
-                                boundary, moved, assume_unique=True))
+                            # Both sorted: look the moved ids up among
+                            # the halo's.
+                            positions = np.searchsorted(boundary, moved)
+                            positions = positions[
+                                boundary.take(positions, mode="clip")
+                                == moved] if boundary.size else positions[:0]
                             if not positions.size:
                                 # Owned rows and halo are where the
                                 # shard's last pass left them: a fixpoint.
                                 continue
+                            halo_changed += int(positions.size)
                         dispatched.append(shard)
                         round_start.append(
                             _read_estimates(device, shard.num_owned))
-                        halo_changed += int(positions.size)
-                        plan.write_halo_at(
-                            shard.index, positions, _gather_boundary(
-                                boundary[positions], sharded.bounds,
-                                estimates))
+                        if positions is None:
+                            plan.fill_halo(shard.index, _gather_boundary(
+                                boundary, sharded.bounds, estimates))
+                        else:
+                            plan.patch_halo(
+                                shard.index, positions, _gather_boundary(
+                                    boundary[positions], sharded.bounds,
+                                    estimates))
                 results = exec_obj.run(
                     _run_shard_pass_shared,
                     [(shard.index, engine_name) for shard in dispatched])
                 shard_passes += len(dispatched)
                 moved_parts = []
+                seeded = rows_read = 0
                 with span("sharded.scatter", io=stats, round=rounds):
                     for shard, owned, outcome in zip(
                             dispatched, round_start, results):
-                        comps, _, memory, io_counts = outcome
-                        cores = plan.read_cores(shard.index,
-                                                shard.num_owned)
+                        comps, rows, seeds, memory, io_counts = outcome
+                        cores, counts = plan.read_output(shard.index)
                         _apply_io(stats, io_counts)
                         computations += comps
+                        rows_read += rows
+                        seeded += seeds
                         local_state = memory + \
                             12 * shard.num_local + 4 * shard.num_owned
                         if local_state > peak_memory:
                             peak_memory = local_state
-                        if cores != owned:
-                            moved_parts.append(shard.start + np.flatnonzero(
-                                np.frombuffer(cores, dtype=np.int32)
-                                != np.frombuffer(owned, dtype=np.int32)))
-                            estimates[shard.index].write_at(
-                                0, cores.tobytes())
+                        plan.count_devices[shard.index].write_at(0, counts)
+                        drops = np.flatnonzero(
+                            np.frombuffer(cores, dtype=np.int32)
+                            != np.frombuffer(owned, dtype=np.int32))
+                        if drops.size:
+                            moved_parts.append(shard.start + drops)
+                            estimates[shard.index].write_at(0, cores)
                 moved = (np.concatenate(moved_parts) if moved_parts
                          else np.zeros(0, dtype=np.int64))
                 changed = int(moved.size)
                 round_span.annotate(changed=changed,
                                     dispatched=len(dispatched),
-                                    halo_changed=halo_changed)
+                                    halo_changed=halo_changed,
+                                    seeded=seeded, rows_read=rows_read)
             if trace_changes:
                 changes.append(changed)
             if not changed:
@@ -812,38 +947,18 @@ def _read_estimates(device, count):
 def _gather_boundary(boundary_ids, bounds, estimates):
     """Resolve halo estimates from the owning shards' estimate tables.
 
-    ``boundary_ids`` is sorted.  Inside one owner, every maximal group
-    of ids whose entries sit in the same or adjacent blocks becomes a
-    single ranged ``read_at`` that the ids are then picked from.  The
-    block charges equal those of one point read per id by construction:
-    the ranged read touches exactly the union of the blocks the point
-    reads touch -- a contiguous block range, charged once each, where
-    the ascending point reads charge each once too thanks to the
-    one-block cache -- and a group never spans a block the point reads
-    skip.  ``tests/test_sharded.py`` asserts the counter parity against
-    the point-read reference.
+    ``boundary_ids`` is sorted, so the owners' ids come one owner after
+    another, ascending, and one :func:`~repro.storage.blockio.read_spans`
+    reads them with the charges of one point read per id.
+    ``tests/test_sharded.py`` asserts the counter parity against the
+    point-read reference.  Returns an int32 array.
     """
-    values = array(_ESTIMATE_TYPECODE)
     ids = np.asarray(boundary_ids, dtype=np.int64)
-    if not ids.size:
-        return values
     owners = np.searchsorted(bounds, ids, side="right") - 1
-    offsets = (ids - np.asarray(bounds)[owners]) * ESTIMATE_ENTRY_SIZE
-    block_size = estimates[0].block_size  # one plan, one block size
-    first_block = offsets // block_size
-    last_block = (offsets + ESTIMATE_ENTRY_SIZE - 1) // block_size
-    cuts = np.flatnonzero((np.diff(owners) != 0)
-                          | (first_block[1:] > last_block[:-1] + 1)) + 1
-    starts = np.concatenate(([0], cuts)).tolist()
-    stops = np.concatenate((cuts, [ids.size])).tolist()
-    for i, j in zip(starts, stops):
-        base = int(offsets[i])
-        data = estimates[int(owners[i])].read_at(
-            base, int(offsets[j - 1]) + ESTIMATE_ENTRY_SIZE - base)
-        picked = np.frombuffer(data, dtype=np.int32)[
-            (offsets[i:j] - base) // ESTIMATE_ENTRY_SIZE]
-        values.frombytes(picked.tobytes())
-    return values
+    return read_spans(
+        estimates, owners,
+        (ids - np.asarray(bounds)[owners]) * ESTIMATE_ENTRY_SIZE,
+        np.ones(ids.size, dtype=np.int64), np.int32)
 
 
 def _apply_io(stats, io_counts):

@@ -3,7 +3,8 @@
 :class:`FaultInjectingBlockDevice` composes over any object with the
 :class:`~repro.storage.blockio.BlockDevice` surface and consults a
 :class:`~repro.faults.plan.FaultPlan` before every ``read_at`` /
-``write_at`` / ``append``.  It is a duck-typed proxy, not a
+``write_at`` / ``append``, and before every span of a ``read_spans``
+(the ``read_at`` calls it stands for).  It is a duck-typed proxy, not a
 ``BlockDevice`` subclass: the inner device keeps doing all the real
 I/O, caching and stats counting, so wrapping never double-counts block
 transfers and production code cannot tell the difference until a fault
@@ -29,6 +30,8 @@ Fault semantics:
 from __future__ import annotations
 
 import time
+
+import numpy as np
 
 from repro.faults.plan import (
     BIT_FLIP,
@@ -63,6 +66,18 @@ class FaultInjectingBlockDevice:
 
     # -- faulted operations -------------------------------------------------
     def read_at(self, offset, size):
+        self._before_read(offset, size)
+        return self._inner.read_at(offset, size)
+
+    def read_spans(self, starts, counts, dtype, *, charge=True):
+        itemsize = np.dtype(dtype).itemsize
+        for offset, count in zip(np.asarray(starts).tolist(),
+                                 np.asarray(counts).tolist()):
+            if count:
+                self._before_read(offset, count * itemsize)
+        return self._inner.read_spans(starts, counts, dtype, charge=charge)
+
+    def _before_read(self, offset, size):
         spec = self._plan.next_fault(self._target, "read")
         if spec is not None:
             if spec.kind == READ_ERROR:
@@ -71,7 +86,6 @@ class FaultInjectingBlockDevice:
                     % (self._target, offset, size))
             if spec.kind == LATENCY and spec.arg:
                 time.sleep(spec.arg)
-        return self._inner.read_at(offset, size)
 
     def write_at(self, offset, data):
         data = bytes(data)

@@ -83,18 +83,16 @@ class CSRGraph:
         """Build a snapshot of ``graph`` holding adjacency for ``rows`` only.
 
         Every other row is empty.  Rows are read in ascending id order
-        with the reads of ``graph.neighbors`` (see :func:`read_rows`).
-        The NumPy SemiCore* and SemiCore+ engines use this to snapshot
-        exactly the nodes the reference algorithm reads, in exactly the
-        order it reads them.
+        and charged as the reads of ``graph.neighbors`` (see
+        :func:`read_sorted_rows`).  The NumPy SemiCore* and SemiCore+
+        engines use this to snapshot exactly the nodes the reference
+        algorithm reads, in exactly the order it reads them.
         """
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         degrees = np.zeros(graph.num_nodes, dtype=np.int64)
-        payload = []
-        degrees[rows] = read_rows(graph, rows.tolist(), payload)
+        _, degrees[rows], indices = read_sorted_rows(graph, rows)
         indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        indices = np.frombuffer(b"".join(payload), dtype=np.uint32)
         return cls(indptr, indices)
 
     # ------------------------------------------------------------------
@@ -138,8 +136,11 @@ def read_range(graph, start=0, stop=None, *, chunk_bytes=None):
     non-empty adjacency is accepted regardless of size) -- with the plan
     computed in numpy, so the read does no per-row Python work and
     charges exactly the I/O of the scan.  Any other graph is read with
-    one ``iter_adjacency(start, stop)`` pass.
+    one ``iter_adjacency(start, stop)`` pass, unless it brings its own
+    ``read_range`` (the relabeled view).
     """
+    if hasattr(graph, "read_range"):
+        return graph.read_range(start, stop)
     if chunk_bytes is None:
         chunk_bytes = SCAN_CHUNK_BYTES
     n = graph.num_nodes
@@ -239,3 +240,35 @@ def read_rows(graph, rows, payload=None):
             if payload is not None:
                 payload.append(data)
     return degrees
+
+
+def read_sorted_rows(graph, rows, *, charge=True):
+    """Adjacency of strictly ascending ``rows``.
+
+    Charged exactly as :func:`read_rows` charges the same rows, or --
+    on a graph with block devices -- not at all with ``charge=False``: a
+    look-ahead read for a caller that charges the rows later, in the
+    order the reference reads them in.  On a graph with block devices
+    the rows take one ``read_spans`` per table: rows are stored back to
+    back in id order, so their adjacency spans ascend too, and each
+    table keeps its own read cache, so the charges are those of the
+    per-row reads, which alternate between the tables.  Returns
+    ``(offsets, degrees, indices)``: the rows' edge-table offsets (None
+    without block devices) and degrees as int64, and their uint32
+    adjacency, row after row.
+    """
+    if not (hasattr(graph, "node_device") and hasattr(graph, "edge_device")):
+        payload = []
+        degrees = read_rows(graph, [int(v) for v in rows], payload)
+        return (None, np.asarray(degrees, dtype=np.int64),
+                np.frombuffer(b"".join(payload), dtype=np.uint32))
+    entries = graph.node_device.read_spans(
+        layout.node_entry_position(0)
+        + np.asarray(rows, dtype=np.int64) * layout.NODE_ENTRY_SIZE,
+        np.ones(len(rows), dtype=np.int64), NODE_ENTRY_DTYPE,
+        charge=charge)
+    offsets = entries["offset"].astype(np.int64)
+    degrees = entries["degree"].astype(np.int64)
+    return offsets, degrees, graph.edge_device.read_spans(
+        layout.edge_entry_position(0) + offsets * layout.EDGE_ENTRY_SIZE,
+        degrees, "<u4", charge=charge)

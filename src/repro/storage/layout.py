@@ -34,6 +34,9 @@ TABLE_EDGE = 2
 #: Per-shard boundary table (see :mod:`repro.storage.shards`): the
 #: sorted global ids behind a shard's halo rows, one u32 per entry.
 TABLE_BOUNDARY = 3
+#: Per-shard reverse boundary table: for each halo row, the owned rows
+#: whose adjacency holds it (a node-table index, then u32 local ids).
+TABLE_REVERSE = 4
 
 HEADER_SIZE = 64
 # magic (8s), version (u32), table type (u32), entry count (u64),

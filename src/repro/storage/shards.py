@@ -34,8 +34,11 @@ nodes:
 
 The cross-shard edges are therefore materialized inside the shard's own
 edge table, and the *boundary table* (a third per-shard device) records
-the sorted global ids behind the halo rows.  A shard pass reads only the
-shard's three devices; resolving a halo row's current core estimate is
+the sorted global ids behind the halo rows.  The *reverse boundary
+table* (a fourth device) inverts the cross-shard entries: for each halo
+row, the owned local ids whose adjacency holds it, ascending, behind an
+index in the node-table entry format.  A shard pass reads only the
+shard's own devices; resolving a halo row's current core estimate is
 the driver's boundary-exchange step, not the pass's.
 
 Invariants (asserted by ``tests/test_shards.py``):
@@ -64,9 +67,10 @@ from repro.storage.blockio import (
     MemoryBlockDevice,
 )
 from repro.storage.csr import read_range
-from repro.storage.graphstore import GraphStorage, sorted_unique
+from repro.storage.graphstore import NODE_ENTRY_DTYPE, GraphStorage
 
 BOUNDARY_SUFFIX = ".boundary"
+REVERSE_SUFFIX = ".reverse"
 
 
 def shard_bounds(num_nodes, num_shards):
@@ -114,15 +118,16 @@ class Shard:
     """One contiguous node-range shard of a sharded graph."""
 
     __slots__ = ("index", "start", "stop", "graph", "boundary_device",
-                 "path")
+                 "reverse_device", "path")
 
     def __init__(self, index, start, stop, graph, boundary_device,
-                 path=None):
+                 reverse_device, path=None):
         self.index = index
         self.start = start
         self.stop = stop
         self.graph = graph
         self.boundary_device = boundary_device
+        self.reverse_device = reverse_device
         self.path = path
 
     @property
@@ -156,6 +161,28 @@ class Shard:
             ids.frombytes(data)
         return ids
 
+    def reverse_rows(self, positions):
+        """Owned local ids whose adjacency holds the halo rows at
+        ``positions`` (ascending halo indices, ``local id - num_owned``).
+
+        Reads the rows' index entries, then their id spans, each with
+        one ``read_spans``: the charges of one point read per row and
+        table part.  Returns ``(ids, lengths)``: the ids row after row
+        (uint32) and the per-row counts.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        device = self.reverse_device
+        index = device.read_spans(
+            layout.HEADER_SIZE + positions * layout.NODE_ENTRY_SIZE,
+            np.ones(positions.size, dtype=np.int64), NODE_ENTRY_DTYPE)
+        lengths = index["degree"].astype(np.int64)
+        ids_base = layout.HEADER_SIZE + \
+            self.num_boundary * layout.NODE_ENTRY_SIZE
+        ids = device.read_spans(
+            ids_base + index["offset"].astype(np.int64)
+            * layout.EDGE_ENTRY_SIZE, lengths, "<u4")
+        return ids, lengths
+
     def to_global(self, local_ids, boundary=None):
         """Map local ids (owned or halo) back to global ids."""
         if boundary is None:
@@ -170,9 +197,10 @@ class Shard:
         return out
 
     def close(self):
-        """Close the shard's three backing devices."""
+        """Close the shard's four backing devices."""
         self.graph.close()
         self.boundary_device.close()
+        self.reverse_device.close()
 
     def __repr__(self):
         return "Shard(%d, [%d, %d), halo=%d)" % (
@@ -206,8 +234,8 @@ class ShardedGraphStorage:
         instance (fresh by default -- the sharded decomposition driver
         passes the source's so one figure covers the whole pipeline).
         ``path`` selects file-backed shards written to
-        ``<path>.shard<i>.nodes/.edges/.boundary``; the default keeps
-        them in counting memory devices.
+        ``<path>.shard<i>.nodes/.edges/.boundary/.reverse``; the default
+        keeps them in counting memory devices.
 
         ``balance`` picks the fencepost rule: ``"node"`` splits the id
         range evenly (:func:`shard_bounds`), ``"arc"`` balances owned
@@ -349,15 +377,27 @@ def _build_shard(storage, index, start, stop, path, block_size, stats):
     (:func:`~repro.storage.csr.read_range`), remapped to local ids in
     numpy -- owned ids to ``g - start``, cross-shard ids to
     ``num_owned + rank`` in the sorted boundary table -- and each table
-    is written in bulk.  Only this shard's arrays are resident.
+    is written in bulk.  One sort of the cross-shard entries by
+    ``(global id, owned row)`` yields the boundary table, each entry's
+    rank in it and the reverse table's rows, referrers ascending.  Only
+    this shard's arrays are resident.
     """
     degrees, indices = read_range(storage, start, stop)
     owned = stop - start
     cross = (indices < start) | (indices >= stop)
-    outside = indices[cross]
-    boundary = sorted_unique(outside)
+    referrers = np.repeat(np.arange(owned, dtype=np.int64), degrees)[cross]
+    outside = indices[cross].astype(np.int64)
+    # Ids and ``owned`` are at most 2**32, so the key fits in uint64.
+    order = np.argsort(outside.astype(np.uint64) * np.uint64(max(owned, 1))
+                       + referrers.astype(np.uint64))
+    ordered = outside[order]
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    boundary = ordered[first]
+    halo = np.empty(ordered.size, dtype=np.int64)
+    halo[order] = np.cumsum(first) - 1
     local = indices - np.uint32(start)
-    local[cross] = owned + np.searchsorted(boundary, outside)
+    local[cross] = owned + halo
     shard_path = None
     if path is not None:
         shard_path = "%s.shard%d" % (os.fspath(path), index)
@@ -366,17 +406,28 @@ def _build_shard(storage, index, start, stop, path, block_size, stats):
         [degrees, np.zeros(len(boundary), dtype=np.int64)])
     graph = GraphStorage.from_csr(local_degrees, local, path=shard_path,
                                   block_size=block_size, stats=stats)
-    boundary_device = _boundary_device(shard_path, block_size, stats)
+    boundary_device = _table_device(shard_path, BOUNDARY_SUFFIX,
+                                    block_size, stats)
     boundary_device.write_at(0, layout.pack_header(
         layout.TABLE_BOUNDARY, len(boundary), owned))
     boundary_device.write_at(layout.HEADER_SIZE,
                              boundary.astype("<u4").tobytes())
+    row_starts = np.flatnonzero(first)
+    entries = np.empty(len(boundary), dtype=NODE_ENTRY_DTYPE)
+    entries["offset"] = row_starts
+    entries["degree"] = np.diff(np.append(row_starts, ordered.size))
+    reverse_device = _table_device(shard_path, REVERSE_SUFFIX,
+                                   block_size, stats)
+    reverse_device.write_at(layout.HEADER_SIZE, entries.tobytes()
+                            + referrers[order].astype("<u4").tobytes())
+    reverse_device.write_at(0, layout.pack_header(
+        layout.TABLE_REVERSE, len(boundary), ordered.size))
     return Shard(index, start, stop, graph, boundary_device,
-                 path=shard_path)
+                 reverse_device, path=shard_path)
 
 
-def _boundary_device(shard_path, block_size, stats):
+def _table_device(shard_path, suffix, block_size, stats):
     if shard_path is None:
         return MemoryBlockDevice(block_size=block_size, stats=stats)
-    return FileBlockDevice(shard_path + BOUNDARY_SUFFIX, "w+",
+    return FileBlockDevice(shard_path + suffix, "w+",
                            block_size=block_size, stats=stats)

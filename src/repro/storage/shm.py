@@ -94,15 +94,18 @@ class SharedMemoryBlockDevice(BlockDevice):
 
     Behaves exactly like a :class:`~repro.storage.blockio.
     MemoryBlockDevice` bounded by ``capacity``: the logical size starts
-    at zero and grows with writes, reads past the logical end raise, and
-    every access is charged by the base class's block rules.  The
+    at ``size`` (zero by default) and grows with writes, reads past the
+    logical end raise, and every access is charged by the base class's
+    block rules.  Each process tracks the logical end of its own copy,
+    so a device that one process writes after another forked from it
+    starts at ``size=capacity`` (fresh segments are zero-filled).  The
     backing bytes live at ``[offset, offset + capacity)`` of
     ``segment``, where any process sharing the mapping can also reach
     them raw (uncharged) -- the round plan's transport path.
     """
 
     def __init__(self, segment, offset, capacity,
-                 block_size=DEFAULT_BLOCK_SIZE, stats=None):
+                 block_size=DEFAULT_BLOCK_SIZE, stats=None, size=0):
         super().__init__(block_size=block_size, stats=stats)
         if offset < 0 or capacity < 0 or \
                 offset + capacity > segment.size:
@@ -113,7 +116,7 @@ class SharedMemoryBlockDevice(BlockDevice):
         self._segment = segment
         self._offset = offset
         self._capacity = capacity
-        self._length = 0
+        self._length = size
 
     def _read_raw(self, offset, size):
         base = self._offset + offset

@@ -1,12 +1,19 @@
 """Unit tests for the block I/O devices and their accounting model."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.storage.blockio import (
+    SPAN_LOOP_MAX,
     FileBlockDevice,
     IOStats,
     MemoryBlockDevice,
+    charge_spans,
+    read_spans,
 )
 
 
@@ -230,3 +237,130 @@ class TestFileBlockDevice:
         dev.write_at(100, b"x")
         assert dev.size == 101
         dev.close()
+
+
+def _span_requests(draw_random, num_devices, size, entry):
+    """Random read_spans requests: per device, ascending disjoint spans
+    a whole number of entries apart (empty spans included)."""
+    owners, starts, counts = [], [], []
+    for k in range(num_devices):
+        cursor = draw_random.randrange(0, 3) * entry
+        while cursor < size:
+            count = min(draw_random.choice([0, 0, 1, 1, 2, 3, 9]),
+                        (size - cursor) // entry)
+            owners.append(k)
+            starts.append(cursor)
+            counts.append(count)
+            cursor += (count + draw_random.choice([0, 0, 1, 2, 40])) * entry
+    return owners, starts, counts
+
+
+class TestReadSpans:
+    """``read_spans`` charges exactly one ``read_at`` per span in order,
+    whatever the block size, run structure or device mix."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from([6, 16, 64, 4096]),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([4, 12]),
+           st.booleans())
+    def test_charges_equal_point_reads(self, seed, block_size, num_devices,
+                                       entry, warm):
+        rnd = random.Random(seed)
+        # Up to ~90 spans per device.
+        size = 24 * entry * rnd.randint(1, 40)
+        payloads = [rnd.randbytes(size) for _ in range(num_devices)]
+        owners, starts, counts = _span_requests(rnd, num_devices, size,
+                                                entry)
+        warm_at = [rnd.randrange(size) for _ in payloads]
+        runs = {}
+        for how in ("spans", "point"):
+            stats = IOStats()
+            devices = [MemoryBlockDevice(data, block_size=block_size,
+                                         stats=stats) for data in payloads]
+            if warm:  # leave a block cached before the request
+                for device, offset in zip(devices, warm_at):
+                    device.read_at(offset, 1)
+            stats.reset()
+            if how == "spans":
+                data = read_spans(devices, owners, starts, counts,
+                                  "<u4" if entry == 4 else "V12").tobytes()
+            else:
+                data = b"".join(devices[k].read_at(s, c * entry)
+                                for k, s, c in zip(owners, starts, counts))
+            runs[how] = (data, stats, [d._cached_block for d in devices],
+                         [d._cached_data for d in devices])
+        assert runs["spans"] == runs["point"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from([6, 64, 4096]), st.booleans())
+    def test_charging_without_reading_equals_point_reads(self, seed,
+                                                         block_size, warm):
+        rnd = random.Random(seed)
+        size = 96 * rnd.randint(1, 40)
+        _, starts, counts = _span_requests(rnd, 1, size, 4)
+        sizes = [4 * count for count in counts]
+        warm_at = rnd.randrange(size)
+        runs = []
+        for charge in (charge_spans, None):
+            stats = IOStats()
+            device = MemoryBlockDevice(bytes(size), block_size=block_size,
+                                       stats=stats)
+            if warm:
+                device.read_at(warm_at, 1)
+            stats.reset()
+            if charge is None:
+                for start, length in zip(starts, sizes):
+                    device.read_at(start, length)
+            else:
+                charge(device, starts, sizes)
+            runs.append((stats, device._cached_block))
+        assert runs[0] == runs[1]
+
+    def test_uncharged_reads_leave_stats_and_cache_alone(self):
+        stats = IOStats()
+        payload = bytes(range(256)) * 64
+        device = MemoryBlockDevice(payload, block_size=64, stats=stats)
+        device.read_at(100, 4)
+        cached = device._cached_block
+        starts = list(range(0, 16384, 40 * 4))
+        data = device.read_spans(starts, [3] * len(starts), "<u4",
+                                 charge=False)
+        assert stats.read_ios == 1 and stats.bytes_read == 4
+        assert device._cached_block == cached
+        assert data.tobytes() == b"".join(payload[s:s + 12] for s in starts)
+
+    def test_overlapping_spans_rejected(self):
+        device = MemoryBlockDevice(bytes(4096))
+        with pytest.raises(StorageError):
+            device.read_spans(list(range(0, 400, 8)), [3] * 50, "<u4")
+        with pytest.raises(StorageError):
+            device.read_spans([4090], [2], "<u4", charge=False)
+
+    @pytest.mark.parametrize("spans", [0, 1, 2, SPAN_LOOP_MAX,
+                                       SPAN_LOOP_MAX + 1, 90])
+    def test_both_sides_of_the_loop_cutoff(self, spans):
+        """Read one by one or in arrays, spans charge what ``read_at``
+        per span charges; uncharged, they charge nothing; overlapping,
+        they are refused."""
+        payload = bytes(range(256)) * 16
+        starts = [40 * i for i in range(spans)]
+        runs = []
+        for how in ("spans", "point", "uncharged"):
+            stats = IOStats()
+            device = MemoryBlockDevice(payload, block_size=64, stats=stats)
+            device.read_at(100, 4)
+            if how == "point":
+                data = b"".join(device.read_at(s, 12) for s in starts)
+            else:
+                data = device.read_spans(starts, [3] * spans, "<u4",
+                                         charge=how == "spans").tobytes()
+            runs.append((data, stats.snapshot(), device._cached_block))
+        assert runs[0] == runs[1]
+        assert runs[2][0] == runs[0][0]
+        assert runs[2][1:] == (IOStats(read_ios=1, bytes_read=4), 1)
+        if spans > 1:
+            with pytest.raises(StorageError):
+                device.read_spans(starts, [11] * spans, "<u4")

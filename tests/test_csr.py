@@ -6,7 +6,8 @@ np = pytest.importorskip("numpy")
 
 from repro.datasets import generators
 from repro.errors import ReproError
-from repro.storage.csr import CSRGraph, read_rows
+from repro.storage.blockio import IOStats
+from repro.storage.csr import CSRGraph, read_rows, read_sorted_rows
 from repro.storage.graphstore import GraphStorage
 from repro.storage.memgraph import MemoryGraph
 
@@ -157,6 +158,34 @@ class TestIOAccounting:
             assert built == [len(nbrs) for nbrs in expected]
             csr = CSRGraph.from_rows(graph, rows)
             assert [list(csr.neighbors(v)) for v in rows] == expected
+
+    @pytest.mark.parametrize("block_size", [64, 4096])
+    def test_sorted_rows_match_neighbors(self, rng, block_size):
+        """Long ascending runs (one ``read_spans`` per table) charge what
+        the per-row ``neighbors()`` reads charge, leave the same block
+        cached, and read nothing when uncharged."""
+        n = 400
+        edges = make_random_edges(rng, n, 0.03)
+        for count in (0, 5, 31, 32, 150, n):
+            rows = sorted(rng.sample(range(n), count))
+            reference, graph = (
+                GraphStorage.from_edges(edges, n, block_size=block_size)
+                for _ in range(2))
+            reference.io_stats.reset()
+            expected = [list(reference.neighbors(v)) for v in rows]
+            graph.io_stats.reset()
+            _, peeked, ahead = read_sorted_rows(graph, rows, charge=False)
+            assert graph.io_stats == IOStats()
+            offsets, degrees, indices = read_sorted_rows(graph, rows)
+            assert graph.io_stats == reference.io_stats
+            assert list(degrees) == list(peeked) == [len(e) for e in expected]
+            assert list(indices) == list(ahead) == \
+                [u for nbrs in expected for u in nbrs]
+            for v in rows:  # the cached blocks are the same ones too
+                graph.neighbors(v)
+                reference.neighbors(v)
+                assert graph.io_stats == reference.io_stats
+            assert list(offsets) == [graph.node_entry(v)[0] for v in rows]
 
     def test_row_reads_without_devices(self, paper_graph):
         edges, n = paper_graph

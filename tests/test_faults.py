@@ -34,6 +34,7 @@ from repro.faults import (
     tear_file,
 )
 from repro.storage.blockio import MemoryBlockDevice
+from repro.storage.csr import CSRGraph
 from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import nx_core_numbers
@@ -247,6 +248,28 @@ class TestFaultInjectingDevice:
         # Transient: same query now serves the true adjacency.
         assert list(wrapped.neighbors(0)) == list(storage.neighbors(0))
 
+    @pytest.mark.parametrize("rows", [3, 40, 200])
+    def test_row_snapshots_consult_the_plan_per_row(self, rows):
+        """``CSRGraph.from_rows`` reads through ``read_spans``; on a
+        wrapped storage every row is one plan step on each table, as
+        the per-row ``neighbors()`` reads are, however many rows are
+        read."""
+        n = 200
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        storage = GraphStorage.from_edges(edges, n)
+        at = rows - 1  # the snapshot's last row fails on the edge table
+        plan = FaultPlan([FaultSpec("graph.edges", READ_ERROR, at)])
+        wrapped = GraphStorage(
+            plan.wrap(storage.node_device, "graph.nodes"),
+            plan.wrap(storage.edge_device, "graph.edges"),
+            storage.num_nodes, storage.num_arcs)
+        with pytest.raises(InjectedReadError):
+            CSRGraph.from_rows(wrapped, range(rows))
+        assert plan.injected[0]["at"] == at
+        snapshot = CSRGraph.from_rows(wrapped, range(rows))
+        assert [list(snapshot.neighbors(v)) for v in range(rows)] == \
+            [list(storage.neighbors(v)) for v in range(rows)]
+
 
 # ----------------------------------------------------------------------
 # executor resilience
@@ -283,12 +306,10 @@ def _die_once_then_square(task):
     return task * task
 
 
-def _kill_once_shard_pass(graph, *, initial_cores, frozen_from):
+def _kill_once_shard_pass(graph, **state):
     if _claim_kill_sentinel():
         os.kill(os.getpid(), signal.SIGKILL)
-    real = engine_implementation("python", "shard-pass")
-    return real(graph, initial_cores=initial_cores,
-                frozen_from=frozen_from)
+    return engine_implementation("python", "shard-pass")(graph, **state)
 
 
 def _shm_segments():

@@ -116,10 +116,11 @@ class TestDeltaCountsMatchReference:
                     edges, n, block_size=64)),
                 (numpy_engine.shard_pass_numpy, GraphStorage.from_edges(
                     edges, n, block_size=64))))
-        (ref_cores, ref_computed, ref_passes, _), ref_io = reference
-        (cores, computed, passes, _), io = vectorized
+        (ref_cores, ref_computed, ref_rows, _, ref_counts), ref_io = reference
+        (cores, computed, rows, _, counts), io = vectorized
         assert list(cores) == list(ref_cores)
-        assert (computed, passes, io) == (ref_computed, ref_passes, ref_io)
+        assert (computed, rows, io) == (ref_computed, ref_rows, ref_io)
+        assert list(counts) == list(ref_counts)
         assert list(cores[frozen_from:]) == bound[frozen_from:]
 
 

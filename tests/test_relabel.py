@@ -90,11 +90,41 @@ class TestPermutedGraphView:
         assert storage.io_stats.read_ios > before
         assert view.io_stats is storage.io_stats
 
+    @pytest.mark.parametrize("method", RELABEL_METHODS)
+    def test_ranged_read_equals_the_row_scan(self, method):
+        """``read_range`` returns the rows ``iter_adjacency`` yields,
+        with the source reads of one ``neighbors()`` per row, in
+        relabeled order."""
+        edges, n = social_graph(200, 3, 6, seed=11)
+        storage, order, rank, view = permuted(edges, n, method)
+        calls = []
+        for device in (storage.node_device, storage.edge_device):
+            def record(offset, size, read=device.read_at, device=device):
+                calls.append((device, offset, size))
+                return read(offset, size)
+            device.read_at = record
+        for start, stop in ((0, n), (0, 0), (37, 151), (n - 1, n)):
+            storage.drop_caches()
+            before = storage.io_stats.snapshot()
+            del calls[:]
+            degrees, indices = view.read_range(start, stop)
+            ranged = (storage.io_stats.delta_since(before), calls[:])
+            storage.drop_caches()
+            before = storage.io_stats.snapshot()
+            del calls[:]
+            rows = [list(nbrs) for _, nbrs in view.iter_adjacency(start,
+                                                                 stop)]
+            assert ranged == (storage.io_stats.delta_since(before), calls)
+            assert list(degrees) == [len(row) for row in rows]
+            assert list(indices) == [u for row in rows for u in row]
+
     def test_bad_range_and_length_mismatch_rejected(self):
         edges, n = paper_example_graph()
         storage, order, rank, view = permuted(edges, n)
         with pytest.raises(GraphError, match="range"):
             list(view.iter_adjacency(5, 2))
+        with pytest.raises(GraphError, match="range"):
+            view.read_range(5, 2)
         with pytest.raises(GraphError, match="permutation length"):
             PermutedGraphView(storage, order[:-1], rank)
 

@@ -358,6 +358,7 @@ class TestStatsAndDevices:
             assert shard.graph.node_device.stats is stats
             assert shard.graph.edge_device.stats is stats
             assert shard.boundary_device.stats is stats
+            assert shard.reverse_device.stats is stats
         before = stats.read_ios
         sharded.neighbors(0)
         assert stats.read_ios > before
@@ -390,7 +391,7 @@ class TestStatsAndDevices:
                                                    path=prefix)
         for i, shard in enumerate(sharded.shards):
             assert shard.path == "%s.shard%d" % (prefix, i)
-            for suffix in (".nodes", ".edges", ".boundary"):
+            for suffix in (".nodes", ".edges", ".boundary", ".reverse"):
                 assert os.path.exists(shard.path + suffix)
         for v in range(n):
             assert list(sharded.neighbors(v)) == \
@@ -419,3 +420,62 @@ class TestStatsAndDevices:
             sharded.shard_of(n)
         with pytest.raises(GraphError):
             sharded.shard_of(-1)
+
+
+class TestReverseTable:
+    """The fourth per-shard table inverts the cross-shard entries."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("graph", sorted(PARITY_GRAPHS))
+    def test_rows_list_their_referrers_ascending(self, graph, relabel):
+        edges, n = PARITY_GRAPHS[graph]
+        storage = GraphStorage.from_edges(edges, n)
+        source = storage
+        if relabel:
+            source = PermutedGraphView(storage,
+                                       *locality_permutation(storage))
+        for num_shards in (1, 3, 7, n + 3):
+            sharded = ShardedGraphStorage.from_storage(
+                source, num_shards, balance="arc")
+            for shard in sharded.shards:
+                owned = shard.num_owned
+                expected = [[v for v in range(owned)
+                             if owned + j in shard.graph.neighbors(v)]
+                            for j in range(shard.num_boundary)]
+                ids, lengths = shard.reverse_rows(
+                    range(shard.num_boundary))
+                assert list(lengths) == [len(row) for row in expected]
+                assert list(ids) == [v for row in expected for v in row]
+                header = shard.reverse_device.read_at(0, layout.HEADER_SIZE)
+                assert layout.unpack_header(header, layout.TABLE_REVERSE) \
+                    == (shard.num_boundary, len(ids))
+
+    def test_reverse_rows_charge_point_reads(self):
+        """Index entries, then id spans: each phase charged as one point
+        read per row, in ascending order."""
+        rng = random.Random(5)
+        storage = load_dataset("webbase", scale=0.1)
+        sharded = ShardedGraphStorage.from_storage(storage, 4,
+                                                   balance="arc")
+        for shard in sharded.shards:
+            halo = shard.num_boundary
+            for count in (0, 3, 40, halo // 2, halo):
+                positions = sorted(rng.sample(range(halo), count))
+                device = shard.reverse_device
+                device.drop_cache()
+                before = device.stats.snapshot()
+                ids, lengths = shard.reverse_rows(positions)
+                spans = device.stats.delta_since(before)
+                device.drop_cache()
+                before = device.stats.snapshot()
+                entries = [layout.unpack_node_entry(device.read_at(
+                    layout.HEADER_SIZE + j * layout.NODE_ENTRY_SIZE,
+                    layout.NODE_ENTRY_SIZE)) for j in positions]
+                base = layout.HEADER_SIZE + halo * layout.NODE_ENTRY_SIZE
+                point = [array(layout.EDGE_TYPECODE, device.read_at(
+                    base + offset * layout.EDGE_ENTRY_SIZE,
+                    length * layout.EDGE_ENTRY_SIZE))
+                    for offset, length in entries if length]
+                assert spans == device.stats.delta_since(before)
+                assert list(ids) == [v for row in point for v in row]
+                assert list(lengths) == [length for _, length in entries]
