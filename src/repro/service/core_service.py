@@ -491,7 +491,7 @@ class CoreService:
 
     @property
     def cache_stats(self):
-        """Hit/miss counters of the per-snapshot ``subgraph`` memos."""
+        """Counters of the per-snapshot ``subgraph`` memos."""
         return self._cache_stats
 
     @property
@@ -600,8 +600,8 @@ class CoreService:
                 "Edge events inside quarantined batches."
                 ).set_function(lambda: self._events_quarantined)
         cache_stats = self._cache_stats
-        for field in ("hits", "misses", "evictions", "invalidations",
-                      "stale"):
+        for field in ("hits", "misses", "carried", "patched", "evictions",
+                      "invalidations", "stale"):
             counter("repro_cache_%s" % field,
                     "Subgraph memo %s." % field
                     ).set_function(lambda f=field: getattr(cache_stats, f))
@@ -722,8 +722,8 @@ class CoreService:
 
         Member adjacencies are filtered against the threshold in one
         vectorized pass over the snapshot's rows, memoized on the
-        snapshot; the result is the sorted ``(u, v)`` edge list with
-        ``u < v``.
+        snapshot and patched forward by every batch; the result is the
+        sorted ``(u, v)`` edge list with ``u < v``.
         """
         snap = self._pin()
         try:
@@ -1216,13 +1216,17 @@ class CoreService:
         The swap under the swap lock is the only step readers can
         observe: from then on new pins see the new epoch.  The
         predecessor then retires and drops its buffers (and its memo)
-        as soon as the last pinned reader releases.
+        as soon as the last pinned reader releases.  The memo entries
+        ``snapshot`` carried over from it count as published here.
         """
         with self._swap_lock:
             old = self._snapshot
             self._snapshot = snapshot
             self._epoch = snapshot.epoch
             self._events_applied = snapshot.stats["events_applied"]
+        with self._counter_lock:
+            self._cache_stats.carried += snapshot.carried
+            self._cache_stats.patched += snapshot.patched
         old.on_drop = self._note_retired
         old.retire()
 

@@ -23,7 +23,18 @@ make that cheap and safe:
   the nodes at or above every core value.  ``members``, ``top``,
   ``histogram`` and ``degeneracy`` are then slices and lookups of that
   layout; ``subgraph`` filters the member rows in one numpy pass and is
-  memoized on the snapshot, one entry per distinct k-core.
+  memoized on the snapshot, one entry per distinct k-core.  A miss
+  filters the smallest memoized k-core that contains the asked one
+  (k-cores nest), sharing its edge tuples, before it falls back to the
+  rows.
+* **the carried memo** -- ``advance`` hands every memo entry on to the
+  next epoch before it is published.  A batch moves core numbers by
+  little and only near its edges, so a k-core's edge set changes by the
+  touched rows' edges and the edges of the nodes whose k-membership
+  flipped.  An entry with no such change is shared as the same object;
+  any other is spliced: its removed and added edges are located by
+  bisection in the lexicographically sorted tuple, and the new tuple is
+  built from slices of the old one.  No device is read for it.
 * **refcounted retirement** -- readers pin a snapshot with
   :meth:`acquire` before their first read and :meth:`release` it after
   the last one.  Publishing retires the predecessor; its buffers (and
@@ -44,6 +55,8 @@ from __future__ import annotations
 
 import threading
 from array import array
+from bisect import bisect_left
+from itertools import compress
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,20 +65,26 @@ from repro.storage import layout
 
 
 class CacheStats:
-    """Probe counters of the ``subgraph`` memo, surfaced next to IOStats.
+    """Counters of the ``subgraph`` memo, surfaced next to IOStats.
 
-    Only ``subgraph`` reads probe the memo; every other read is a slice
-    of the snapshot layout and counts nothing here.  ``evictions``,
-    ``invalidations`` and ``stale`` stay 0: a memo lives and dies with
-    its snapshot, so no entry is ever evicted, invalidated or read at
-    another epoch.
+    Only ``subgraph`` reads probe the memo (``hits``, ``misses``); every
+    other read is a slice of the snapshot layout and counts nothing
+    here.  Each published ``advance`` adds the entries it handed on
+    unchanged (``carried``, shared as the same object) and the ones it
+    spliced by the batch's edge delta (``patched``).  ``evictions``,
+    ``invalidations`` and ``stale`` stay 0: an entry is exact for the
+    snapshot that holds it, so none is ever evicted, invalidated or
+    read at another epoch.
     """
 
-    __slots__ = ("hits", "misses", "evictions", "invalidations", "stale")
+    __slots__ = ("hits", "misses", "carried", "patched", "evictions",
+                 "invalidations", "stale")
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
+        self.carried = 0
+        self.patched = 0
         self.evictions = 0
         self.invalidations = 0
         self.stale = 0
@@ -85,6 +104,8 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "carried": self.carried,
+            "patched": self.patched,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "stale": self.stale,
@@ -92,9 +113,40 @@ class CacheStats:
         }
 
     def __repr__(self):
-        return ("CacheStats(hits=%d, misses=%d, evictions=%d, "
-                "invalidations=%d)" % (self.hits, self.misses,
-                                       self.evictions, self.invalidations))
+        return ("CacheStats(hits=%d, misses=%d, carried=%d, patched=%d, "
+                "evictions=%d, invalidations=%d)"
+                % (self.hits, self.misses, self.carried, self.patched,
+                   self.evictions, self.invalidations))
+
+
+def _row_array(row: Sequence[int]) -> array:
+    """``row`` as a uint32 ``array`` (shared when it already is one)."""
+    if isinstance(row, array) and row.typecode == layout.EDGE_TYPECODE:
+        return row
+    return array(layout.EDGE_TYPECODE, row)
+
+
+def _splice(entry: tuple, removed: Iterable[tuple[int, int]],
+            added: Iterable[tuple[int, int]]) -> tuple:
+    """``entry`` (sorted edges) without ``removed`` and with ``added``.
+
+    Every removed edge is in ``entry`` and no added one is, so bisection
+    finds each cut; the result is slices of ``entry`` around the cuts.
+    An added edge cut at the index of a removed one sorts before it.
+    """
+    cuts = sorted([(bisect_left(entry, edge), 1, edge) for edge in removed]
+                  + [(bisect_left(entry, edge), 0, edge) for edge in added])
+    out = []
+    start = 0
+    for at, drop, edge in cuts:
+        out.extend(entry[start:at])
+        if drop:
+            start = at + 1
+        else:
+            start = at
+            out.append(edge)
+    out.extend(entry[start:])
+    return tuple(out)
 
 
 class EpochSnapshot:
@@ -109,15 +161,16 @@ class EpochSnapshot:
     """
 
     __slots__ = ("epoch", "cores", "kmax", "stats", "num_nodes", "_rows",
-                 "_order", "_at_least", "_histogram", "_subgraphs",
-                 "_refs", "_retired", "_dropped", "_lock", "on_drop")
+                 "_ids", "_order", "_at_least", "_histogram", "_subgraphs",
+                 "carried", "patched", "_refs", "_retired", "_dropped",
+                 "_lock", "on_drop")
 
     #: Fires once, when a retired snapshot's last reader releases it.
     on_drop: Callable[["EpochSnapshot"], None] | None
 
     def __init__(self, epoch: int, cores: Sequence[int],
-                 rows: list[Sequence[int]],
-                 stats: dict[str, Any]) -> None:
+                 rows: list[Sequence[int]], stats: dict[str, Any], *,
+                 ids: list[int] | None = None) -> None:
         self.epoch = epoch
         self.cores = np.array(cores, dtype=np.int32)
         self.cores.flags.writeable = False
@@ -137,9 +190,15 @@ class EpochSnapshot:
         stats["num_nodes"] = self.num_nodes
         self.stats = stats
         self._rows: Any = rows
+        #: One int object per node id, shared by every edge tuple of
+        #: every epoch's memo.
+        self._ids = ids if ids is not None else list(range(self.num_nodes))
         #: ``subgraph`` answers keyed by k-core size: thresholds with the
         #: same member set share one entry.
         self._subgraphs: dict[int, tuple] = {}
+        #: Memo entries ``advance`` handed on unchanged / spliced.
+        self.carried = 0
+        self.patched = 0
         self._refs = 0
         self._retired = False
         self._dropped = False
@@ -171,13 +230,77 @@ class EpochSnapshot:
         ``touched`` are the nodes whose adjacency the batch changed (its
         event endpoints); only their rows are re-read from the graph --
         per-node reads, I/O-counted as always.  Core numbers may have
-        changed anywhere, so the cores array is copied in full.
+        changed anywhere, so the cores array is copied in full.  The
+        ``subgraph`` memo is carried over (see :meth:`_carry`) before
+        the snapshot is returned, so no reader sees it half filled.
         """
+        touched = sorted(touched)
         rows = list(self._rows)
-        for v in sorted(touched):
+        for v in touched:
             rows[v] = graph.neighbors(v)
-        return type(self)(epoch, cores, rows,
-                          self._graph_stats(graph, events_applied))
+        snapshot = type(self)(epoch, cores, rows,
+                              self._graph_stats(graph, events_applied),
+                              ids=self._ids)
+        # Readers pinned to ``self`` may fill its memo meanwhile; the
+        # copy is taken under the lock they insert under.
+        with self._lock:
+            memo = dict(self._subgraphs)
+        snapshot._carry(self, memo, touched)
+        return snapshot
+
+    def _carry(self, old: "EpochSnapshot", memo: dict[int, tuple],
+               touched: list[int]) -> None:
+        """Fill the memo from ``old``'s, patched by the batch's delta.
+
+        Each threshold ``k`` that ``memo`` answers is patched once per
+        distinct new k-core size.  Its removed and added edges come
+        from two places: the rows of ``touched`` nodes, old against new
+        (the batch's own edges), and every edge of a node whose core
+        crossed ``k`` (old cores against new).  No other edge can
+        change: both its endpoints kept their rows and membership.
+        """
+        if not memo:
+            return
+        ids = self._ids
+        old_cores, new_cores = old.cores, self.cores
+        old_rows, new_rows = old._rows, self._rows
+        changed = np.flatnonzero(old_cores != new_cores)
+        low = np.minimum(old_cores[changed], new_cores[changed])
+        high = np.maximum(old_cores[changed], new_cores[changed])
+
+        def edge(a, b):
+            return (ids[a], ids[b]) if a < b else (ids[b], ids[a])
+
+        gone, came = set(), set()
+        for v in touched:
+            before, after = set(old_rows[v]), set(new_rows[v])
+            gone.update(edge(v, x) for x in before - after)
+            came.update(edge(v, x) for x in after - before)
+        entries = {}
+        for k in range(old.kmax + 2):
+            entry = memo.get(old.kcore_size(k))
+            size = self.kcore_size(k)
+            if entry is None or size in entries:
+                continue
+            removed = {(u, v) for u, v in gone
+                       if old_cores[u] >= k and old_cores[v] >= k}
+            added = {(u, v) for u, v in came
+                     if new_cores[u] >= k and new_cores[v] >= k}
+            for w in changed[(low < k) & (high >= k)].tolist():
+                leaving = old_cores[w] >= k
+                cores = old_cores if leaving else new_cores
+                row = (old_rows if leaving else new_rows)[w]
+                nbrs = np.frombuffer(_row_array(row), dtype=np.uint32)
+                (removed if leaving else added).update(
+                    edge(w, x) for x in nbrs[cores[nbrs] >= k].tolist())
+            if removed or added:
+                entries[size] = _splice(entry, removed, added)
+                self.patched += 1
+            else:
+                entries[size] = entry
+                self.carried += 1
+        with self._lock:
+            self._subgraphs = entries
 
     @staticmethod
     def _graph_stats(graph: Any, events_applied: int) -> dict[str, Any]:
@@ -214,27 +337,44 @@ class EpochSnapshot:
         """The k-core's ``(u, v)`` edges with ``u < v``, and a memo-hit flag.
 
         Edges come in ascending ``u``, then row order (rows are sorted).
+        A miss filters the smallest memoized k-core larger than this one
+        (k-cores nest, so it holds every edge, in order) and shares its
+        tuples; with none memoized it builds from the member rows.
         Extraction runs outside the lock: two readers racing on one miss
         both extract (equal answers) and both count a miss.
         """
         size = self.kcore_size(k)
         with self._lock:
             edges = self._subgraphs.get(size)
+            outer = min((s for s in self._subgraphs if s > size),
+                        default=None)
+            superset = self._subgraphs[outer] if outer else None
         if edges is not None:
             return edges, True
-        members = np.sort(self._order[:size])
-        rows = [self._rows[v] for v in members.tolist()]
-        nbrs = np.frombuffer(b"".join(
-            row if isinstance(row, array)
-            and row.typecode == layout.EDGE_TYPECODE
-            else array(layout.EDGE_TYPECODE, row) for row in rows),
-            dtype=np.uint32)
-        owners = np.repeat(members, [len(row) for row in rows])
-        keep = (nbrs > owners) & (self.cores[nbrs] >= k)
-        edges = tuple(zip(owners[keep].tolist(), nbrs[keep].tolist()))
+        if superset is not None:
+            # The k-core of ``outer`` nodes is the core-``c`` one, ``c``
+            # the smallest core among its members.
+            owners, nbrs = self._arcs(int(self.cores[self._order[outer - 1]]))
+            keep = (self.cores[owners] >= k) & (self.cores[nbrs] >= k)
+            edges = tuple(compress(superset, keep.tolist()))
+        else:
+            owners, nbrs = self._arcs(k)
+            ids = self._ids.__getitem__
+            edges = tuple(zip(map(ids, owners.tolist()),
+                              map(ids, nbrs.tolist())))
         with self._lock:
             self._subgraphs[size] = edges
         return edges, False
+
+    def _arcs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k-core's ``(u, v)`` edges, ``u < v``, as two arrays in order."""
+        members = np.sort(self._order[:self.kcore_size(k)])
+        rows = [self._rows[v] for v in members.tolist()]
+        nbrs = np.frombuffer(b"".join(map(_row_array, rows)),
+                             dtype=np.uint32)
+        owners = np.repeat(members, [len(row) for row in rows])
+        keep = (nbrs > owners) & (self.cores[nbrs] >= k)
+        return owners[keep], nbrs[keep]
 
     @property
     def memo_entries(self) -> int:
