@@ -19,12 +19,6 @@ from repro.core.kcore import (
     k_core_subgraph,
 )
 from repro.core.locality import compute_cnt, local_core, satisfies_locality
-from repro.core.ordering import (
-    clique_number_upper_bound,
-    degeneracy_ordering,
-    densest_core,
-    greedy_coloring,
-)
 from repro.core.validate import validate_cores, verify_storage
 from repro.core.maintenance import (
     CoreMaintainer,
@@ -56,10 +50,6 @@ __all__ = [
     "im_core",
     "em_core",
     "distributed_core",
-    "degeneracy_ordering",
-    "greedy_coloring",
-    "clique_number_upper_bound",
-    "densest_core",
     "validate_cores",
     "verify_storage",
     "semi_core",

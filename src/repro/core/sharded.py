@@ -101,11 +101,6 @@ import numpy as np
 
 from repro.core.engines import DEFAULT_ENGINE, engine_implementation
 from repro.core.locality import compute_cnt, local_core
-from repro.core.relabel import (
-    PermutedGraphView,
-    inverse_map_cores,
-    locality_permutation,
-)
 from repro.core.result import DecompositionResult
 from repro.core.semicore_star import converge_star
 from repro.errors import ExecutorError, GraphError, ReproError
@@ -741,31 +736,28 @@ def _run_shard_pass_shared(task):
 
 def sharded_semi_core_star(graph, num_shards, *, engine=None,
                            executor=None, path=None, trace_changes=False,
-                           balance="node", relabel=False):
+                           balance="node"):
     """Decompose ``graph`` with ``num_shards`` node-range shards.
 
     ``engine`` selects the per-shard pass kernel through the engine
     registry (``"shard-pass"``; default the reference python kernel),
     ``executor`` how the passes run (``"serial"`` default,
-    ``"persistent"``, or any object with ``run(fn, tasks)``).  ``path`` makes the shard tables
-    file-backed.  ``balance`` picks the fencepost rule (``"node"`` or
-    ``"arc"``, see :class:`~repro.storage.shards.ShardedGraphStorage`)
-    and ``relabel`` enables the locality relabeling pre-pass
-    (``True``/``"bfs"`` or ``"degeneracy"``, see
-    :mod:`repro.core.relabel`); cores are inverse-mapped on the way out,
-    so every combination returns bit-identical core numbers.
+    ``"persistent"``, or any object with ``run(fn, tasks)``).  ``path``
+    makes the shard tables file-backed.  ``balance`` picks the fencepost
+    rule (``"node"`` or ``"arc"``, see
+    :class:`~repro.storage.shards.ShardedGraphStorage`); either returns
+    bit-identical core numbers.
 
     Returns a :class:`DecompositionResult` whose cores are bit-identical
     to :func:`~repro.core.semicore_star.semi_core_star`, whose
     ``iterations`` counts exchange rounds (including the final round
     that confirms the fixpoint), and whose ``model_memory_bytes`` is the
-    largest per-shard working set (plus the O(n) permutation when
-    relabeling).  Extra attributes: ``num_shards``, ``executor`` (the
-    resolved name), ``max_shard_nodes``, ``num_boundary``, ``balance``,
-    ``relabel``, ``arc_skew``, ``max_owned_arcs``, ``halo_bytes``,
-    ``boundary_fraction`` and ``shard_passes`` (the shard passes
-    dispatched over all rounds; shards with an unchanged halo are not
-    rerun).
+    largest per-shard working set.  Extra attributes: ``num_shards``,
+    ``executor`` (the resolved name), ``max_shard_nodes``,
+    ``num_boundary``, ``balance``, ``arc_skew``, ``max_owned_arcs``,
+    ``halo_bytes``, ``boundary_fraction`` and ``shard_passes`` (the
+    shard passes dispatched over all rounds; shards with an unchanged
+    halo are not rerun).
     """
     global _ACTIVE_SHARDS, _ACTIVE_PLAN
     started = time.perf_counter()
@@ -779,16 +771,8 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
     snapshot = stats.snapshot()
     block_size = getattr(graph, "block_size", DEFAULT_BLOCK_SIZE)
 
-    relabel_method = None
-    rank = None
-    source = graph
-    if relabel:
-        relabel_method = "bfs" if relabel is True else relabel
-        order, rank = locality_permutation(graph, relabel_method)
-        source = PermutedGraphView(graph, order, rank)
-
     sharded = ShardedGraphStorage.from_storage(
-        source, num_shards, path=path, stats=stats, balance=balance
+        graph, num_shards, path=path, stats=stats, balance=balance
     )
     plan = None
     rounds = 0
@@ -890,8 +874,6 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
         cores = array(_ESTIMATE_TYPECODE)
         for shard, device in zip(sharded.shards, estimates):
             cores.extend(_read_estimates(device, shard.num_owned))
-        if rank is not None:
-            cores = inverse_map_cores(cores, rank)
     finally:
         _ACTIVE_SHARDS = None
         _ACTIVE_PLAN = None
@@ -903,9 +885,6 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
         sharded.close()
 
     elapsed = time.perf_counter() - started
-    # The permutation and its inverse are O(n) resident ids on top of
-    # the per-shard working set.
-    relabel_overhead = 8 * graph.num_nodes if rank is not None else 0
     result = DecompositionResult(
         algorithm="ShardedSemiCore*",
         cores=cores,
@@ -913,7 +892,7 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
         node_computations=computations,
         io=stats.delta_since(snapshot),
         elapsed_seconds=elapsed,
-        model_memory_bytes=peak_memory + relabel_overhead,
+        model_memory_bytes=peak_memory,
         per_iteration_changes=changes,
         engine=engine_name,
     )
@@ -922,7 +901,6 @@ def sharded_semi_core_star(graph, num_shards, *, engine=None,
     result.max_shard_nodes = sharded.max_shard_nodes
     result.num_boundary = sharded.num_boundary
     result.balance = sharded.balance
-    result.relabel = relabel_method
     result.arc_skew = sharded.arc_skew
     result.max_owned_arcs = sharded.max_owned_arcs
     result.halo_bytes = sharded.halo_bytes

@@ -170,10 +170,11 @@ class BlockDevice:
         if size == 0:
             return b""
         end = offset + size
-        if end > self._size_raw():
+        device_size = self._size_raw()
+        if end > device_size:
             raise StorageError(
                 "read past end of device: [%d, %d) but size is %d"
-                % (offset, end, self._size_raw())
+                % (offset, end, device_size)
             )
         block_size = self.block_size
         first = offset // block_size
@@ -188,9 +189,14 @@ class BlockDevice:
             touched -= 1
         self.stats.read_ios += touched
         self.stats.bytes_read += size
-        data = self._read_raw(offset, size)
-        self._cache_block(last)
-        return data
+        # One backend read covers the caller's bytes and the whole last
+        # block, which stays cached.
+        tail = last * block_size
+        low = min(offset, tail)
+        data = self._read_raw(low, min(tail + block_size, device_size) - low)
+        self._cached_block = last
+        self._cached_data = data[tail - low:]
+        return data[offset - low:end - low]
 
     def read_spans(self, starts, counts, dtype, *, charge=True):
         """:func:`read_spans` on this device alone."""

@@ -16,9 +16,9 @@ snapshot charges the shared :class:`~repro.storage.blockio.IOStats`
 precisely one sequential scan -- the same figure a reference-engine pass
 pays.  This is what lets the vectorized engines report I/O counts
 identical to the pure-Python paths.  Graphs without exposed block
-devices (:class:`~repro.storage.MemoryGraph`, dynamic overlays,
-relabeled views) are read with ``iter_adjacency`` itself; the per-node
-reads still go through whatever I/O accounting the source graph has.
+devices (:class:`~repro.storage.MemoryGraph`, dynamic overlays) are
+read with ``iter_adjacency`` itself; the per-node reads still go through
+whatever I/O accounting the source graph has.
 """
 
 from __future__ import annotations
@@ -136,11 +136,8 @@ def read_range(graph, start=0, stop=None, *, chunk_bytes=None):
     non-empty adjacency is accepted regardless of size) -- with the plan
     computed in numpy, so the read does no per-row Python work and
     charges exactly the I/O of the scan.  Any other graph is read with
-    one ``iter_adjacency(start, stop)`` pass, unless it brings its own
-    ``read_range`` (the relabeled view).
+    one ``iter_adjacency(start, stop)`` pass.
     """
-    if hasattr(graph, "read_range"):
-        return graph.read_range(start, stop)
     if chunk_bytes is None:
         chunk_bytes = SCAN_CHUNK_BYTES
     n = graph.num_nodes
@@ -202,64 +199,30 @@ def read_range(graph, start=0, stop=None, *, chunk_bytes=None):
     return degrees, indices
 
 
-def read_rows(graph, rows, payload=None):
-    """Issue the reads of ``graph.neighbors(v)`` for each ``v`` in ``rows``.
-
-    A graph that exposes its block devices gets the exact ``read_at``
-    calls of :meth:`~repro.storage.graphstore.GraphStorage.neighbors`
-    -- the node entry, then the adjacency span of a non-empty row --
-    straight on ``node_device`` / ``edge_device``, with no per-row array
-    built; any other graph is asked for ``neighbors(v)``.  Either way
-    the shared ``IOStats`` advance exactly as under per-node
-    ``neighbors()`` calls.  Returns the rows' degrees as a list and,
-    when ``payload`` is a list, appends each non-empty row's adjacency
-    bytes to it.  ``rows`` should hold plain ints.
-    """
-    degrees = []
-    if not (hasattr(graph, "node_device") and hasattr(graph, "edge_device")):
-        for v in rows:
-            nbrs = graph.neighbors(v)
-            degrees.append(len(nbrs))
-            if payload is not None and len(nbrs):
-                payload.append(array(layout.EDGE_TYPECODE, nbrs).tobytes())
-        return degrees
-    read_node = graph.node_device.read_at
-    read_edge = graph.edge_device.read_at
-    unpack = layout.unpack_node_entry
-    entry_size = layout.NODE_ENTRY_SIZE
-    edge_size = layout.EDGE_ENTRY_SIZE
-    node_base = layout.node_entry_position(0)
-    edge_base = layout.edge_entry_position(0)
-    for v in rows:
-        offset, degree = unpack(read_node(node_base + v * entry_size,
-                                          entry_size))
-        degrees.append(degree)
-        if degree:
-            data = read_edge(edge_base + offset * edge_size,
-                             degree * edge_size)
-            if payload is not None:
-                payload.append(data)
-    return degrees
-
-
 def read_sorted_rows(graph, rows, *, charge=True):
     """Adjacency of strictly ascending ``rows``.
 
-    Charged exactly as :func:`read_rows` charges the same rows, or --
-    on a graph with block devices -- not at all with ``charge=False``: a
-    look-ahead read for a caller that charges the rows later, in the
-    order the reference reads them in.  On a graph with block devices
-    the rows take one ``read_spans`` per table: rows are stored back to
-    back in id order, so their adjacency spans ascend too, and each
-    table keeps its own read cache, so the charges are those of the
-    per-row reads, which alternate between the tables.  Returns
+    Charged exactly as per-row ``graph.neighbors(v)`` calls charge the
+    same rows, or -- on a graph with block devices -- not at all with
+    ``charge=False``: a look-ahead read for a caller that charges the
+    rows later, in the order the reference reads them in.  On a graph
+    with block devices the rows take one ``read_spans`` per table: rows
+    are stored back to back in id order, so their adjacency spans ascend
+    too, and each table keeps its own read cache, so the charges are
+    those of the per-row reads, which alternate between the tables.  Any
+    other graph is asked for ``neighbors(v)`` row by row.  Returns
     ``(offsets, degrees, indices)``: the rows' edge-table offsets (None
     without block devices) and degrees as int64, and their uint32
     adjacency, row after row.
     """
     if not (hasattr(graph, "node_device") and hasattr(graph, "edge_device")):
+        degrees = []
         payload = []
-        degrees = read_rows(graph, [int(v) for v in rows], payload)
+        for v in rows:
+            nbrs = graph.neighbors(int(v))
+            degrees.append(len(nbrs))
+            if len(nbrs):
+                payload.append(array(layout.EDGE_TYPECODE, nbrs).tobytes())
         return (None, np.asarray(degrees, dtype=np.int64),
                 np.frombuffer(b"".join(payload), dtype=np.uint32))
     entries = graph.node_device.read_spans(

@@ -321,8 +321,7 @@ class ShardedGraphStorage:
         """Bytes spent on halo state over all shards.
 
         Each halo row costs a node-table entry (empty adjacency) plus
-        one boundary-table entry recording its global id -- the per-id
-        overhead the locality relabeling pre-pass exists to shrink.
+        one boundary-table entry recording its global id.
         """
         per_row = layout.NODE_ENTRY_SIZE + layout.EDGE_ENTRY_SIZE
         return self.num_boundary * per_row

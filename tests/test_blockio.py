@@ -165,6 +165,71 @@ class TestReadAccounting:
         assert dev.stats.bytes_read == 10
 
 
+class CountingDevice(MemoryBlockDevice):
+    """A memory device that records every backend read it serves."""
+
+    def __init__(self, data, block_size):
+        super().__init__(data, block_size=block_size)
+        self.raw_reads = []
+
+    def _read_raw(self, offset, size):
+        self.raw_reads.append((offset, size))
+        return super()._read_raw(offset, size)
+
+
+class TestReadOnce:
+    """A ``read_at`` miss is one backend read that covers the caller's
+    bytes and the whole last block, which it keeps cached."""
+
+    @pytest.mark.parametrize("size, offset, length, raw, cached", [
+        (64, 5, 6, (0, 16), 0),      # mid-block start, one block
+        (64, 8, 20, (8, 24), 1),     # a span over two blocks
+        (64, 16, 32, (16, 32), 2),   # a span ending on a block boundary
+        (50, 45, 4, (45, 5), 3),     # the device end clips the last block
+        (50, 49, 1, (48, 2), 3),     # a clipped block read on its own
+    ])
+    def test_one_backend_read_per_miss(self, size, offset, length, raw,
+                                       cached):
+        data = bytes(range(size))
+        dev = CountingDevice(data, block_size=16)
+        assert dev.read_at(offset, length) == data[offset:offset + length]
+        assert dev.raw_reads == [raw]
+        first, last = offset // 16, (offset + length - 1) // 16
+        assert dev.stats == IOStats(read_ios=last - first + 1,
+                                    bytes_read=length)
+        # The cached block is whole: any read inside it is free.
+        block = data[cached * 16:(cached + 1) * 16]
+        assert dev.read_at(cached * 16, len(block)) == block
+        assert dev.raw_reads == [raw]
+        assert dev.stats.read_ios == last - first + 1
+
+    def test_charges_follow_the_model(self):
+        """Random reads: one backend read per miss, none per hit, the
+        right bytes, and the charges of the one-block cache model."""
+        rng = random.Random(11)
+        for block_size in (4, 16, 64):
+            size = rng.randint(1, 300)
+            data = bytes(rng.randrange(256) for _ in range(size))
+            dev = CountingDevice(data, block_size)
+            cached, expected = -1, IOStats()
+            for _ in range(200):
+                offset = rng.randrange(size)
+                length = rng.randint(1, min(size - offset, 3 * block_size))
+                first = offset // block_size
+                last = (offset + length - 1) // block_size
+                before = len(dev.raw_reads)
+                assert dev.read_at(offset, length) == \
+                    data[offset:offset + length]
+                if first == last == cached:
+                    assert len(dev.raw_reads) == before
+                else:
+                    assert len(dev.raw_reads) == before + 1
+                    expected.read_ios += last - first + 1 - (first == cached)
+                    expected.bytes_read += length
+                    cached = last
+                assert dev.stats == expected
+
+
 class TestWriteAccounting:
     def test_write_costs_one_per_block(self):
         dev = MemoryBlockDevice(block_size=16)

@@ -286,6 +286,18 @@ class TestShardedDecompose:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_removed_relabel_flag_rejected(self, converted_graph, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--graph", converted_graph,
+                  "--shards", "4", "--relabel"])
+        assert exc.value.code == 2
+        assert "--relabel" in capsys.readouterr().err
+
+    def test_balance_requires_shards(self, converted_graph, capsys):
+        assert main(["decompose", "--graph", converted_graph,
+                     "--balance", "arc"]) == 1
+        assert "--shards" in capsys.readouterr().err
+
     def test_executor_requires_shards(self, converted_graph, capsys):
         assert main(["decompose", "--graph", converted_graph,
                      "--executor", "serial"]) == 1

@@ -7,11 +7,20 @@ np = pytest.importorskip("numpy")
 from repro.datasets import generators
 from repro.errors import ReproError
 from repro.storage.blockio import IOStats
-from repro.storage.csr import CSRGraph, read_rows, read_sorted_rows
+from repro.storage.csr import CSRGraph, read_sorted_rows
 from repro.storage.graphstore import GraphStorage
 from repro.storage.memgraph import MemoryGraph
 
 from tests.conftest import make_random_edges
+
+
+class RowsOnly:
+    """A stored graph seen through ``neighbors()`` alone: no block
+    devices in view, so row reads take the per-row fallback."""
+
+    def __init__(self, graph):
+        self.num_nodes = graph.num_nodes
+        self.neighbors = graph.neighbors
 
 
 def storage_and_memory(edges, n, block_size=4096):
@@ -133,31 +142,27 @@ class TestIOAccounting:
 
     @pytest.mark.parametrize("block_size", [64, 512, 4096])
     def test_row_reads_match_neighbors(self, rng, block_size):
-        """``from_rows`` and ``read_rows`` replay ``neighbors()`` read for
-        read: same I/O figures, same one-block cache state after."""
+        """``from_rows`` replays ``neighbors()`` read for read, with and
+        without block devices in view: same I/O figures, same one-block
+        cache state after."""
         for _ in range(3):
             n = rng.randint(1, 60)
             edges = make_random_edges(rng, n, 0.2)
             rows = sorted(rng.sample(range(n), rng.randint(0, n)))
-            for build in (
-                    lambda g: CSRGraph.from_rows(g, rows),
-                    lambda g: read_rows(g, rows),
-                    lambda g: read_rows(g, rows, [])):
+            for wrap in (lambda g: g, RowsOnly):
                 reference, graph = (
                     GraphStorage.from_edges(edges, n, block_size=block_size)
                     for _ in range(2))
                 reference.io_stats.reset()
                 expected = [list(reference.neighbors(v)) for v in rows]
                 graph.io_stats.reset()
-                built = build(graph)
+                csr = CSRGraph.from_rows(wrap(graph), rows)
                 assert graph.io_stats == reference.io_stats
                 for v in rows:  # the cached block is the same one too
                     graph.neighbors(v)
                     reference.neighbors(v)
                     assert graph.io_stats == reference.io_stats
-            assert built == [len(nbrs) for nbrs in expected]
-            csr = CSRGraph.from_rows(graph, rows)
-            assert [list(csr.neighbors(v)) for v in rows] == expected
+                assert [list(csr.neighbors(v)) for v in rows] == expected
 
     @pytest.mark.parametrize("block_size", [64, 4096])
     def test_sorted_rows_match_neighbors(self, rng, block_size):
@@ -187,12 +192,19 @@ class TestIOAccounting:
                 assert graph.io_stats == reference.io_stats
             assert list(offsets) == [graph.node_entry(v)[0] for v in rows]
 
-    def test_row_reads_without_devices(self, paper_graph):
+    def test_sorted_rows_without_devices(self, paper_graph):
+        """A graph with no block devices is asked for ``neighbors()``
+        row by row; there are no edge-table offsets to hand back."""
         edges, n = paper_graph
         graph = MemoryGraph.from_edges(edges, n)
-        payload = []
-        assert read_rows(graph, [1, 4], payload) == \
-            [len(graph.neighbors(1)), len(graph.neighbors(4))]
+        rows = [0, 1, 4, 8]
+        offsets, degrees, indices = read_sorted_rows(graph, rows)
+        assert offsets is None
+        assert list(degrees) == [len(graph.neighbors(v)) for v in rows]
+        assert list(indices) == [u for v in rows for u in graph.neighbors(v)]
+        assert degrees.dtype == np.int64 and indices.dtype == np.uint32
+        _, degrees, indices = read_sorted_rows(graph, [])
+        assert degrees.size == indices.size == 0
         csr = CSRGraph.from_rows(graph, [4, 1])
         assert list(csr.neighbors(4)) == list(graph.neighbors(4))
         assert list(csr.neighbors(0)) == []

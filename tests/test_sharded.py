@@ -119,9 +119,9 @@ class TestParity:
             assert list(result.cores) == expected
 
 
-class TestBalanceRelabelParity:
-    """Acceptance: bit-identical cores for every {balance, relabel,
-    executor, engine} combination, proved on a hub-heavy proxy."""
+class TestBalanceParity:
+    """Acceptance: bit-identical cores for every {balance, executor,
+    engine} combination, proved on a hub-heavy proxy."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
@@ -129,14 +129,12 @@ class TestBalanceRelabelParity:
         storage = load_dataset("webbase", scale=0.03)
         expected = list(semi_core_star(storage).cores)
         for balance in ("node", "arc"):
-            for relabel in (False, "bfs", "degeneracy"):
-                graph = load_dataset("webbase", scale=0.03)
-                result = sharded_semi_core_star(
-                    graph, 4, engine=engine, executor=executor,
-                    balance=balance, relabel=relabel)
-                assert list(result.cores) == expected, (balance, relabel)
-                assert result.balance == balance
-                assert result.relabel == (relabel or None)
+            graph = load_dataset("webbase", scale=0.03)
+            result = sharded_semi_core_star(
+                graph, 4, engine=engine, executor=executor,
+                balance=balance)
+            assert list(result.cores) == expected, balance
+            assert result.balance == balance
 
     def test_arc_balance_meets_the_skew_bound(self):
         storage = load_dataset("webbase", scale=0.05)
@@ -146,14 +144,6 @@ class TestBalanceRelabelParity:
             load_dataset("webbase", scale=0.05), 8, balance="node")
         assert list(result.cores) == list(node.cores)
         assert result.arc_skew < node.arc_skew
-
-    def test_relabel_shrinks_reported_halo_bytes(self):
-        plain = sharded_semi_core_star(
-            load_dataset("webbase", scale=0.05), 6)
-        relabeled = sharded_semi_core_star(
-            load_dataset("webbase", scale=0.05), 6, relabel="bfs")
-        assert list(relabeled.cores) == list(plain.cores)
-        assert relabeled.halo_bytes < plain.halo_bytes
 
     def test_unknown_balance_rejected(self, paper_storage):
         with pytest.raises(ReproError, match="balance"):
@@ -176,14 +166,13 @@ class TestCrossEngineParity:
         expected = list(semi_core_star(
             load_dataset("webbase", scale=0.03)).cores)
         for num_shards in (4, 8):
-            for relabel in (False, "bfs"):
-                runs = [_counters(sharded_semi_core_star(
-                    load_dataset("webbase", scale=0.03), num_shards,
-                    engine=engine, executor=executor, balance="arc",
-                    relabel=relabel, trace_changes=True))
-                    for engine in ("python", "numpy")]
-                assert runs[0] == runs[1], (num_shards, relabel)
-                assert runs[0][0] == expected
+            runs = [_counters(sharded_semi_core_star(
+                load_dataset("webbase", scale=0.03), num_shards,
+                engine=engine, executor=executor, balance="arc",
+                trace_changes=True))
+                for engine in ("python", "numpy")]
+            assert runs[0] == runs[1], num_shards
+            assert runs[0][0] == expected
 
     @given(graph_edges(max_nodes=20))
     @settings(max_examples=25, deadline=None)

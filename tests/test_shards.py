@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.relabel import PermutedGraphView, locality_permutation
 from repro.datasets.generators import paper_example_graph, social_graph
 from repro.datasets.registry import load_dataset
 from repro.errors import GraphError
@@ -201,27 +200,22 @@ class TestVectorizedArcBounds:
 class TestBuildParity:
     """The vectorized build writes the per-row build's exact bytes."""
 
-    @pytest.mark.parametrize("relabel", [False, True])
     @pytest.mark.parametrize("balance", ["node", "arc"])
     @pytest.mark.parametrize("graph", sorted(PARITY_GRAPHS))
-    def test_tables_byte_identical(self, graph, balance, relabel):
+    def test_tables_byte_identical(self, graph, balance):
         edges, n = PARITY_GRAPHS[graph]
         storage = GraphStorage.from_edges(edges, n)
-        source = storage
-        if relabel:
-            source = PermutedGraphView(storage,
-                                       *locality_permutation(storage))
         for num_shards in (1, 3, 7, n + 3):
             sharded = ShardedGraphStorage.from_storage(
-                source, num_shards, balance=balance)
+                storage, num_shards, balance=balance)
             assert sharded.num_shards == num_shards
             for shard in sharded.shards:
                 tables = (shard.graph.node_device.getvalue(),
                           shard.graph.edge_device.getvalue(),
                           shard.boundary_device.getvalue())
                 assert tables == reference_shard_tables(
-                    source, shard.start, shard.stop), \
-                    (graph, balance, relabel, num_shards, shard)
+                    storage, shard.start, shard.stop), \
+                    (graph, balance, num_shards, shard)
 
     @pytest.mark.parametrize("balance", ["node", "arc"])
     def test_source_reads_equal_a_ranged_scan(self, balance):
@@ -425,18 +419,13 @@ class TestStatsAndDevices:
 class TestReverseTable:
     """The fourth per-shard table inverts the cross-shard entries."""
 
-    @pytest.mark.parametrize("relabel", [False, True])
     @pytest.mark.parametrize("graph", sorted(PARITY_GRAPHS))
-    def test_rows_list_their_referrers_ascending(self, graph, relabel):
+    def test_rows_list_their_referrers_ascending(self, graph):
         edges, n = PARITY_GRAPHS[graph]
         storage = GraphStorage.from_edges(edges, n)
-        source = storage
-        if relabel:
-            source = PermutedGraphView(storage,
-                                       *locality_permutation(storage))
         for num_shards in (1, 3, 7, n + 3):
             sharded = ShardedGraphStorage.from_storage(
-                source, num_shards, balance="arc")
+                storage, num_shards, balance="arc")
             for shard in sharded.shards:
                 owned = shard.num_owned
                 expected = [[v for v in range(owned)
