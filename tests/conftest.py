@@ -30,6 +30,14 @@ def make_random_edges(rng, n, p):
             if rng.random() < p]
 
 
+def scramble_ids(edges, n, seed=0):
+    """The same graph with its node ids shuffled: ``(edges, rank)``,
+    where node ``v`` of the input is node ``rank[v]`` of the output."""
+    rank = list(range(n))
+    random.Random(seed).shuffle(rank)
+    return [(rank[u], rank[v]) for u, v in edges], rank
+
+
 def nx_core_numbers(edges, n):
     """Oracle core numbers via networkx."""
     graph = nx.Graph()

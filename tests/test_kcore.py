@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.imcore import im_core
+from repro.datasets import generators
 from repro.core.kcore import (
     core_distribution,
     core_histogram,
@@ -88,3 +89,19 @@ class TestStatistics:
 
     def test_distribution_empty(self):
         assert core_distribution([]) == {0: 0}
+
+
+class TestDenseCores:
+    def test_kmax_core_isolates_a_planted_clique(self):
+        """On a sparse background the innermost core is the planted
+        clique: density ``(14 - 1) / 2`` against about 1.3 overall."""
+        edges, n = generators.erdos_renyi(300, 400, seed=6)
+        edges, n = generators.plant_clique(edges, n, 14, seed=6)
+        graph = MemoryGraph.from_edges(edges, n)
+        cores = im_core(graph).cores
+        kmax = degeneracy(cores)
+        inner = k_core_subgraph(graph, cores, kmax)
+        members = k_core_nodes(cores, kmax)
+        assert kmax == 13
+        assert len(members) == 14
+        assert inner.num_edges / len(members) == 6.5

@@ -2,18 +2,22 @@
 
 These exercise whole-system invariants that tie the modules together:
 all five decomposition algorithms agree on arbitrary graphs, core numbers
-behave monotonically under subgraphs, and the semi-external state stays
-exact under arbitrary update interleavings.
+behave monotonically under subgraphs, do not depend on the id order,
+and the semi-external state stays exact under arbitrary update
+interleavings.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    degeneracy,
     em_core,
     im_core,
+    k_core_subgraph,
     satisfies_locality,
     semi_core,
     semi_core_plus,
@@ -24,7 +28,21 @@ from repro.storage.dynamic import DynamicGraph
 from repro.storage.graphstore import GraphStorage
 from repro.storage.memgraph import MemoryGraph
 
-from tests.conftest import graph_edges, nx_core_numbers
+from tests.conftest import graph_edges, nx_core_numbers, scramble_ids
+
+ALGORITHMS = {
+    "imcore": lambda edges, n, engine: im_core(
+        MemoryGraph.from_edges(edges, n), engine=engine),
+    "semicore": lambda edges, n, engine: semi_core(
+        GraphStorage.from_edges(edges, n), engine=engine),
+    "semicore+": lambda edges, n, engine: semi_core_plus(
+        GraphStorage.from_edges(edges, n), engine=engine),
+    "semicore*": lambda edges, n, engine: semi_core_star(
+        GraphStorage.from_edges(edges, n), engine=engine),
+    "emcore": lambda edges, n, engine: em_core(
+        GraphStorage.from_edges(edges, n), partition_arcs=16,
+        memory_budget_bytes=512, engine=engine),
+}
 
 
 class TestAlgorithmsAgree:
@@ -81,6 +99,44 @@ class TestStructuralProperties:
         cores = nx_core_numbers(edges, n)
         kmax = max(cores) if cores else 0
         assert kmax * (kmax + 1) <= 2 * len(edges) or kmax == 0
+
+
+    @given(graph_edges(max_nodes=20))
+    @settings(max_examples=30, deadline=None)
+    def test_edges_bounded_by_degeneracy(self, graph):
+        """Peeling in degeneracy order gives each node at most ``kmax``
+        later neighbours, so ``|E| <= kmax * n``."""
+        edges, n = graph
+        assert len(edges) <= degeneracy(nx_core_numbers(edges, n)) * n
+
+    @given(graph_edges(max_nodes=20))
+    @settings(max_examples=30, deadline=None)
+    def test_every_k_core_is_at_least_half_k_dense(self, graph):
+        """Every node of the k-core keeps ``k`` neighbours inside it, so
+        the k-core has at least ``k * size / 2`` edges."""
+        edges, n = graph
+        mem = MemoryGraph.from_edges(edges, n)
+        cores = nx_core_numbers(edges, n)
+        for k in range(degeneracy(cores) + 1):
+            core = k_core_subgraph(mem, cores, k)
+            size = sum(1 for c in cores if c >= k)
+            assert 2 * core.num_edges >= k * size, k
+
+
+class TestIdOrderInvariance:
+    """Core numbers belong to the graph, not to its id order."""
+
+    @pytest.mark.parametrize("engine", ("python", "numpy"))
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @given(graph_edges(max_nodes=20), st.integers(0, 2 ** 16))
+    @settings(max_examples=15, deadline=None)
+    def test_cores_follow_a_shuffle_of_the_ids(self, algorithm, engine,
+                                               graph, seed):
+        edges, n = graph
+        expected = nx_core_numbers(edges, n)
+        scrambled, rank = scramble_ids(edges, n, seed)
+        cores = ALGORITHMS[algorithm](scrambled, n, engine).cores
+        assert [cores[rank[v]] for v in range(n)] == expected
 
 
 class TestMaintainerFuzz:

@@ -12,6 +12,7 @@ import glob
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.storage.csr as csr_module
 import repro.storage.shards as shards_module
@@ -42,7 +43,7 @@ from repro.obs.trace import disable_tracing, enable_tracing
 from repro.storage.csr import CSRGraph
 from repro.storage.graphstore import GraphStorage
 
-from tests.conftest import graph_edges
+from tests.conftest import graph_edges, scramble_ids
 
 ENGINES = engine_names()
 
@@ -157,17 +158,59 @@ def _counters(result):
             result.shard_passes, result.io)
 
 
+class TestIdOrderInvariance:
+    """Core numbers belong to the graph, not to its id order: on a graph
+    whose ids are shuffled, every shard layout still gives each node the
+    core it has in the stored order."""
+
+    @pytest.mark.parametrize("balance", ["node", "arc"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_scrambled_hub_heavy_proxy(self, executor, engine, balance):
+        storage = load_dataset("webbase", scale=0.03)
+        expected = list(semi_core_star(storage).cores)
+        edges, rank = scramble_ids(list(storage.edges()),
+                                   storage.num_nodes, seed=3)
+        result = sharded_semi_core_star(
+            GraphStorage.from_edges(edges, storage.num_nodes), 4,
+            engine=engine, executor=executor, balance=balance)
+        assert [result.cores[rank[v]] for v in range(len(expected))] \
+            == expected
+
+    @pytest.mark.parametrize("balance", ["node", "arc"])
+    @pytest.mark.parametrize("engine", ("python", "numpy"))
+    @given(graph_edges(max_nodes=18), st.integers(0, 2 ** 16))
+    @settings(max_examples=20, deadline=None)
+    def test_hypothesis_graphs_any_id_order(self, engine, balance, graph,
+                                            seed):
+        edges, n = graph
+        expected = reference_cores(edges, n)
+        scrambled, rank = scramble_ids(edges, n, seed)
+        result = sharded_semi_core_star(
+            GraphStorage.from_edges(scrambled, n), 3, engine=engine,
+            balance=balance)
+        assert [result.cores[rank[v]] for v in range(n)] == expected
+
+
 class TestCrossEngineParity:
     """The python and numpy shard-pass kernels compute the same rows and
     issue the same reads, so every counter agrees, not just the cores."""
 
+    @pytest.mark.parametrize("ids", ["stored", "scrambled"])
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-    def test_hub_heavy_proxy(self, executor):
-        expected = list(semi_core_star(
-            load_dataset("webbase", scale=0.03)).cores)
+    def test_hub_heavy_proxy(self, executor, ids):
+        def graph():
+            storage = load_dataset("webbase", scale=0.03)
+            if ids == "stored":
+                return storage
+            edges, _ = scramble_ids(list(storage.edges()),
+                                    storage.num_nodes, seed=5)
+            return GraphStorage.from_edges(edges, storage.num_nodes)
+
+        expected = list(semi_core_star(graph()).cores)
         for num_shards in (4, 8):
             runs = [_counters(sharded_semi_core_star(
-                load_dataset("webbase", scale=0.03), num_shards,
+                graph(), num_shards,
                 engine=engine, executor=executor, balance="arc",
                 trace_changes=True))
                 for engine in ("python", "numpy")]

@@ -20,6 +20,8 @@ from repro.storage.shards import (
     shard_bounds,
 )
 
+from tests.conftest import scramble_ids
+
 
 def build(edges, n, num_shards, **kwargs):
     storage = GraphStorage.from_edges(edges, n)
@@ -78,6 +80,15 @@ PARITY_GRAPHS = {
     "paper": paper_example_graph(),
     "social": social_graph(80, 2, 5, seed=3),
 }
+
+
+def parity_storage(graph, ids):
+    """A ``PARITY_GRAPHS`` entry as stored, or with its node ids shuffled
+    so that most rows refer across shard ranges."""
+    edges, n = PARITY_GRAPHS[graph]
+    if ids == "scrambled":
+        edges, _ = scramble_ids(edges, n, seed=n)
+    return GraphStorage.from_edges(edges, n), n
 
 
 class TestShardBounds:
@@ -200,11 +211,11 @@ class TestVectorizedArcBounds:
 class TestBuildParity:
     """The vectorized build writes the per-row build's exact bytes."""
 
+    @pytest.mark.parametrize("ids", ["stored", "scrambled"])
     @pytest.mark.parametrize("balance", ["node", "arc"])
     @pytest.mark.parametrize("graph", sorted(PARITY_GRAPHS))
-    def test_tables_byte_identical(self, graph, balance):
-        edges, n = PARITY_GRAPHS[graph]
-        storage = GraphStorage.from_edges(edges, n)
+    def test_tables_byte_identical(self, graph, balance, ids):
+        storage, n = parity_storage(graph, ids)
         for num_shards in (1, 3, 7, n + 3):
             sharded = ShardedGraphStorage.from_storage(
                 storage, num_shards, balance=balance)
@@ -215,7 +226,7 @@ class TestBuildParity:
                           shard.boundary_device.getvalue())
                 assert tables == reference_shard_tables(
                     storage, shard.start, shard.stop), \
-                    (graph, balance, num_shards, shard)
+                    (graph, balance, ids, num_shards, shard)
 
     @pytest.mark.parametrize("balance", ["node", "arc"])
     def test_source_reads_equal_a_ranged_scan(self, balance):
@@ -283,12 +294,16 @@ class TestBuildInvariants:
             assert list(sharded.neighbors(v)) == \
                 list(storage.neighbors(v))
 
-    def test_boundary_tables_sorted_and_disjoint(self):
+    @pytest.mark.parametrize("ids", ["stored", "scrambled"])
+    @pytest.mark.parametrize("balance", ["node", "arc"])
+    def test_boundary_tables_sorted_and_disjoint(self, balance, ids):
         rng = random.Random(11)
         n = 60
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.08]
-        storage, sharded = build(edges, n, 5)
+        if ids == "scrambled":
+            edges, _ = scramble_ids(edges, n, seed=11)
+        storage, sharded = build(edges, n, 5, balance=balance)
         for shard in sharded.shards:
             ids = list(shard.boundary_ids())
             assert ids == sorted(set(ids))
@@ -419,10 +434,10 @@ class TestStatsAndDevices:
 class TestReverseTable:
     """The fourth per-shard table inverts the cross-shard entries."""
 
+    @pytest.mark.parametrize("ids", ["stored", "scrambled"])
     @pytest.mark.parametrize("graph", sorted(PARITY_GRAPHS))
-    def test_rows_list_their_referrers_ascending(self, graph):
-        edges, n = PARITY_GRAPHS[graph]
-        storage = GraphStorage.from_edges(edges, n)
+    def test_rows_list_their_referrers_ascending(self, graph, ids):
+        storage, n = parity_storage(graph, ids)
         for num_shards in (1, 3, 7, n + 3):
             sharded = ShardedGraphStorage.from_storage(
                 storage, num_shards, balance="arc")
