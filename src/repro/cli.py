@@ -78,10 +78,8 @@ def _cmd_stats(args):
 
 
 def _cmd_decompose(args):
-    if args.executor is not None and args.shards is None \
-            and args.algorithm != "emcore":
-        raise ReproError("--executor requires --shards (or "
-                         "--algorithm emcore)")
+    if args.executor is not None and args.shards is None:
+        raise ReproError("--executor requires --shards")
     if args.shards is None and args.balance != "node":
         raise ReproError("--balance shapes the sharded layout; "
                          "it requires --shards")
@@ -101,11 +99,8 @@ def _cmd_decompose(args):
                                         executor=args.executor,
                                         balance=args.balance)
     else:
-        extra = {}
-        if args.algorithm == "emcore" and args.executor is not None:
-            extra["executor"] = args.executor
         result = run_decomposition(args.algorithm, storage,
-                                   engine=args.engine, **extra)
+                                   engine=args.engine)
     rows = [
         ("algorithm", result.algorithm),
         ("engine", result.engine),
@@ -543,8 +538,8 @@ def build_parser():
                         "run per-shard SemiCore* passes with boundary "
                         "exchange (semicore* only)")
     p.add_argument("--executor", default=None, choices=executor_names(),
-                   help="how shard passes run (with --shards, or the "
-                        "EM-Core partition phase; default serial)")
+                   help="how shard passes run (with --shards; "
+                        "default serial)")
     p.add_argument("--balance", default="node", choices=["node", "arc"],
                    help="shard bound rule (with --shards): equal node "
                         "ranges, or bounds cut on the cumulative degree "

@@ -20,13 +20,10 @@ reported model memory is that peak plus the O(n) bookkeeping arrays.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from array import array
-from contextlib import contextmanager
 
 from repro.core.result import DecompositionResult, io_delta, io_snapshot
-from repro.core.sharded import get_executor
 from repro.errors import GraphError
 from repro.obs.trace import span
 from repro.storage.partition import PartitionStore
@@ -78,57 +75,6 @@ def _partition_upper_bounds(records, deposit):
     return _peel_with_support(local_adj, support)
 
 
-class _ZeroDeposit:
-    """Stand-in deposit during partitioning, when every entry is zero.
-
-    It makes :func:`_partition_ub_task` a pure function of its records,
-    which is what lets the shard executors run upper-bound pseudo-peels
-    in worker processes without shipping the O(n) deposit array.
-    """
-
-    def __getitem__(self, v):
-        return 0
-
-
-_ZERO_DEPOSIT = _ZeroDeposit()
-
-
-def _partition_ub_task(records):
-    """Executor task: pseudo-peel one freshly written partition.
-
-    Runs during the partitioning pass only, where no node is finalized
-    yet and every deposit is zero -- so the task is self-contained and
-    any :mod:`repro.core.sharded` executor (serial or persistent)
-    produces bit-identical upper bounds.
-    """
-    return _partition_upper_bounds(records, _ZERO_DEPOSIT)
-
-
-@contextmanager
-def _ub_executor(executor):
-    """The executor for the partitioning pass's upper-bound pseudo-peels.
-
-    Yields ``(executor, wave)``: peels drain in waves of one task per
-    worker (one at a time on the serial executor), so at most ``wave``
-    partitions wait resident for their peel.  An executor resolved here
-    from None or a name is closed on exit; an executor object stays the
-    caller's.  Shared by both engines' EMCore implementations.
-    """
-    exec_obj = get_executor(executor)
-    if getattr(exec_obj, "name", "serial") == "serial":
-        wave = 1
-    else:
-        wave = max(1, getattr(exec_obj, "processes", None)
-                   or (os.cpu_count() or 1))
-    try:
-        yield exec_obj, wave
-    finally:
-        if executor is None or isinstance(executor, str):
-            closer = getattr(exec_obj, "close", None)
-            if closer is not None:
-                closer()
-
-
 def _select_range(metas, budget):
     """Choose one round's range ``[kl, ku]`` and the partitions to load.
 
@@ -157,7 +103,7 @@ def _select_range(metas, budget):
 
 
 def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
-            merge_partitions=True, engine=None, executor=None):
+            engine=None):
     """Run EMCore against a storage-backed graph.
 
     Parameters
@@ -170,22 +116,13 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
         Defaults to one quarter of the edge-table payload.
     partition_arcs:
         Adjacency entries per initial partition (controls partition count).
-    merge_partitions:
-        Re-merge shrunken partitions during write-back (Algorithm 2,
-        line 13).
+        Shrunken partitions are re-merged towards this size during
+        write-back (Algorithm 2, line 13).
     engine:
         Execution engine from :mod:`repro.core.engines` (default
         ``"python"``, the reference implementation below).  Every engine
         returns bit-identical results, including the write I/Os of the
         partition store; see ``docs/ARCHITECTURE.md``.
-    executor:
-        A :mod:`repro.core.sharded` shard executor (``None`` = serial,
-        ``"persistent"``, or an object with ``run(fn, tasks)``).  The
-        partitioning pass's upper-bound pseudo-peels -- pure functions
-        of each freshly written partition -- run through it in waves of
-        one task per worker, so EMCore scales on the same machinery as
-        the sharded driver.  Results are bit-identical under every
-        executor; partitions are still written in scan order.
     """
     if engine is not None and engine != "python":
         from repro.core.engines import engine_implementation
@@ -193,8 +130,6 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
         return engine_implementation(engine, "emcore")(
             storage, memory_budget_bytes=memory_budget_bytes,
             partition_arcs=partition_arcs,
-            merge_partitions=merge_partitions,
-            executor=executor,
         )
     started = time.perf_counter()
     snapshot = io_snapshot(storage)
@@ -211,64 +146,39 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
 
     store = PartitionStore(block_size=storage.block_size,
                            stats=getattr(storage, "io_stats", None))
-    metas = {}  # pid -> {"bytes": int, "max_ub": int, "nodes": int}
+    metas = {}  # pid -> {"bytes": int, "max_ub": int}
     computations = 0
 
     # ------------------------------------------------------------------
     # Partitioning pass: sequential scan, contiguous ranges, local ubs.
-    # Partitions are written in scan order; their upper-bound pseudo-
-    # peels (pure functions of the records -- deposits are all zero
-    # here) drain through the executor in waves (see _ub_executor).
     # ------------------------------------------------------------------
     pending = []
     pending_arcs = 0
-    pending_ubs = []  # (pid, size, records) awaiting their pseudo-peel
-
-    def drain_ubs():
-        nonlocal computations
-        if not pending_ubs:
-            return
-        batch = pending_ubs[:]
-        del pending_ubs[:]
-        results = exec_obj.run(_partition_ub_task,
-                               [records for _, _, records in batch])
-        for (pid, size, records), values in zip(batch, results):
-            computations += len(values)
-            for v, bound in values.items():
-                ub[v] = bound
-            metas[pid] = {
-                "bytes": size,
-                "max_ub": max(values.values()),
-                "nodes": len(records),
-            }
 
     def flush_partition():
-        nonlocal pending, pending_arcs
+        nonlocal pending, pending_arcs, computations
         if not pending:
             return
         pid, size = store.write(pending)
-        pending_ubs.append((pid, size, pending))
+        values = _partition_upper_bounds(pending, deposit)  # all zero here
+        computations += len(values)
+        for v, bound in values.items():
+            ub[v] = bound
+        metas[pid] = {"bytes": size, "max_ub": max(values.values())}
         pending = []
         pending_arcs = 0
-        if len(pending_ubs) >= wave:
-            drain_ubs()
 
-    with _ub_executor(executor) as (exec_obj, wave), \
-            span("emcore.partition",
-                 io=getattr(storage, "io_stats", None)) as part_span:
+    with span("emcore.partition",
+              io=getattr(storage, "io_stats", None)) as part_span:
         for v, nbrs in storage.iter_adjacency():
             if len(nbrs) == 0:
                 core[v] = 0
                 continue
             if pending_arcs and pending_arcs + len(nbrs) > partition_arcs:
                 flush_partition()
-            # The scan yields fresh adjacency arrays; keeping them
-            # avoids the per-edge Python list rebuild the partition
-            # writer used to do.
-            pending.append((v, nbrs))
+            pending.append((v, nbrs))  # the scan's fresh arrays, kept
             pending_arcs += len(nbrs)
         flush_partition()
-        drain_ubs()
         part_span.annotate(partitions=len(metas))
 
     # ------------------------------------------------------------------
@@ -321,10 +231,6 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
                     if core[v] < 0:
                         filtered = [u for u in gmem[v] if core[u] < 0]
                         remaining.append((v, filtered))
-                if not remaining:
-                    store.delete(pid)
-                    metas.pop(pid)
-                    continue
                 refreshed = _partition_upper_bounds(remaining, deposit)
                 computations += len(refreshed)
                 cap = kl - 1
@@ -347,15 +253,12 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
                     metas.pop(pid)
                     continue
                 size = store.rewrite(pid, kept)
-                metas[pid] = {
-                    "bytes": size,
-                    "max_ub": max(ub[v] for v, _ in kept),
-                    "nodes": len(kept),
-                }
-                if merge_partitions and size < partition_arcs * 2:
+                metas[pid] = {"bytes": size,
+                              "max_ub": max(ub[v] for v, _ in kept)}
+                if size < partition_arcs * 2:
                     survivors_small.append(pid)
 
-            if merge_partitions and len(survivors_small) > 1:
+            if len(survivors_small) > 1:
                 _merge_small_partitions(store, metas, survivors_small,
                                         partition_arcs, ub)
 
@@ -381,17 +284,11 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
 
 def _merge_small_partitions(store, metas, small_pids, partition_arcs, ub):
     """Greedily repack small partitions back towards the target size."""
-    small_pids = [pid for pid in small_pids if pid in metas]
-    if len(small_pids) < 2:
-        return
 
     def flush(bucket_records):
         pid, size = store.write(bucket_records)
-        metas[pid] = {
-            "bytes": size,
-            "max_ub": max(ub[v] for v, _ in bucket_records),
-            "nodes": len(bucket_records),
-        }
+        metas[pid] = {"bytes": size,
+                      "max_ub": max(ub[v] for v, _ in bucket_records)}
 
     bucket = []
     bucket_words = 0

@@ -26,10 +26,9 @@ kernels:
   because those values are unique (the largest ``k`` such that the
   node survives at level ``k`` does not depend on tie-breaking).
 
-The ``[kl, ku]`` selection and the executor waves of the partitioning
-pass are the reference implementation's own (:func:`~repro.core.emcore.
-_select_range`, :func:`~repro.core.emcore._ub_executor`); only the
-partition representation and the peels are engine-specific.
+The ``[kl, ku]`` selection is the reference implementation's own
+(:func:`~repro.core.emcore._select_range`); only the partition
+representation and the peels are engine-specific.
 
 Exactness of the observable counters follows from determinism: peel
 values are unique, so the finalized sets, deposits, refreshed upper
@@ -44,7 +43,7 @@ import time
 
 import numpy as np
 
-from repro.core.emcore import _select_range, _ub_executor
+from repro.core.emcore import _select_range
 from repro.core.engines.numpy_engine import (
     _as_core_array,
     _gather_rows,
@@ -97,29 +96,7 @@ class _Renumber:
         return _filter_csr(np.diff(indptr), mapped >= 0, mapped)
 
 
-def _partition_ub_task_numpy(task):
-    """Executor task: pseudo-peel one partition from its CSR slices.
-
-    ``task`` is ``(part, sub_indptr, sub_indices, part_degrees)``.
-    ``part`` is sorted ascending, so a ``searchsorted`` rebuild of the
-    local id mapping reproduces :meth:`_Renumber.induce` exactly without
-    the O(n) scratch array -- the task stays a pure, picklable function
-    of its slices (deposits are all zero during partitioning), which is
-    what lets any shard executor run it in a worker process.
-    """
-    part, sub_indptr, sub_indices, part_degrees = task
-    mapped = np.searchsorted(part, sub_indices)
-    in_range = mapped < len(part)
-    keep = np.zeros(len(sub_indices), dtype=bool)
-    keep[in_range] = part[mapped[in_range]] == sub_indices[in_range]
-    l_indptr, l_indices, local_deg = _filter_csr(np.diff(sub_indptr), keep,
-                                                 mapped)
-    external = part_degrees - local_deg
-    return _peel_values(l_indptr, l_indices, local_deg + external)
-
-
-def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
-                  merge_partitions=True, executor=None):
+def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None):
     """Vectorized Algorithm 2 with reference-identical semantics."""
     started = time.perf_counter()
     snapshot = io_snapshot(storage)
@@ -152,60 +129,36 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
     core[degrees == 0] = 0
     nonzero = np.flatnonzero(degrees)
 
-    # Upper-bound pseudo-peels drain through the shard executor in
-    # waves (deposits are all zero here, so the tasks are pure functions
-    # of their CSR slices); partitions are still written in scan order,
-    # keeping pids and metas identical to the serial run.
-    pending_ubs = []  # (pid, size, part, sub_indptr, sub_indices)
-
-    def drain_ubs():
-        nonlocal computations
-        if not pending_ubs:
-            return
-        batch = pending_ubs[:]
-        del pending_ubs[:]
-        results = exec_obj.run(
-            _partition_ub_task_numpy,
-            [(part, sub_indptr, sub_indices, degrees[part])
-             for _, _, part, sub_indptr, sub_indices in batch])
-        for (pid, size, part, _, _), values in zip(batch, results):
-            computations += len(part)
-            ub[part] = values
-            metas[pid] = {
-                "bytes": size,
-                "max_ub": int(values.max()),
-                "nodes": len(part),
-            }
-
     bounds = np.zeros(len(nonzero) + 1, dtype=np.int64)
     np.cumsum(degrees[nonzero], out=bounds[1:])
     start = 0
-    with _ub_executor(executor) as (exec_obj, wave):
-        while start < len(nonzero):
-            # Largest prefix whose total adjacency fits partition_arcs;
-            # a single oversized adjacency forms its own partition --
-            # exactly the reference's "flush before the overflowing
-            # node" rule.
-            stop = int(np.searchsorted(bounds,
-                                       bounds[start] + partition_arcs,
-                                       side="right")) - 1
-            stop = min(max(stop, start + 1), len(nonzero))
-            part = nonzero[start:stop]
-            start = stop
+    while start < len(nonzero):
+        # Largest prefix whose total adjacency fits partition_arcs; a
+        # single oversized adjacency forms its own partition -- exactly
+        # the reference's "flush before the overflowing node" rule.
+        stop = int(np.searchsorted(bounds, bounds[start] + partition_arcs,
+                                   side="right")) - 1
+        stop = min(max(stop, start + 1), len(nonzero))
+        part = nonzero[start:stop]
+        start = stop
 
-            sub_indptr = np.zeros(len(part) + 1, dtype=np.int64)
-            np.cumsum(degrees[part], out=sub_indptr[1:])
-            # Members are a contiguous id range (zero-degree nodes
-            # between them hold no arcs), so their payload is one
-            # snapshot slice.
-            sub_indices = g_indices[g_indptr[part[0]]:g_indptr[part[-1] + 1]]
+        sub_indptr = np.zeros(len(part) + 1, dtype=np.int64)
+        np.cumsum(degrees[part], out=sub_indptr[1:])
+        # Members are a contiguous id range (zero-degree nodes between
+        # them hold no arcs), so their payload is one snapshot slice.
+        sub_indices = g_indices[g_indptr[part[0]]:g_indptr[part[-1] + 1]]
 
-            pid, size = store.write_bytes(encode_csr(part, sub_indptr,
-                                                     sub_indices))
-            pending_ubs.append((pid, size, part, sub_indptr, sub_indices))
-            if len(pending_ubs) >= wave:
-                drain_ubs()
-        drain_ubs()
+        pid, size = store.write_bytes(encode_csr(part, sub_indptr,
+                                                 sub_indices))
+        # Pseudo-peel: out-of-partition arcs are immortal support, so
+        # each member's effective degree is its full degree (deposits
+        # are all zero here).
+        l_indptr, l_indices, _ = renumber.induce(part, sub_indptr,
+                                                 sub_indices)
+        values = _peel_values(l_indptr, l_indices, degrees[part])
+        computations += len(part)
+        ub[part] = values
+        metas[pid] = {"bytes": size, "max_ub": int(values.max())}
 
     # ------------------------------------------------------------------
     # Top-down range computation (identical round structure).
@@ -304,15 +257,11 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
                 kept_counts, core[kept_flat] < 0, kept_flat)
             size = store.rewrite_bytes(
                 pid, encode_csr(kept_nodes, k_indptr, k_indices))
-            metas[pid] = {
-                "bytes": size,
-                "max_ub": int(ub[kept_nodes].max()),
-                "nodes": len(kept_nodes),
-            }
-            if merge_partitions and size < partition_arcs * 2:
+            metas[pid] = {"bytes": size, "max_ub": int(ub[kept_nodes].max())}
+            if size < partition_arcs * 2:
                 survivors_small.append(pid)
 
-        if merge_partitions and len(survivors_small) > 1:
+        if len(survivors_small) > 1:
             _merge_small_partitions(store, metas, survivors_small,
                                     partition_arcs, ub)
 
@@ -342,9 +291,6 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None,
 
 def _merge_small_partitions(store, metas, small_pids, partition_arcs, ub):
     """Greedy repack of small partitions (reference merge, CSR payloads)."""
-    small_pids = [pid for pid in small_pids if pid in metas]
-    if len(small_pids) < 2:
-        return
 
     def flush(bucket):
         nodes = np.concatenate([c[0] for c in bucket])
@@ -353,11 +299,7 @@ def _merge_small_partitions(store, metas, small_pids, partition_arcs, ub):
         indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(degs, out=indptr[1:])
         pid, size = store.write_bytes(encode_csr(nodes, indptr, indices))
-        metas[pid] = {
-            "bytes": size,
-            "max_ub": int(ub[nodes].max()),
-            "nodes": len(nodes),
-        }
+        metas[pid] = {"bytes": size, "max_ub": int(ub[nodes].max())}
 
     bucket = []
     bucket_words = 0

@@ -347,9 +347,9 @@ class PersistentShardExecutor:
         Workers receive the plan and the active shards through fork
         inheritance of the module globals, not through this call.  A
         pool forked before the driver published them (one left running
-        by :func:`~repro.core.emcore.em_core` on a caller-owned
-        executor, say) would never see them, so it is retired here and
-        the first round forks afresh.
+        by a bare :meth:`run` on a caller-owned executor, say) would
+        never see them, so it is retired here and the first round forks
+        afresh.
         """
         self.close()
         self.shm_bytes = plan.total_bytes

@@ -281,7 +281,9 @@ def read_spans(devices, owners, starts, counts, dtype, *, charge=True):
     Up to :data:`SPAN_LOOP_MAX` spans are read one by one.  More are
     charged in a few array operations -- the block cached before a span
     is the previous span's last one -- and spans of one device less
-    than a block apart share one backend read.
+    than a block apart share one backend read.  Charged, each device's
+    last such read also covers the whole of its last block, which stays
+    cached.
     """
     dtype = np.dtype(dtype)
     starts = np.asarray(starts, dtype=np.int64)
@@ -304,17 +306,31 @@ def read_spans(devices, owners, starts, counts, dtype, *, charge=True):
     # One backend read per run of one device's close spans; the
     # entries are picked from the joined reads, which keep the gaps
     # inside runs.
-    apart = gaps >= used[0].block_size
+    block_size = used[0].block_size
+    apart = gaps >= block_size
     apart[[head - 1 for head in heads[1:]]] = True
     gaps[apart] = 0
     runs = [0] + (np.flatnonzero(apart) + 1).tolist()
-    run_ends = ends[np.array(runs[1:] + [total]) - 1].tolist()
+    stops = runs[1:] + [total]
+    run_ends = ends[np.array(stops) - 1].tolist()
     device_of = dict(zip(heads, used))
     parts = []
     device = used[0]
-    for base, top, run in zip(starts[runs].tolist(), run_ends, runs):
+    for base, top, run, stop in zip(starts[runs].tolist(), run_ends, runs,
+                                    stops):
         device = device_of.get(run, device)
-        parts.append(device._read_raw(base, top - base))
+        if not charge or (stop < total and stop not in device_of):
+            parts.append(device._read_raw(base, top - base))
+            continue
+        # A device's last run reads on to the end of its last block,
+        # which stays cached, as ``read_at`` leaves it.
+        tail = (top - 1) // block_size * block_size
+        low = min(base, tail)
+        raw = device._read_raw(
+            low, min(tail + block_size, device._size_raw()) - low)
+        parts.append(memoryview(raw)[base - low:top - low])
+        device._cached_block = tail // block_size
+        device._cached_data = raw[tail - low:]
     data = np.frombuffer(b"".join(parts), dtype=dtype)
     if gaps.any():
         skip = np.zeros(total, dtype=np.int64)
@@ -343,6 +359,7 @@ def charge_spans(device, starts, sizes):
         return
     heads, used, ends, _ = _span_layout([device], None, starts, sizes)
     _charge(used, heads, starts, sizes, ends)
+    device._cache_block(int(ends[-1] - 1) // device.block_size)
 
 
 def _check_devices(devices):
@@ -408,8 +425,8 @@ def _span_layout(devices, owners, starts, sizes):
 
 
 def _charge(used, heads, starts, sizes, ends):
-    """Charge each device as one ``read_at`` per span and leave its
-    last block cached.
+    """Charge each device as one ``read_at`` per span; the caller
+    leaves each device's last block cached.
 
     A span inside the cached block is free; any other span costs the
     blocks it touches less the cached one plus its size in bytes, and
@@ -430,12 +447,9 @@ def _charge(used, heads, starts, sizes, ends):
     else:
         ios = np.add.reduceat(ios, heads).tolist()
         read = np.add.reduceat(read, heads).tolist()
-    tails = [head - 1 for head in heads[1:]] + [starts.size - 1]
-    for device, n_ios, n_bytes, tail in zip(used, ios, read,
-                                            last[tails].tolist()):
+    for device, n_ios, n_bytes in zip(used, ios, read):
         device.stats.read_ios += n_ios
         device.stats.bytes_read += n_bytes
-        device._cache_block(tail)
 
 
 class MemoryBlockDevice(BlockDevice):

@@ -384,6 +384,30 @@ class TestReadSpans:
             runs.append((stats, device._cached_block))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("base", [0, 2])  # 2: last span mid-block
+    @pytest.mark.parametrize("stride, backend_reads", [
+        (64, 40),  # 40 spans 4 blocks apart: one read per span
+        (12, 1),   # 40 spans inside one run: one read in all
+    ])
+    def test_array_path_reads_each_block_once(self, base, stride,
+                                              backend_reads):
+        """The run reads also fetch the block left cached; no second
+        backend read refetches it, and the charges, bytes and cached
+        block are those of point reads."""
+        payload = bytes(range(256)) * 16
+        starts = [base + stride * i for i in range(40)]
+        runs = []
+        for how in ("spans", "point"):
+            device = CountingDevice(payload, block_size=16)
+            if how == "spans":
+                data = device.read_spans(starts, [3] * 40, "<u4").tobytes()
+                assert len(device.raw_reads) == backend_reads
+            else:
+                data = b"".join(device.read_at(s, 12) for s in starts)
+            runs.append((data, device.stats, device._cached_block,
+                         device._cached_data))
+        assert runs[0] == runs[1]
+
     def test_uncharged_reads_leave_stats_and_cache_alone(self):
         stats = IOStats()
         payload = bytes(range(256)) * 64

@@ -298,9 +298,12 @@ class TestShardedDecompose:
                      "--balance", "arc"]) == 1
         assert "--shards" in capsys.readouterr().err
 
-    def test_executor_requires_shards(self, converted_graph, capsys):
-        assert main(["decompose", "--graph", converted_graph,
-                     "--executor", "serial"]) == 1
+    @pytest.mark.parametrize("args", [
+        ["--executor", "serial"],
+        ["--algorithm", "emcore", "--executor", "persistent"],
+    ])
+    def test_executor_requires_shards(self, converted_graph, capsys, args):
+        assert main(["decompose", "--graph", converted_graph] + args) == 1
         assert "--shards" in capsys.readouterr().err
 
     def test_shards_require_semicore_star(self, converted_graph, capsys):

@@ -2,16 +2,16 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from repro.core.emcore import _peel_with_support, em_core
+from repro.core.engines.numpy_emcore import em_core_numpy
 from repro.core.semicore_star import semi_core_star
 from repro.datasets import generators
 from repro.storage.graphstore import GraphStorage
 
 from tests.conftest import graph_edges, make_random_edges, nx_core_numbers
-
-EXECUTOR_NAMES = ("serial", "persistent")
 
 
 class TestPeelWithSupport:
@@ -77,13 +77,15 @@ class TestCorrectness:
         result = em_core(GraphStorage.from_edges([(0, 1)], 5))
         assert list(result.cores) == [1, 1, 0, 0, 0]
 
-    def test_merge_disabled_still_correct(self, rng):
-        n = 50
-        edges = make_random_edges(rng, n, 0.2)
-        storage = GraphStorage.from_edges(edges, n)
-        result = em_core(storage, partition_arcs=16,
-                         memory_budget_bytes=256, merge_partitions=False)
-        assert list(result.cores) == nx_core_numbers(edges, n)
+    @pytest.mark.parametrize("entry", [em_core, em_core_numpy],
+                             ids=lambda entry: entry.__name__)
+    @pytest.mark.parametrize("option", ["executor", "merge_partitions"])
+    def test_algorithm_two_has_no_executor_or_merge_option(self, entry,
+                                                           option):
+        """Every partition peel runs in-process and shrunken partitions
+        are always re-merged (Algorithm 2, line 13)."""
+        with pytest.raises(TypeError):
+            entry(GraphStorage.from_edges([(0, 1)], 2), **{option: None})
 
 
 class TestPaperCriticisms:
@@ -128,47 +130,6 @@ class TestPaperCriticisms:
                         memory_budget_bytes=600)
         assert list(loose.cores) == list(tight.cores)
         assert tight.iterations >= loose.iterations
-
-
-class TestPartitionExecutors:
-    """The partition phase rides the shard-executor protocol: its
-    pseudo-peel upper bounds are pure functions of the partition
-    records, so every executor must produce bit-identical results."""
-
-    def test_executor_parity(self, rng):
-        n = 90
-        edges = make_random_edges(rng, n, 0.12)
-        expected = nx_core_numbers(edges, n)
-        runs = {}
-        for engine in ("python", "numpy"):
-            for executor in EXECUTOR_NAMES:
-                storage = GraphStorage.from_edges(edges, n)
-                runs[engine, executor] = em_core(
-                    storage, partition_arcs=32, memory_budget_bytes=1024,
-                    engine=engine, executor=executor)
-                assert list(runs[engine, executor].cores) == expected, \
-                    (engine, executor)
-        serial = runs["python", "serial"]
-        for key, other in runs.items():
-            assert other.iterations == serial.iterations, key
-            assert other.node_computations == serial.node_computations, key
-            assert other.io == serial.io, key
-
-    def test_executor_object_is_not_closed_by_emcore(self, paper_graph):
-        from repro.core.sharded import PersistentShardExecutor
-
-        edges, n = paper_graph
-        executor = PersistentShardExecutor(processes=2)
-        try:
-            for _ in range(2):
-                storage = GraphStorage.from_edges(edges, n)
-                result = em_core(storage, partition_arcs=8,
-                                 executor=executor)
-                assert list(result.cores) == [3, 3, 3, 3, 2, 2, 2, 2, 1]
-            # The pool outlived both runs: forked once, never closed.
-            assert executor.pool_forks == 1
-        finally:
-            executor.close()
 
 
 class TestPathologicalPartitioning:

@@ -292,12 +292,6 @@ class TestEMCoreParity:
         assert reference.iterations > 1
         assert reference.io.write_ios > 0
 
-    def test_merge_disabled(self, rng):
-        n = 60
-        edges = make_random_edges(rng, n, 0.15)
-        self.run_both(edges, n, partition_arcs=16,
-                      memory_budget_bytes=256, merge_partitions=False)
-
     def test_generator_graphs(self):
         cases = [
             generators.social_graph(300, 3, 12, seed=11),

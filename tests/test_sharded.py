@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import repro.storage.csr as csr_module
 import repro.storage.shards as shards_module
-from repro.core.emcore import em_core
 from repro.core.engines import (
     _REGISTRY,
     engine_implementation,
@@ -403,24 +402,6 @@ class TestPersistentExecutor:
             assert list(result.cores) == expected
             assert executor.pool_forks == run
 
-    def test_pool_warmed_by_emcore_is_retired_before_sharding(self):
-        """A caller-owned executor that EMCore left running was forked
-        before the driver published its shards and plan; the driver
-        must re-fork rather than dispatch to the stale pool."""
-        edges, n = social_graph(200, 2, 6, seed=4)
-        expected = reference_cores(edges, n)
-        executor = PersistentShardExecutor(processes=2)
-        try:
-            em_core(GraphStorage.from_edges(edges, n), executor=executor)
-            assert executor.pool_forks == 1
-            result = sharded_semi_core_star(
-                GraphStorage.from_edges(edges, n), 3, executor=executor)
-            assert list(result.cores) == expected
-            assert result.pool_forks == 2
-        finally:
-            executor.close()
-        assert glob.glob("/dev/shm/repro_shm*") == []
-
     def test_pool_forked_by_a_bare_run_is_retired_before_sharding(self):
         edges, n = social_graph(150, 2, 6, seed=7)
         expected = reference_cores(edges, n)
@@ -432,24 +413,6 @@ class TestPersistentExecutor:
                 GraphStorage.from_edges(edges, n), 3, executor=executor)
             assert list(result.cores) == expected
             assert result.pool_forks == 2
-        finally:
-            executor.close()
-        assert glob.glob("/dev/shm/repro_shm*") == []
-
-    def test_emcore_after_sharding_on_the_same_executor(self):
-        """The driver closes the pool; EMCore must fork a fresh one."""
-        edges, n = social_graph(150, 2, 6, seed=8)
-        expected = reference_cores(edges, n)
-        executor = PersistentShardExecutor(processes=2)
-        try:
-            sharded = sharded_semi_core_star(
-                GraphStorage.from_edges(edges, n), 3, executor=executor)
-            assert list(sharded.cores) == expected
-            assert executor.pool_forks == 1
-            emcore = em_core(GraphStorage.from_edges(edges, n),
-                             executor=executor)
-            assert list(emcore.cores) == expected
-            assert executor.pool_forks == 2
         finally:
             executor.close()
         assert glob.glob("/dev/shm/repro_shm*") == []
