@@ -201,9 +201,9 @@ def em_core(storage, *, memory_budget_bytes=None, partition_arcs=None,
             for pid in selected:
                 records = store.read(pid)
                 members[pid] = [v for v, _ in records]
-                for v, nbrs in records:
-                    if core[v] < 0:
-                        gmem[v] = nbrs
+                # Every member is unfinalized: write-back drops the
+                # nodes a round finalizes from their partitions.
+                gmem.update(records)
 
             local_adj = {
                 v: [u for u in nbrs if u in gmem]

@@ -179,16 +179,11 @@ def em_core_numpy(storage, *, memory_budget_bytes=None, partition_arcs=None):
         for pid in selected:
             nodes_p, indptr_p, indices_p = decode_csr(store.read_bytes(pid))
             chunks.append((pid, nodes_p, indptr_p, indices_p))
-            alive_rows = np.flatnonzero(core[nodes_p] < 0)
-            if len(alive_rows) == len(nodes_p):
-                mem_nodes_parts.append(nodes_p)
-                mem_deg_parts.append(np.diff(indptr_p))
-                mem_idx_parts.append(indices_p)
-            elif alive_rows.size:
-                flat, counts = _gather_rows(indptr_p, indices_p, alive_rows)
-                mem_nodes_parts.append(nodes_p[alive_rows])
-                mem_deg_parts.append(counts)
-                mem_idx_parts.append(flat)
+            # Every member is unfinalized: write-back drops the nodes a
+            # round finalizes from their partitions.
+            mem_nodes_parts.append(nodes_p)
+            mem_deg_parts.append(np.diff(indptr_p))
+            mem_idx_parts.append(indices_p)
 
         mem_nodes = (np.concatenate(mem_nodes_parts) if mem_nodes_parts
                      else np.zeros(0, dtype=np.int64))

@@ -32,7 +32,11 @@ Every pass-based algorithm runs that one sweep kernel:
   recomputation would be a no-op (``cnt(v) >= core(v)`` implies
   ``LocalCore`` returns ``core(v)``), so its per-pass state evolution
   equals the full sweep, and its scheduling bookkeeping reduces to "the
-  next pass runs while violators remain";
+  next pass runs while violators remain".  A pass over a resident
+  snapshot that starts with few violators is run instead as the
+  reference's own worklist (:func:`_scalar_pass`): most SemiCore*
+  passes move a handful of nodes, and a sweep's fixed cost in array
+  calls would dwarf them;
 * the sharded shard pass -- the same converge loop with the halo rows
   frozen (``limit``); after a shard's first pass it starts from carried
   counts and runs over the rows it loads wave by wave
@@ -52,14 +56,21 @@ the counts only by deltas; no pass recounts them.
   to ``b`` costs each larger-id neighbour ``v`` with ``b < x[v] <= a``
   one unit, and the dropper's own count is read off its h-index
   histogram at the new value.
-* Between passes (:func:`_refresh_supporting`) the changed rows are
-  recounted and every other node loses one unit per changed neighbour
-  ``u`` with ``new[u] < old[v] <= old[u]``.
+* After a sweep (:func:`_settle_counts`) only the larger-id
+  neighbours still weigh in at their pass-start values, so each changed
+  ``u`` costs each smaller-id neighbour ``v`` with ``new[u] < new[v] <=
+  old[u]`` one unit.  The nodes it costs are the only ones that can
+  violate Eq. 2 in the next pass, so the next pass starts from them
+  without a scan of all rows.
+* A scalar SemiCore* pass (:func:`_scalar_pass`) moves the counts in
+  place as Algorithm 5 does: a drop from ``a`` to ``b`` costs every
+  neighbour with a value in ``(b, a]`` one unit.
 
 So a sweep gathers only its droppers' rows, once per drop, and a
-refresh only the changed rows.  LocalCore is a counting h-index
-(:func:`_h_index`): weights clipped to the row length, one
-``bincount`` histogram, a segmented suffix sum -- no sort.
+settle only the changed rows.  LocalCore is a counting
+h-index (:func:`_h_index`): weights clipped to the row length and the
+pass-start value, one ``bincount`` histogram, a segmented suffix sum --
+no sort.
 :func:`_peel_values` is the one peel (IMCore here, the EMCore
 partitions in :mod:`repro.core.engines.numpy_emcore`).
 
@@ -80,6 +91,7 @@ figure includes the CSR arrays where the reference engine charges only
 
 from __future__ import annotations
 
+import heapq
 import time
 from array import array
 
@@ -96,6 +108,15 @@ __all__ = ["semi_core_numpy", "semi_core_plus_numpy",
            "semi_core_star_numpy", "im_core_numpy",
            "shard_pass_numpy", "distributed_core_numpy"]
 
+
+#: A SemiCore* pass over a resident snapshot that starts with at most
+#: this many violators runs as a scalar worklist (:func:`_scalar_pass`):
+#: below it the fixed cost of the array calls of a sweep outweighs the
+#: work of the few rows it recomputes.
+SCALAR_PASS_MAX = 64
+
+#: Rows longer than this take the array h-index inside the scalar pass.
+_SCALAR_ROW_MAX = 64
 
 # ----------------------------------------------------------------------
 # batched kernels
@@ -123,46 +144,47 @@ def _weigh(csr, rows, x, old):
     it precedes ``v`` in scan order and its pass-start value ``old[u]``
     otherwise (plainly ``old[u]`` when ``x is old``).  ``rows=None``
     stands for every row and reads ``csr.indices`` in place, without a
-    gather.  Returns ``(nbr, w, owner, local, counts)``: the neighbour
-    ids and their weights row after row, the owning node and its
-    position in ``rows`` per entry, and the per-row lengths.
+    gather.  Returns ``(nbr, w, owner, counts)``: the neighbour ids and
+    their weights row after row, the owning node per entry, and the
+    per-row lengths.
     """
     if rows is None:
         nbr, counts = csr.indices, csr.degrees()
-        owner = local = np.repeat(np.arange(len(counts), dtype=np.int64),
-                                  counts)
+        rows = np.arange(len(counts), dtype=np.int64)
     else:
         nbr, counts = _gather_rows(csr.indptr, csr.indices, rows)
-        local = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        owner = rows[local]
+    owner = np.repeat(rows, counts)
     w = old[nbr]
     if x is not old:
         earlier = nbr < owner
         w[earlier] = x[nbr[earlier]]
-    return nbr, w, owner, local, counts
+    return nbr, w, owner, counts
 
 
-def _h_index(w, local, counts, cap):
-    """Per-row h-index of the weights ``w`` (row ``local`` per entry)
-    clamped by ``cap``: the largest ``k <= cap`` with at least ``k``
-    weights ``>= k`` in the row.  Consumes ``w``.
+def _h_index(w, counts, cap):
+    """Per-row h-index of the weights ``w`` (rows of ``counts`` entries
+    laid end to end) clamped by ``cap``: the largest ``k <= cap`` with
+    at least ``k`` weights ``>= k`` in the row.  Consumes ``w``, whose
+    entries are core values and so never negative.
 
     Counting, not sorting.  No row's answer exceeds its length, so each
-    weight is clipped into ``[0, min(length, cap)]`` and one ``bincount``
-    histograms every row into ``length + 1`` bins laid end to end.  The
-    within-row suffix sum ``S[k]`` counts the weights ``>= k``; it never
-    grows with ``k``, so the bins with ``S[k] >= k`` form the prefix
-    ``0..h`` of their row and ``h`` is their count minus one.  Returns
-    ``(h, S[h])``: the answer and the row's support at it.
+    weight is clipped to ``bound`` with ``bound = min(length,
+    cap)`` and one ``bincount`` histograms every row into ``bound + 1``
+    bins laid end to end.  The within-row suffix sum ``S[k]`` counts the
+    weights ``>= k``; it never grows with ``k``, so the bins with ``S[k]
+    >= k`` form the prefix ``0..h`` of their row and ``h`` is their
+    count minus one.  Returns ``(h, S[h])``: the answer and the row's
+    support at it.
     """
     if counts.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    size = counts + 1
+    bound = np.minimum(counts, cap)
+    np.maximum(bound, 0, out=bound)
+    size = bound + 1
     end = np.cumsum(size)
     base = end - size
-    bound = np.minimum(counts, cap)
-    np.clip(w, 0, np.maximum(bound, 0, out=bound)[local], out=w)
-    w += base[local]
+    np.minimum(w, np.repeat(bound, counts), out=w)
+    w += np.repeat(base, counts)
     excess = np.bincount(w, minlength=int(end[-1]))
     np.cumsum(excess[::-1], out=excess[::-1])
     # A row's S is the flat suffix sum minus the part past the row's
@@ -183,34 +205,16 @@ def _local_core_batch(csr, rows, current, old):
     (see :func:`_weigh`); the result is clamped by the owner's
     pass-start value.
     """
-    _, w, _, local, counts = _weigh(csr, rows, current, old)
-    return _h_index(w, local, counts, old if rows is None else old[rows])[0]
+    _, w, _, counts = _weigh(csr, rows, current, old)
+    return _h_index(w, counts, old if rows is None else old[rows])[0]
 
 
 def _support(csr, core):
     """Eq. 2 count of every node, ``|{u in nbr(v): core[u] >= core[v]}|``,
     straight from ``csr.indices`` with no gather."""
-    _, w, owner, _, counts = _weigh(csr, None, core, core)
-    return np.bincount(owner[w >= core[owner]], minlength=len(counts))
-
-
-def _refresh_supporting(csr, old, new, cnt, changed):
-    """Carry the Eq. 2 counts ``cnt`` from ``old`` to ``new`` in place.
-
-    ``changed`` lists the nodes whose value dropped; they are the only
-    rows read.  Their counts are recounted, because their threshold
-    moved.  Every other node ``v`` keeps its threshold and loses one
-    unit per changed neighbour ``u`` that fell through it:
-    ``new[u] < old[v] <= old[u]``.
-    """
-    if changed.size == 0:
-        return
-    nbr, w, owner, local, counts = _weigh(csr, changed, new, new)
-    below, above = new[owner], old[owner]
-    cnt[changed] = np.bincount(local[w >= below], minlength=len(counts))
-    value = old[nbr]
-    crossed = (w == value) & (below < value) & (value <= above)
-    cnt -= np.bincount(nbr[crossed], minlength=cnt.size)
+    _, w, owner, counts = _weigh(csr, None, core, core)
+    return np.bincount(owner[w >= np.repeat(core, counts)],
+                       minlength=len(counts))
 
 
 def _drop(csr, active, x, old, support, limit):
@@ -224,17 +228,107 @@ def _drop(csr, active, x, old, support, limit):
     and, again one per arc, those whose current value the dropper fell
     through: ``b < x[v] <= a`` for a drop from ``a`` to ``b``.
     """
-    nbr, w, owner, local, counts = _weigh(csr, active, x, old)
+    nbr, w, owner, counts = _weigh(csr, active, x, old)
     above = x[active]
-    below, support[active] = _h_index(w, local, counts, old[active])
+    below, support[active] = _h_index(w, counts, old[active])
     x[active] = below
     ahead = nbr > owner
     if limit is not None:
         ahead &= nbr < limit
     larger = nbr[ahead]
-    local = local[ahead]
     value = x[larger]
-    return larger, larger[(below[local] < value) & (value <= above[local])]
+    return larger, larger[(np.repeat(below, counts)[ahead] < value)
+                          & (value <= np.repeat(above, counts)[ahead])]
+
+
+def _settle_counts(csr, old, new, support, changed):
+    """Turn a sweep's mixed-value counts into Eq. 2 counts at ``new``.
+
+    At the end of a sweep ``support[v]`` weighs every neighbour ``u <
+    v`` at ``new[u]`` but every ``u > v`` still at ``old[u]``.  So the
+    only correction left is one unit per changed ``u`` and smaller-id
+    neighbour ``v`` that ``u`` fell through: ``new[u] < new[v] <=
+    old[u]``.  Applied in place; ``changed`` (ascending) lists the nodes
+    whose value dropped, and only their rows are read.  Returns the
+    nodes the correction leaves violating Eq. 2 -- the next pass's
+    active set, since the sweep leaves every node it met satisfied.
+    """
+    nbr, counts = _gather_rows(csr.indptr, csr.indices, changed)
+    value = new[nbr]
+    crossed = nbr[(nbr < np.repeat(changed, counts))
+                  & (np.repeat(new[changed], counts) < value)
+                  & (value <= np.repeat(old[changed], counts))]
+    hit, units = np.unique(crossed, return_counts=True)
+    support[hit] -= units
+    return hit[support[hit] < new[hit]]
+
+
+def _scalar_pass(csr, core, cnt, active, limit):
+    """One SemiCore* pass as the reference's sequential worklist.
+
+    The small-frontier counterpart of :func:`_sweep` for a resident
+    snapshot: the violators pop from a min-heap in ascending id order,
+    each is recomputed against the values in ``core`` (written in place,
+    so smaller ids weigh in at their new values and larger ones at
+    their pass-start values -- exactly the sweep's semantics), and
+    ``cnt`` is kept as exact Eq. 2 counts the way Algorithm 5 keeps
+    them: a drop from ``a`` to ``b`` costs every neighbour ``u`` with
+    ``b < core[u] <= a`` one unit.  Larger-id neighbours it leaves
+    violating join this pass, smaller-id ones the next.  Rows at or past
+    ``limit`` are read but never recomputed.  Each row is taken with one
+    ``tolist()``; rows longer than :data:`_SCALAR_ROW_MAX` are handled
+    with array operations instead.  Returns ``(changed, upcoming)``:
+    the nodes that dropped and the next pass's violators, both ascending
+    int64 arrays.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    movable = csr.num_nodes if limit is None else limit
+    heap = active.tolist()
+    changed = []
+    upcoming = set()
+    while heap:
+        v = heapq.heappop(heap)
+        cold = core.item(v)
+        if cnt.item(v) >= cold:
+            continue
+        start, end = indptr.item(v), indptr.item(v + 1)
+        cap = min(cold, end - start)
+        row = indices[start:end]
+        if end - start <= _SCALAR_ROW_MAX:
+            values = core[row].tolist()
+            ordered = sorted(values, reverse=True)
+            h = 0
+            while h < cap and ordered[h] > h:
+                h += 1
+            support = h
+            while support < len(ordered) and ordered[support] >= h:
+                support += 1
+            short = []
+            for u, c in zip(row.tolist(), values):
+                if h < c <= cold and u < movable:
+                    k = cnt.item(u) - 1
+                    cnt[u] = k
+                    if k < c:
+                        short.append(u)
+        else:
+            values = core[row]
+            ordered = np.sort(values)[::-1]
+            h = int(np.count_nonzero(ordered[:cap] > np.arange(cap)))
+            support = int(np.count_nonzero(values >= h))
+            crossed = (h < values) & (values <= cold) & (row < movable)
+            hit = row[crossed]
+            cnt[hit] -= 1
+            short = hit[cnt[hit] < values[crossed]].tolist()
+        core[v] = h
+        cnt[v] = support
+        changed.append(v)
+        for u in short:
+            if u > v:
+                heapq.heappush(heap, u)
+            else:
+                upcoming.add(u)
+    return (np.array(changed, dtype=np.int64),
+            np.array(sorted(upcoming), dtype=np.int64))
 
 
 def _sweep(csr, old, supporting, active, *, limit=None, window=None,
@@ -266,14 +360,16 @@ def _sweep(csr, old, supporting, active, *, limit=None, window=None,
     gathered, for a ``csr`` that holds only the rows loaded so far
     (:class:`_LoadedRows`).  The fixpoint is monotone -- values only
     decrease as the active set grows -- so it lands on exactly the
-    sequential pass's state.  Returns the post-pass values without
-    mutating ``old`` or ``supporting``.
+    sequential pass's state.  Returns ``(x, support, changed)``: the
+    post-pass values, their mixed-value counts and the nodes that
+    dropped (ascending), without mutating ``old`` or ``supporting``.
     """
     x = old.copy()
     support = supporting.copy()
     # Only rows below ``limit`` ever enter the active set.
     movable = csr.num_nodes if limit is None else limit
     mark = np.zeros(movable, dtype=bool)
+    waves = [active]
     while active.size:
         if load is not None:
             load(active)
@@ -292,7 +388,8 @@ def _sweep(csr, old, supporting, active, *, limit=None, window=None,
         # of their current value will drop (LocalCore(v) < x[v] iff
         # fewer than x[v] neighbours weigh in at >= x[v]).
         active = candidates[support[candidates] < x[candidates]]
-    return x
+        waves.append(active)
+    return x, support, np.unique(np.concatenate(waves))
 
 
 def _peel_values(indptr, indices, eff):
@@ -395,9 +492,9 @@ def semi_core_numpy(graph, *, initial_cores=None, trace_changes=False,
             max_arcs = csr.num_arcs
         if cnt is None:
             cnt = _support(csr, core)
-        new = _sweep(csr, core, cnt, np.flatnonzero(cnt < core))
-        changed_ids = np.flatnonzero(new != core)
-        _refresh_supporting(csr, core, new, cnt, changed_ids)
+            active = np.flatnonzero(cnt < core)
+        new, cnt, changed_ids = _sweep(csr, core, cnt, active)
+        active = _settle_counts(csr, core, new, cnt, changed_ids)
         core = new
         changed = int(changed_ids.size)
         iterations += 1
@@ -464,12 +561,11 @@ def semi_core_plus_numpy(graph, *, initial_cores=None, trace_changes=False,
         # against the pass-start values, so only those enter the sweep.
         window = np.zeros(n, dtype=bool)
         window[scheduled] = True
-        new = _sweep(csr, core, cnt,
-                     scheduled[cnt[scheduled] < core[scheduled]],
-                     window=window)
+        new, cnt, changed_ids = _sweep(
+            csr, core, cnt, scheduled[cnt[scheduled] < core[scheduled]],
+            window=window)
         processed = np.flatnonzero(window)
-        changed_ids = np.flatnonzero(new != core)
-        _refresh_supporting(csr, core, new, cnt, changed_ids)
+        _settle_counts(csr, core, new, cnt, changed_ids)
         core = new
         computations += int(processed.size)
         if iterations > 1:
@@ -506,16 +602,21 @@ def _converge_star_passes(graph, csr, core, *, supporting=None,
     ``limit`` is None for a whole graph and ``frozen_from`` for a shard,
     whose halo rows are read like any neighbour but never recomputed.
     ``supporting`` holds exact Eq. 2 counts at ``core`` (counted from
-    the snapshot when omitted).  ``first`` is the row set pass 1 is
-    charged for computing (the whole-graph stale-count pass recomputes
-    every row with a positive bound); without it pass 1, like every
-    later pass, computes exactly the rows that change.  When ``csr`` is
-    a snapshot, pass 1 is served by it and later passes replay the
-    reads of the rows that changed; when it is a :class:`_LoadedRows`,
-    every pass loads its rows as the sweep meets them and replays their
-    reads.  Passes run while any row below ``limit`` violates Eq. 2.
-    Appends to the ``changes`` / ``computed_log`` traces when given.
-    Returns ``(core, cnt, iterations, computations)``.
+    the snapshot when omitted); both are consumed.  ``first`` is the row
+    set pass 1 is charged for computing (the whole-graph stale-count
+    pass recomputes every row with a positive bound); without it pass 1,
+    like every later pass, computes exactly the rows that change.  When
+    ``csr`` is a snapshot, pass 1 is served by it and later passes
+    replay the reads of the rows that changed; a pass that starts with
+    at most :data:`SCALAR_PASS_MAX` violators runs as the scalar
+    worklist (:func:`_scalar_pass`), any other as a sweep whose counts
+    :func:`_settle_counts` corrects.  When ``csr`` is a
+    :class:`_LoadedRows`, every pass is a sweep that loads its rows as
+    it meets them and replays their reads.  Passes run while any row
+    below ``limit`` violates Eq. 2; every pass hands the next one its
+    violators, so no pass scans all rows.  Appends to the ``changes`` /
+    ``computed_log`` traces when given.  Returns ``(core, cnt,
+    iterations, computations)``.
     """
     loaded = isinstance(csr, _LoadedRows)
     if supporting is None:
@@ -525,10 +626,15 @@ def _converge_star_passes(graph, csr, core, *, supporting=None,
     computations = 0
     while True:
         iterations += 1
-        old = core
-        core = _sweep(csr, old, supporting, active, limit=limit,
-                      load=csr.load if loaded else None)
-        changed_ids = np.flatnonzero(core[:limit] != old[:limit])
+        if not loaded and active.size <= SCALAR_PASS_MAX:
+            changed_ids, active = _scalar_pass(csr, core, supporting,
+                                               active, limit)
+        else:
+            old = core
+            core, supporting, changed_ids = _sweep(
+                csr, old, supporting, active, limit=limit,
+                load=csr.load if loaded else None)
+            active = _settle_counts(csr, old, core, supporting, changed_ids)
         if iterations == 1 and first is not None:
             processed = first
         else:
@@ -541,9 +647,7 @@ def _converge_star_passes(graph, csr, core, *, supporting=None,
         if changes is not None:
             changes.append(int(changed_ids.size))
         if computed_log is not None:
-            computed_log.append([int(v) for v in processed])
-        _refresh_supporting(csr, old, core, supporting, changed_ids)
-        active = np.flatnonzero(supporting[:limit] < core[:limit])
+            computed_log.append(processed.tolist())
         if not active.size:
             return core, supporting, iterations, computations
 
@@ -662,7 +766,7 @@ def shard_pass_numpy(graph, *, initial_cores, frozen_from, cnt=None):
         raise GraphError(
             "frozen_from %d out of range [0, %d]" % (frozen_from, n)
         )
-    core = np.asarray(initial_cores, dtype=np.int64)
+    core = np.array(initial_cores, dtype=np.int64)
     sweeps = []
     if cnt is None:
         csr = CSRGraph.from_storage(graph, stop=frozen_from)

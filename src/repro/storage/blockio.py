@@ -300,6 +300,8 @@ def read_spans(devices, owners, starts, counts, dtype, *, charge=True):
         if owners is not None:
             owners = owners[keep]
     total = starts.size
+    if not total:
+        return np.zeros(0, dtype=dtype)
     heads, used, ends, gaps = _span_layout(devices, owners, starts, sizes)
     if charge:
         _charge(used, heads, starts, sizes, ends)

@@ -421,6 +421,21 @@ class TestReadSpans:
         assert device._cached_block == cached
         assert data.tobytes() == b"".join(payload[s:s + 12] for s in starts)
 
+    @pytest.mark.parametrize("charge", [True, False])
+    def test_many_empty_spans_read_nothing(self, charge):
+        """Past the loop cutoff, a request whose spans are all empty
+        returns an empty array of its dtype and charges nothing, as the
+        loop path does."""
+        stats = IOStats()
+        device = MemoryBlockDevice(bytes(4096), block_size=64, stats=stats)
+        device.read_at(100, 4)
+        stats.reset()
+        spans = SPAN_LOOP_MAX + 8
+        data = device.read_spans([8 * i for i in range(spans)], [0] * spans,
+                                 "<u4", charge=charge)
+        assert data.dtype.str == "<u4" and data.size == 0
+        assert stats == IOStats() and device._cached_block == 1
+
     def test_overlapping_spans_rejected(self):
         device = MemoryBlockDevice(bytes(4096))
         with pytest.raises(StorageError):

@@ -192,6 +192,22 @@ class TestIOAccounting:
                 assert graph.io_stats == reference.io_stats
             assert list(offsets) == [graph.node_entry(v)[0] for v in rows]
 
+    def test_sorted_rows_of_empty_rows_only(self):
+        """More rows than the span-loop cutoff, every one empty: no
+        edge entry is read, and the node entries charge what per-row
+        ``neighbors()`` reads charge."""
+        rows = np.arange(2, 60)
+        reference, graph = (GraphStorage.from_edges([(0, 1)], 100)
+                            for _ in range(2))
+        reference.io_stats.reset()
+        for v in rows:
+            reference.neighbors(int(v))
+        graph.io_stats.reset()
+        offsets, degrees, indices = read_sorted_rows(graph, rows)
+        assert graph.io_stats == reference.io_stats
+        assert degrees.tolist() == [0] * rows.size
+        assert indices.dtype == np.uint32 and indices.size == 0
+
     def test_sorted_rows_without_devices(self, paper_graph):
         """A graph with no block devices is asked for ``neighbors()``
         row by row; there are no edge-table offsets to hand back."""

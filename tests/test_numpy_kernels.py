@@ -27,58 +27,9 @@ from repro.datasets.registry import generate_dataset
 from repro.storage.csr import CSRGraph
 from repro.storage.graphstore import GraphStorage
 
-from tests.conftest import graph_edges, nx_core_numbers
+from tests.conftest import graphs_with_bounds, nx_core_numbers
 
 SEMICORES = [semi_core, semi_core_plus, semi_core_star]
-
-
-@st.composite
-def disconnected_hubs(draw):
-    """Hubs over a shared leaf pool, a few leaf-leaf edges and isolated
-    nodes, under a random id permutation so hubs land anywhere in the
-    scan order."""
-    hubs = draw(st.integers(min_value=1, max_value=4))
-    leaves = draw(st.integers(min_value=1, max_value=16))
-    isolated = draw(st.integers(min_value=0, max_value=3))
-    n = hubs + leaves + isolated
-    edges = set()
-    for hub in range(hubs):
-        members = draw(st.sets(st.integers(min_value=0,
-                                           max_value=leaves - 1),
-                               min_size=1))
-        edges.update((hub, hubs + leaf) for leaf in members)
-    for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        a, b = draw(st.tuples(st.integers(0, leaves - 1),
-                              st.integers(0, leaves - 1)))
-        if a != b:
-            edges.add((hubs + min(a, b), hubs + max(a, b)))
-    order = draw(st.permutations(range(n)))
-    return sorted(tuple(sorted((order[u], order[v]))) for u, v in edges), n
-
-
-def graph_shapes():
-    return st.one_of(
-        graph_edges(),
-        st.integers(min_value=2, max_value=30).map(generators.star_graph),
-        st.integers(min_value=1, max_value=12).map(generators.complete_graph),
-        disconnected_hubs(),
-    )
-
-
-@st.composite
-def graphs_with_bounds(draw):
-    """A graph and a valid upper bound: the true core numbers plus
-    non-negative slack, capped at the degree."""
-    edges, n = draw(graph_shapes())
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    slack = draw(st.lists(st.integers(min_value=0, max_value=8),
-                          min_size=n, max_size=n))
-    bound = [min(core + extra, deg) for core, extra, deg in
-             zip(nx_core_numbers(edges, n), slack, degree)]
-    return edges, n, bound
 
 
 def observable(result):
@@ -172,9 +123,8 @@ class TestCountingHIndex:
         at or above it -- the support a dropper carries forward."""
         cap = np.array([rnd.randint(0, 20) for _ in rows], dtype=np.int64)
         counts = np.array([len(r) for r in rows], dtype=np.int64)
-        local = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
         w = np.array([x for r in rows for x in r], dtype=np.int64)
-        h, support = numpy_engine._h_index(w, local, counts, cap)
+        h, support = numpy_engine._h_index(w, counts, cap)
         expected = [brute_h_index(r, int(c)) for r, c in zip(rows, cap)]
         assert h.tolist() == expected
         assert support.tolist() == [sum(1 for x in r if x >= k)
